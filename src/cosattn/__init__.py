@@ -54,7 +54,6 @@ from .linear import (
 )
 from .matio import matrix_text, read_matrix, read_pgm, write_matrix, write_pgm
 from .reweight import (
-    DecomposedFactors,
     build_reweight_matrix,
     cos_weight,
     decompose,
@@ -80,7 +79,6 @@ __all__ = [
     "ConfigurationError",
     "CosattnError",
     "CoverageMatrix",
-    "DecomposedFactors",
     "DimensionError",
     "ELU_PLUS_ONE",
     "FeatureMapKind",

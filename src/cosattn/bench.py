@@ -3,18 +3,20 @@
 Timing protocol: per (variant, length) cell, inputs are drawn from an rng
 keyed by (seed, length, d_model) so every variant times the exact same
 matrices, one warm-up call is discarded, then `repeats` calls are timed
-with a monotonic clock. Mean, std, and median of the repeats are all
-reported; ratio arguments should use the median, which is robust to a
-stray slow run.
+with a monotonic clock. A variant's lengths are timed round-robin, one
+call each per round, so slow stretches of a noisy machine hit every
+length alike and length-to-length ratios stay stable. Mean, std, and
+median of the repeats are all reported; ratio arguments should use the
+median, which is robust to a stray slow run.
 
 Memory is reported as an analytic transient-scalar count, the number of
 temporary scalars the streaming form of each variant needs, rather than
 OS-level RSS: the count is deterministic, portable, and shows the
 asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
-variants a d x d state). The vectorized batch implementations here
-allocate additional O(n * d) staging buffers on top of these counts; the
-counts track the algorithmic working set, not this library's allocator
-behavior.
+variants a d x d state, 2d x d for cosformer). The vectorized batch
+implementations here allocate additional O(n * d) staging buffers on top
+of these counts; the counts track the algorithmic working set, not this
+library's allocator behavior.
 
 A quadratic cell that runs out of memory is recorded with NaN timings
 rather than aborting the sweep, so large-length comparisons against the
@@ -48,8 +50,9 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
     """Analytic working-set size, in scalars, of one attention call.
 
     Quadratic attention materializes the n x n weight block plus the n x d
-    output; the kernel variants stream through a d x d state (two of them
-    for the two cosine branches) plus per-branch key totals and the output.
+    output; the kernel variants stream through one feature-width x d state
+    plus a feature-width key total and the output, the feature width being
+    d for plain kernels and 2d for cosformer's [cos | sin]-scaled rows.
     """
     if variant == "softmax":
         return seq_len * seq_len + seq_len * d_model
@@ -159,6 +162,7 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
 
     records = []
     for variant in variants:
+        calls = {}
         for n in lengths:
             # Keyed by everything except the variant: all variants see
             # identical inputs, so timing differences are algorithmic.
@@ -166,19 +170,29 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
             Q = rng.standard_normal((n, d_model))
             K = rng.standard_normal((n, d_model))
             V = rng.standard_normal((n, d_model))
-            call = _make_call(variant, mode, Q, K, V)
-            try:
-                call()  # warm-up, untimed
-                times = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    call()
-                    times.append(time.perf_counter() - start)
-                mean_s = statistics.fmean(times)
-                std_s = statistics.pstdev(times)
-                median_s = statistics.median(times)
-            except MemoryError:
+            calls[n] = _make_call(variant, mode, Q, K, V)
+        times = {n: [] for n in lengths}
+        # Each round calls every length once, so a burst of machine noise
+        # lands on all lengths of the variant alike instead of skewing
+        # their ratios. Round 0 is the warm-up; its times are dropped.
+        for _ in range(1 + repeats):
+            for n in lengths:
+                if times[n] is None:
+                    continue
+                start = time.perf_counter()
+                try:
+                    calls[n]()
+                except MemoryError:
+                    times[n] = None
+                    continue
+                times[n].append(time.perf_counter() - start)
+        for n in lengths:
+            if times[n] is None:
                 mean_s = std_s = median_s = float("nan")
+            else:
+                mean_s = statistics.fmean(times[n][1:])
+                std_s = statistics.pstdev(times[n][1:])
+                median_s = statistics.median(times[n][1:])
             record = BenchmarkRecord(
                 variant=variant,
                 seq_len=n,

@@ -168,8 +168,7 @@ class AttentionConfig:
     use_softmax: bool = False
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise ConfigurationError(f"eps must be > 0, got {self.eps!r}")
+        _require_eps(self.eps)
         if self.reweight.kind == "cosine" and not self.feature_map.nonnegative:
             raise ConfigurationError(
                 "cosine reweighting requires a non-negative feature map "
@@ -190,6 +189,11 @@ class AttentionConfig:
     def linear(cls, feature_map: FeatureMapKind = RELU, causal: bool = False,
                eps: float = 1e-6) -> "AttentionConfig":
         return cls(feature_map=feature_map, causal=causal, eps=eps)
+
+
+def _require_eps(eps: float) -> None:
+    if not (eps > 0.0):
+        raise ConfigurationError(f"eps must be > 0, got {eps!r}")
 
 
 def _require_kernel_config(config: AttentionConfig):

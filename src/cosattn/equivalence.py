@@ -38,7 +38,7 @@ from .linear import (
     cosformer_attention,
     linear_attention,
 )
-from .reweight import position_factors
+from .reweight import decompose, position_angles
 
 VARIANTS = (
     "linear_identity",
@@ -120,20 +120,16 @@ def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
     Qf = apply_feature_map(np.asarray(Q, dtype=np.float64), config.feature_map)
     Kf = apply_feature_map(np.asarray(K, dtype=np.float64), config.feature_map)
     m = config.reweight.m
+    qf, kf = decompose(Qf, Kf, m)
     if mutation == "position_off_by_one":
         # Query angles taken at positions 2..n+1 instead of 1..n.
-        pos = np.arange(2, Qf.shape[0] + 2, dtype=np.float64)
-        ang = (np.pi * pos) / (2.0 * m)
-        q_cos, q_sin = np.cos(ang), np.sin(ang)
-    else:
-        q_cos, q_sin = position_factors(Qf.shape[0], m)
-    k_cos, k_sin = position_factors(Kf.shape[0], m)
-    q_factors = (Qf * q_cos[:, None], Qf * q_sin[:, None])
-    k_factors = (Kf * k_cos[:, None], Kf * k_sin[:, None])
-    if mutation == "dropped_sin_branch":
-        q_factors, k_factors = q_factors[:1], k_factors[:1]
-    num, den = _scan(q_factors, k_factors, np.asarray(V, dtype=np.float64),
-                     config.causal)
+        ang = position_angles(Qf.shape[0] + 1, m)[1:, None]
+        qf = np.hstack([Qf * np.cos(ang), Qf * np.sin(ang)])
+    elif mutation == "dropped_sin_branch":
+        # Only the left (cos-scaled) d columns of each feature row.
+        d = Qf.shape[1]
+        qf, kf = qf[:, :d], kf[:, :d]
+    num, den = _scan(qf, kf, np.asarray(V, dtype=np.float64), config.causal)
     if mutation == "unfloored_denominator":
         # 0/0 on floored rows is the point here; keep numpy quiet about it.
         with np.errstate(invalid="ignore", divide="ignore"):

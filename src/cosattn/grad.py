@@ -1,11 +1,13 @@
 """Analytic backward passes and finite-difference checking.
 
 The kernel backward never materializes an n x n matrix: query gradients
-ride the same forward prefix scan, and key/value gradients use a mirrored
-suffix scan, so cost stays Theta(n * d_k * d_v). Conventions at the
-non-smooth points: the relu gate takes subgradient 0 at exactly 0 (leaky
-takes its negative-side slope there), and a denominator at or below the
-floor eps is treated as a constant, contributing zero gradient.
+ride the same prefix scan as the forward, over the same (qf, kf) feature
+pair (2d-wide cos/sin-scaled rows under the cosine re-weight), and
+key/value gradients use a mirrored suffix scan, so cost stays
+Theta(n * d_k * d_v). Conventions at the non-smooth points: the relu gate
+takes subgradient 0 at exactly 0 (leaky takes its negative-side slope
+there), and a denominator at or below the floor eps is treated as a
+constant, contributing zero gradient.
 
 All gradients are computed and returned in float64.
 """
@@ -21,14 +23,18 @@ from .core import (
     AttentionDims,
     FeatureMapKind,
     RELU,
-    _check_horizon,
-    _require_kernel_config,
     _wide,
     apply_feature_map,
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .linear import _BLOCK, _causal_keep, _scan
+from .linear import (
+    _BLOCK,
+    _causal_drop,
+    _features,
+    _require_cosine_config,
+    _scan,
+)
 from .reweight import position_factors
 
 
@@ -52,122 +58,113 @@ def _check_d_out(d_out, n_q: int, d_v: int) -> np.ndarray:
     return d_out
 
 
-def _kernel_backward(Q, K, V, d_out, feature_map, causal, eps,
-                     q_weights, k_weights):
-    """Gradients of sum(d_out * forward) for the factored kernel forward.
+def _fold(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Map a gradient on fused feature rows back to the d feature columns.
 
-    q_weights/k_weights are per-branch position vectors; a plain kernel
-    passes a single all-ones branch, the cosine decomposition passes its
-    cos and sin vectors.
+    weights holds each row's per-half scales: (cos, sin) for the cosine
+    decomposition, a single 1 for a plain kernel, so row i of the result
+    is sum_h weights[i, h] * G[i, h*d:(h+1)*d].
     """
+    rows, halves = weights.shape
+    return np.einsum("rh,rhd->rd", weights, G.reshape(rows, halves, -1))
+
+
+def _row_weights(n: int, config: AttentionConfig) -> np.ndarray:
+    """Per-row half scales of config's feature rows, (n, halves)."""
+    if config.reweight.kind == "cosine":
+        return np.column_stack(position_factors(n, config.reweight.m))
+    return np.ones((n, 1))
+
+
+def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
+    """Gradients of sum(d_out * forward) for the kernel forward under config.
+
+    One prefix scan (dQ) and one suffix scan (dK, dV) run over the same
+    (qf, kf) pair as the forward; each chunk's gradient on the fused rows
+    is folded back to d columns right away, so no n x 2d gradient exists.
+    The cos/sin position factors are constants of the positions, so they
+    pass through the chain rule as fixed per-row scales.
+    """
+    Q = require_matrix(Q, "Q")
+    K = require_matrix(K, "K")
+    V = require_matrix(V, "V")
+    dims = AttentionDims.from_qkv(Q, K, V, config.causal)
+    d_out = _check_d_out(d_out, dims.n_q, dims.d_v)
+
     Qw, Kw, Vw = _wide(Q), _wide(K), _wide(V)
     g = _wide(d_out)
-    Qp = apply_feature_map(Qw, feature_map)
-    Kp = apply_feature_map(Kw, feature_map)
-    qfs = [Qp * a[:, None] for a in q_weights]
-    kfs = [Kp * b[:, None] for b in k_weights]
-    num, den = _scan(tuple(qfs), tuple(kfs), Vw, causal)
+    qf, kf = _features(apply_feature_map(Qw, config.feature_map),
+                       apply_feature_map(Kw, config.feature_map), config)
+    q_weights = _row_weights(dims.n_q, config)
+    k_weights = _row_weights(dims.n_k, config)
+    num, den = _scan(qf, kf, Vw, config.causal)
 
-    dhat = np.maximum(den, eps)
+    dhat = np.maximum(den, config.eps)
     u = g / dhat[:, None]
     # Rows at or below the floor see a constant denominator: no gradient.
-    active = (den > eps).astype(np.float64)
+    active = (den > config.eps).astype(np.float64)
     w = active * (g * num).sum(axis=1) / (dhat * dhat)
 
-    n_q, d_k = Qp.shape
-    d_v = Vw.shape[1]
-    dQp = np.zeros_like(Qp)
-    dKp = np.zeros_like(Kp)
-    dV = np.zeros_like(Vw)
-
-    if not causal:
-        for b in range(len(qfs)):
-            S_b = kfs[b].T @ Vw
-            t_b = kfs[b].sum(axis=0)
-            dqf = u @ S_b.T - np.outer(w, t_b)
-            dQp += q_weights[b][:, None] * dqf
-            P_b = qfs[b].T @ u
-            p_b = qfs[b].T @ w
-            dV += kfs[b] @ P_b
-            dKp += k_weights[b][:, None] * (Vw @ P_b.T - p_b[None, :])
+    if not config.causal:
+        P = qf.T @ u
+        dQp = _fold(u @ (kf.T @ Vw).T - np.outer(w, kf.sum(axis=0)), q_weights)
+        dKp = _fold(Vw @ P.T - (qf.T @ w)[None, :], k_weights)
+        dV = kf @ P
     else:
+        dQp = np.empty((dims.n_q, dims.d_k))
+        dKp = np.empty((dims.n_k, dims.d_k))
+        dV = np.empty_like(Vw)
+        width = qf.shape[1]
         # Prefix chunks for dQ: within a chunk the j <= i part is a masked
-        # product, earlier chunks enter through the carried aggregates.
-        states = [np.zeros((d_k, d_v)) for _ in kfs]
-        totals = [np.zeros(d_k) for _ in kfs]
-        for start in range(0, n_q, _BLOCK):
-            stop = min(start + _BLOCK, n_q)
-            keep = _causal_keep(stop - start)
-            keep_f = keep.astype(np.float64)
+        # product, earlier chunks enter through the carried sums. Entry
+        # (i, j) of the masked matrix is u_i . v_j - w_i.
+        state = np.zeros((width, dims.d_v))
+        total = np.zeros(width)
+        for start in range(0, dims.n_q, _BLOCK):
+            stop = min(start + _BLOCK, dims.n_q)
+            kc, vc = kf[start:stop], Vw[start:stop]
             uc, wc = u[start:stop], w[start:stop]
-            vc = Vw[start:stop]
-            for b in range(len(qfs)):
-                qc, kc = qfs[b][start:stop], kfs[b][start:stop]
-                uv = np.where(keep, uc @ vc.T, 0.0)
-                kt = keep_f @ kc + totals[b]
-                dqf = uv @ kc + uc @ states[b].T - wc[:, None] * kt
-                dQp[start:stop] += q_weights[b][start:stop, None] * dqf
-                states[b] += kc.T @ vc
-                totals[b] += kc.sum(axis=0)
+            a = uc @ vc.T - wc[:, None]
+            a[_causal_drop(stop - start)] = 0.0
+            dQp[start:stop] = _fold(a @ kc + uc @ state.T - np.outer(wc, total),
+                                    q_weights[start:stop])
+            state += kc.T @ vc
+            total += kc.sum(axis=0)
         # Suffix chunks for dK and dV: entry (j, i) of each masked product
-        # pairs key row j with query rows i >= j.
-        suf_P = [np.zeros((d_k, d_v)) for _ in qfs]
-        suf_p = [np.zeros(d_k) for _ in qfs]
-        for start in reversed(range(0, n_q, _BLOCK)):
-            stop = min(start + _BLOCK, n_q)
-            keep = _causal_keep(stop - start)
-            keep_f = keep.astype(np.float64)
+        # pairs key row j with query rows i >= j; in b it is v_j . u_i - w_i.
+        suf_P = np.zeros((width, dims.d_v))
+        suf_p = np.zeros(width)
+        for start in reversed(range(0, dims.n_q, _BLOCK)):
+            stop = min(start + _BLOCK, dims.n_q)
+            qc, kc, vc = qf[start:stop], kf[start:stop], Vw[start:stop]
             uc, wc = u[start:stop], w[start:stop]
-            vc = Vw[start:stop]
-            for b in range(len(qfs)):
-                qc, kc = qfs[b][start:stop], kfs[b][start:stop]
-                vu = np.where(keep.T, vc @ uc.T, 0.0)
-                wq = keep_f.T @ (wc[:, None] * qc) + suf_p[b]
-                dKp[start:stop] += k_weights[b][start:stop, None] * (
-                    vu @ qc + vc @ suf_P[b].T - wq)
-                kq = np.where(keep.T, kc @ qc.T, 0.0)
-                dV[start:stop] += kq @ uc + kc @ suf_P[b]
-                suf_P[b] += qc.T @ uc
-                suf_p[b] += qc.T @ wc
+            earlier = _causal_drop(stop - start).T
+            b = vc @ uc.T - wc[None, :]
+            b[earlier] = 0.0
+            dKp[start:stop] = _fold(b @ qc + vc @ suf_P.T - suf_p,
+                                    k_weights[start:stop])
+            kq = kc @ qc.T
+            kq[earlier] = 0.0
+            dV[start:stop] = kq @ uc + kc @ suf_P
+            suf_P += qc.T @ uc
+            suf_p += qc.T @ wc
 
-    dQ = dQp * feature_map_derivative(Qw, feature_map)
-    dK = dKp * feature_map_derivative(Kw, feature_map)
+    dQ = dQp * feature_map_derivative(Qw, config.feature_map)
+    dK = dKp * feature_map_derivative(Kw, config.feature_map)
     return dQ, dK, dV
 
 
 def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU,
                               causal: bool = False, eps: float = 1e-6):
     """Gradients of sum(d_out * linear_attention(Q, K, V))."""
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
-    dims = AttentionDims.from_qkv(Q, K, V, causal)
-    d_out = _check_d_out(d_out, dims.n_q, dims.d_v)
-    ones_q = np.ones(dims.n_q)
-    ones_k = np.ones(dims.n_k)
-    return _kernel_backward(Q, K, V, d_out, feature_map, causal, eps,
-                            (ones_q,), (ones_k,))
+    return _kernel_backward(Q, K, V, d_out,
+                            AttentionConfig.linear(feature_map, causal, eps))
 
 
 def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
-    """Gradients of sum(d_out * cosformer_attention(Q, K, V, config)).
-
-    The cos/sin position factors are constants of the positions, so they
-    pass through the chain rule as fixed per-row scales.
-    """
-    _require_kernel_config(config)
-    if config.reweight.kind != "cosine":
-        raise ConfigurationError("cosformer_backward requires a cosine reweight scheme")
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
-    dims = AttentionDims.from_qkv(Q, K, V, config.causal)
-    _check_horizon(config, dims.n_q, dims.n_k)
-    d_out = _check_d_out(d_out, dims.n_q, dims.d_v)
-    cos_q, sin_q = position_factors(dims.n_q, config.reweight.m)
-    cos_k, sin_k = position_factors(dims.n_k, config.reweight.m)
-    return _kernel_backward(Q, K, V, d_out, config.feature_map, config.causal,
-                            config.eps, (cos_q, sin_q), (cos_k, sin_k))
+    """Gradients of sum(d_out * cosformer_attention(Q, K, V, config))."""
+    _require_cosine_config(config, "cosformer_backward")
+    return _kernel_backward(Q, K, V, d_out, config)
 
 
 def softmax_attention_backward(Q, K, V, d_out, causal: bool = False,

@@ -3,13 +3,16 @@
 Both entry points compute exactly the same quantity as the quadratic
 references in :mod:`cosattn.core`, but by reassociating the sums:
 
-    O_i = sum_j phi(Q_i) phi(K_j)^T [* w(i,j)] V_j
-          / max(sum_j phi(Q_i) phi(K_j)^T [* w(i,j)], eps)
+    O_i = sum_j qf_i kf_j^T V_j / max(sum_j qf_i kf_j^T, eps)
 
-is evaluated through d_k x d_v key-value aggregates instead of an
-n_q x n_k weight matrix. Cost is Theta(n * d_k * d_v); peak transient
-allocation is Theta(n * d + d^2) (the causal path scans in fixed-size
-blocks) and never Theta(n^2). Accumulation is float64 throughout.
+is evaluated through a key-value sum instead of an n_q x n_k weight
+matrix. For plain kernels qf, kf are phi(Q), phi(K); for the cosine
+re-weight they are the 2d-wide cos/sin-scaled rows of
+:func:`cosattn.reweight.decompose`, whose inner products carry the
+re-weight exactly. Either way one scan over one feature pair does the
+work. Cost is Theta(n * d_k * d_v); peak transient allocation is
+Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
+Theta(n^2). Accumulation is float64 throughout.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .core import (
     AttentionDims,
     FeatureMapKind,
     RELU,
-    _check_horizon,
     _require_kernel_config,
+    _require_eps,
     _storage_dtype,
     _wide,
     apply_feature_map,
@@ -40,49 +43,68 @@ _BLOCK = 128
 
 
 @lru_cache(maxsize=None)
-def _causal_keep(rows: int) -> np.ndarray:
-    """Boolean (rows, rows) mask keeping j <= i within one chunk."""
-    keep = np.tril(np.ones((rows, rows), dtype=bool))
-    keep.setflags(write=False)
-    return keep
+def _causal_drop(rows: int) -> np.ndarray:
+    """Boolean (rows, rows) mask of the entries j > i within one chunk."""
+    drop = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    drop.setflags(write=False)
+    return drop
 
 
-def _scan(q_factors, k_factors, v, causal: bool):
+def _scan(qf, kf, v, causal: bool):
     """Numerator rows and denominator per query row, in float64.
 
-    Factors come in matched branch pairs (one pair for plain kernels, a
-    cos and a sin pair for the cosine decomposition). The causal path
-    walks fixed-size chunks: the triangular part inside a chunk is a
-    masked product, everything before the chunk enters through a running
-    d_k x d_v key-value aggregate and a d_k key total, so position i only
-    ever sees keys j <= i and transient buffers stay constant-size.
+    qf and kf are the kernel feature rows: phi(Q), phi(K) for plain
+    kernels, the 2d-wide cos/sin-scaled rows for the cosine
+    decomposition. The causal path walks fixed-size chunks: the
+    triangular part inside a chunk is a masked product, everything before
+    the chunk enters through a running (feature width) x d_v key-value
+    sum and a key total, so position i only ever sees keys j <= i and
+    transient buffers stay constant-size.
     """
-    n_q, d_k = q_factors[0].shape
-    d_v = v.shape[1]
-    num = np.zeros((n_q, d_v))
-    den = np.zeros(n_q)
     if not causal:
-        for qf, kf in zip(q_factors, k_factors):
-            num += qf @ (kf.T @ v)
-            den += qf @ kf.sum(axis=0)
-        return num, den
-    states = [np.zeros((d_k, d_v)) for _ in k_factors]
-    totals = [np.zeros(d_k) for _ in k_factors]
+        return qf @ (kf.T @ v), qf @ kf.sum(axis=0)
+    n_q, width = qf.shape
+    num = np.empty((n_q, v.shape[1]))
+    den = np.empty(n_q)
+    state = np.zeros((width, v.shape[1]))
+    total = np.zeros(width)
     for start in range(0, n_q, _BLOCK):
         stop = min(start + _BLOCK, n_q)
-        keep = _causal_keep(stop - start)
-        for b, (qf, kf) in enumerate(zip(q_factors, k_factors)):
-            qc, kc, vc = qf[start:stop], kf[start:stop], v[start:stop]
-            sim = np.where(keep, qc @ kc.T, 0.0)
-            num[start:stop] += sim @ vc + qc @ states[b]
-            den[start:stop] += sim.sum(axis=1) + qc @ totals[b]
-            states[b] += kc.T @ vc
-            totals[b] += kc.sum(axis=0)
+        qc, kc, vc = qf[start:stop], kf[start:stop], v[start:stop]
+        sim = qc @ kc.T
+        sim[_causal_drop(stop - start)] = 0.0
+        num[start:stop] = sim @ vc + qc @ state
+        den[start:stop] = sim.sum(axis=1) + qc @ total
+        state += kc.T @ vc
+        total += kc.sum(axis=0)
     return num, den
 
 
 def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
-    return num / np.maximum(den, eps)[:, None]
+    """Divide num by the floored denominator, in place."""
+    num /= np.maximum(den, eps)[:, None]
+    return num
+
+
+def _features(Qp, Kp, config: AttentionConfig):
+    """The (qf, kf) pair the kernel paths scan: cosformer's 2d-wide rows
+    from decompose, or the feature-mapped rows themselves."""
+    if config.reweight.kind == "cosine":
+        return decompose(Qp, Kp, config.reweight.m)
+    return Qp, Kp
+
+
+def _attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
+    """Kernel attention under config: the body of both public forwards."""
+    Q = require_matrix(Q, "Q")
+    K = require_matrix(K, "K")
+    V = require_matrix(V, "V")
+    AttentionDims.from_qkv(Q, K, V, config.causal)
+    qf, kf = _features(apply_feature_map(_wide(Q), config.feature_map),
+                       apply_feature_map(_wide(K), config.feature_map), config)
+    num, den = _scan(qf, kf, _wide(V), config.causal)
+    out = _finalize(num, den, config.eps)
+    return out.astype(_storage_dtype(Q, K, V), copy=False)
 
 
 def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
@@ -92,76 +114,59 @@ def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
     Agrees with kernel_attention_quadratic under a reweight-free config up
     to accumulation order.
     """
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
-    AttentionDims.from_qkv(Q, K, V, causal)
-    if not (eps > 0.0):
-        raise ConfigurationError(f"eps must be > 0, got {eps!r}")
-    Qp = apply_feature_map(_wide(Q), feature_map)
-    Kp = apply_feature_map(_wide(K), feature_map)
-    num, den = _scan((Qp,), (Kp,), _wide(V), causal)
-    return _finalize(num, den, eps).astype(_storage_dtype(Q, K, V), copy=False)
+    return _attend(Q, K, V, AttentionConfig.linear(feature_map, causal, eps))
+
+
+def _require_cosine_config(config: AttentionConfig, op: str) -> None:
+    _require_kernel_config(config)
+    if config.reweight.kind != "cosine":
+        raise ConfigurationError(f"{op} requires a cosine reweight scheme")
 
 
 def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
     """Cosine-reweighted linear attention.
 
-    Feature rows are split into cos- and sin-scaled factors (see
-    :mod:`cosattn.reweight`), after which the re-weighted similarity is an
-    ordinary sum of two kernel products and streams like any linear
-    attention. Requires a cosine reweight scheme with horizon
-    m >= max(n_q, n_k) and a non-negative feature map.
+    Feature rows are widened to 2d cos/sin-scaled rows (see
+    :mod:`cosattn.reweight`), after which the re-weighted similarity is
+    one plain kernel product and streams like any linear attention.
+    Requires a cosine reweight scheme with horizon m >= max(n_q, n_k) and
+    a non-negative feature map.
     """
-    _require_kernel_config(config)
-    if config.reweight.kind != "cosine":
-        raise ConfigurationError("cosformer_attention requires a cosine reweight scheme")
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
-    AttentionDims.from_qkv(Q, K, V, config.causal)
-    _check_horizon(config, Q.shape[0], K.shape[0])
-    Qp = apply_feature_map(_wide(Q), config.feature_map)
-    Kp = apply_feature_map(_wide(K), config.feature_map)
-    fac = decompose(Qp, Kp, config.reweight.m)
-    num, den = _scan((fac.q_cos, fac.q_sin), (fac.k_cos, fac.k_sin),
-                     _wide(V), config.causal)
-    return _finalize(num, den, config.eps).astype(_storage_dtype(Q, K, V), copy=False)
+    _require_cosine_config(config, "cosformer_attention")
+    return _attend(Q, K, V, config)
 
 
 @dataclass
 class CausalState:
-    """Running aggregates of a causal cosformer decode, one row at a time.
+    """Carry of a causal cosformer decode, one row at a time.
+
+    ``s`` (2 d_k x d_v) sums kf_j v_j^T and ``z`` (2 d_k) sums kf_j over
+    the t positions seen so far, kf_j being key j's cos/sin-scaled
+    feature row: exactly what the batch causal scan carries between
+    chunks.
 
     Single-owner: step one position at a time; the state may move between
     execution contexts between steps but must not be stepped concurrently.
     """
 
-    s_cos: np.ndarray
-    s_sin: np.ndarray
-    t_cos: np.ndarray
-    t_sin: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
     t: int = field(default=0)
 
     @property
     def d_k(self) -> int:
-        return self.s_cos.shape[0]
+        return self.s.shape[0] // 2
 
     @property
     def d_v(self) -> int:
-        return self.s_cos.shape[1]
+        return self.s.shape[1]
 
 
 def causal_state_init(d_k: int, d_v: int) -> CausalState:
     """Fresh all-zero state for a decode with the given key/value widths."""
     if d_k < 1 or d_v < 1:
         raise DimensionError(f"need d_k, d_v >= 1, got {d_k}, {d_v}")
-    return CausalState(
-        s_cos=np.zeros((d_k, d_v)),
-        s_sin=np.zeros((d_k, d_v)),
-        t_cos=np.zeros(d_k),
-        t_sin=np.zeros(d_k),
-    )
+    return CausalState(s=np.zeros((2 * d_k, d_v)), z=np.zeros(2 * d_k))
 
 
 def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
@@ -173,12 +178,14 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
     how many steps came before. Raises if the next position would exceed
     the horizon m.
     """
+    _require_eps(eps)
     q_t = np.asarray(q_t, dtype=np.float64)
     k_t = np.asarray(k_t, dtype=np.float64)
     v_t = np.asarray(v_t, dtype=np.float64)
-    if q_t.shape != (state.d_k,) or k_t.shape != (state.d_k,):
+    d = state.d_k
+    if q_t.shape != (d,) or k_t.shape != (d,):
         raise DimensionError(
-            f"q_t and k_t must have shape ({state.d_k},), got "
+            f"q_t and k_t must have shape ({d},), got "
             f"{q_t.shape} and {k_t.shape}")
     if v_t.shape != (state.d_v,):
         raise DimensionError(f"v_t must have shape ({state.d_v},), got {v_t.shape}")
@@ -189,16 +196,13 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
         raise ConfigurationError(f"position {pos} exceeds the cosine horizon m={m}")
 
     angle = (np.pi * pos) / (2.0 * m)
-    c, s = np.cos(angle), np.sin(angle)
-    qp = np.maximum(q_t, 0.0)
-    kp = np.maximum(k_t, 0.0)
-
-    state.s_cos += np.outer(kp * c, v_t)
-    state.s_sin += np.outer(kp * s, v_t)
-    state.t_cos += kp * c
-    state.t_sin += kp * s
+    cos_sin = np.array([[np.cos(angle)], [np.sin(angle)]])
+    qf = (cos_sin * np.maximum(q_t, 0.0)).ravel()
+    kf = (cos_sin * np.maximum(k_t, 0.0)).ravel()
+    # One d_k x d_v outer product per half keeps the step's transient at
+    # d_k x d_v; a single 2d_k x d_v outer product would double it.
+    state.s[:d] += np.outer(kf[:d], v_t)
+    state.s[d:] += np.outer(kf[d:], v_t)
+    state.z += kf
     state.t = pos
-
-    num = (qp * c) @ state.s_cos + (qp * s) @ state.s_sin
-    den = (qp * c) @ state.t_cos + (qp * s) @ state.t_sin
-    return state, num / max(den, eps)
+    return state, (qf @ state.s) / max(qf @ state.z, eps)

@@ -1,18 +1,17 @@
-"""Cosine positional re-weighting and its exact two-branch decomposition.
+"""Cosine positional re-weighting and its exact decomposition.
 
 The re-weight for query position i and key position j (both 1-based) is
 cos(pi/2 * (i - j) / m), where the horizon m must be at least as large as
 the longest sequence in play. Because cos(a - b) = cos a cos b + sin a sin b,
-the weighted similarity phi(Q_i) phi(K_j)^T * w(i, j) factors exactly into
-two plain inner products of position-scaled feature rows, which is what the
-linear-time path exploits.
+the weighted similarity phi(Q_i) phi(K_j)^T * w(i, j) is exactly one plain
+inner product of 2d-wide feature rows [phi(x) cos | phi(x) sin], so the
+re-weighted kernel is ordinary linear attention on those rows, which is
+what the linear-time path exploits.
 
 Angles are computed per position as (pi * pos) / (2 * m) in float64.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,16 +56,6 @@ def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
     return np.cos((np.pi * (i - j)) / (2.0 * m))
 
 
-@dataclass(frozen=True)
-class DecomposedFactors:
-    """Position-scaled feature matrices of the cosine decomposition."""
-
-    q_cos: np.ndarray
-    q_sin: np.ndarray
-    k_cos: np.ndarray
-    k_sin: np.ndarray
-
-
 def _require_features(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -76,14 +65,23 @@ def _require_features(x, name: str) -> np.ndarray:
     return arr
 
 
-def decompose(Q_feat, K_feat, m: int) -> DecomposedFactors:
-    """Split feature rows into cos- and sin-scaled factors.
+def _position_scaled(F: np.ndarray, m: int) -> np.ndarray:
+    """[F cos | F sin] with each row scaled by its own position's factors."""
+    n, d = F.shape
+    cos, sin = position_factors(n, m)
+    out = np.empty((n, 2 * d))
+    np.multiply(F, cos[:, None], out=out[:, :d])
+    np.multiply(F, sin[:, None], out=out[:, d:])
+    return out
 
-    Row i of q_cos is Q_feat_i * cos(pi * i / (2m)) and likewise for the
-    other three outputs, so that
 
-        q_cos @ k_cos.T + q_sin @ k_sin.T
-            == (Q_feat @ K_feat.T) * reweight matrix
+def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position-scaled 2d-wide feature rows (q, k) of the cosine decomposition.
+
+    Row i of q is [Q_feat_i cos(pi i / (2m)) | Q_feat_i sin(pi i / (2m))]
+    and likewise for k, so that
+
+        q @ k.T == (Q_feat @ K_feat.T) * reweight matrix
 
     holds exactly in real arithmetic.
     """
@@ -96,11 +94,4 @@ def decompose(Q_feat, K_feat, m: int) -> DecomposedFactors:
         raise ConfigurationError(
             f"cosine horizon m={m} is smaller than the longest sequence "
             f"({max(Qf.shape[0], Kf.shape[0])})")
-    q_cos_v, q_sin_v = position_factors(Qf.shape[0], m)
-    k_cos_v, k_sin_v = position_factors(Kf.shape[0], m)
-    return DecomposedFactors(
-        q_cos=Qf * q_cos_v[:, None],
-        q_sin=Qf * q_sin_v[:, None],
-        k_cos=Kf * k_cos_v[:, None],
-        k_sin=Kf * k_sin_v[:, None],
-    )
+    return _position_scaled(Qf, m), _position_scaled(Kf, m)

@@ -123,32 +123,6 @@ def transformer_block_forward(x, params: BlockParams,
     return h + np.maximum(h @ params.w_ff1, 0.0) @ params.w_ff2
 
 
-def _block_backward(x, params: BlockParams, config: AttentionConfig, d_y):
-    """Gradients of sum(d_y * block(x)) for x and every block weight."""
-    q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v
-    a = _attention_forward(q, k, v, config)
-    h = x + a
-    f1 = h @ params.w_ff1
-    r = np.maximum(f1, 0.0)
-
-    d_h = d_y.copy()
-    d_w_ff2 = r.T @ d_y
-    d_f1 = (d_y @ params.w_ff2.T) * (f1 > 0.0)
-    d_w_ff1 = h.T @ d_f1
-    d_h += d_f1 @ params.w_ff1.T
-
-    d_q, d_k, d_v = _attention_backward(q, k, v, config, d_h)
-    d_x = d_h + d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T
-    grads = {
-        "w_q": x.T @ d_q,
-        "w_k": x.T @ d_k,
-        "w_v": x.T @ d_v,
-        "w_ff1": d_w_ff1,
-        "w_ff2": d_w_ff2,
-    }
-    return d_x, grads
-
-
 @dataclass
 class TrainReport:
     """Outcome of one copy-task run."""

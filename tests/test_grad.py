@@ -121,6 +121,10 @@ def test_backward_validation():
     g_bad = np.ones((3, 2))
     with pytest.raises(DimensionError):
         linear_attention_backward(Q, Q, Q, g_bad)
+    # a zero query row would divide 0 by 0 without the eps floor
+    with pytest.raises(ConfigurationError):
+        linear_attention_backward(np.array([[0.0, 0.0], [1.0, 1.0]]), Q, Q,
+                                  np.ones((2, 2)), eps=0.0)
     with pytest.raises(ConfigurationError):
         cosformer_backward(Q, Q, Q, AttentionConfig.linear(RELU), np.ones((2, 2)))
     with pytest.raises(ConfigurationError):

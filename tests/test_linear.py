@@ -147,6 +147,10 @@ def test_streaming_step_validation():
     with pytest.raises(ValueError):
         causal_state_step(state, np.array([1.0, np.nan, 0.0]), np.ones(3),
                           np.ones(2), m=8)
+    # a zero query row would divide 0 by 0 without the eps floor
+    with pytest.raises(ConfigurationError):
+        causal_state_step(state, np.zeros(3), np.ones(3), np.ones(2), m=8,
+                          eps=0.0)
     # stepping past the horizon refuses
     state2 = causal_state_init(1, 1)
     causal_state_step(state2, np.ones(1), np.ones(1), np.ones(1), m=1)
@@ -159,4 +163,4 @@ def test_streaming_state_is_updated_in_place():
     returned, _ = causal_state_step(state, np.ones(2), np.ones(2),
                                     np.ones(2), m=4)
     assert returned is state
-    assert state.t == 1 and (state.s_cos != 0.0).any()
+    assert state.t == 1 and (state.s != 0.0).any()

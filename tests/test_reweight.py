@@ -69,13 +69,17 @@ def test_decompose_reconstructs_reweighted_similarity():
     rng = np.random.default_rng(21)
     Qf = apply_feature_map(rng.standard_normal((6, 4)), RELU)
     Kf = apply_feature_map(rng.standard_normal((9, 4)), RELU)
-    fac = decompose(Qf, Kf, 9)
+    q, k = decompose(Qf, Kf, 9)
     direct = (Qf @ Kf.T) * build_reweight_matrix(6, 9, 9)
-    split = fac.q_cos @ fac.k_cos.T + fac.q_sin @ fac.k_sin.T
-    np.testing.assert_allclose(split, direct, atol=1e-13)
+    np.testing.assert_allclose(q @ k.T, direct, atol=1e-13)
+    # cos-scaled rows on the left, sin-scaled rows on the right
+    for fused, feat in ((q, Qf), (k, Kf)):
+        cos, sin = position_factors(feat.shape[0], 9)
+        assert fused.shape == (feat.shape[0], 8)
+        np.testing.assert_array_equal(fused[:, :4], feat * cos[:, None])
+        np.testing.assert_array_equal(fused[:, 4:], feat * sin[:, None])
     # factors inherit non-negativity from the features
-    for f in (fac.q_cos, fac.q_sin, fac.k_cos, fac.k_sin):
-        assert (f >= 0.0).all()
+    assert (q >= 0.0).all() and (k >= 0.0).all()
 
 
 def test_decompose_validation():

@@ -13,7 +13,7 @@ Memory is reported as an analytic transient-scalar count, the number of
 temporary scalars the streaming form of each variant needs, rather than
 OS-level RSS: the count is deterministic, portable, and shows the
 asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
-variants a d x d state, 2d x d for cosformer). The vectorized batch
+variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The vectorized batch
 implementations here allocate additional O(n * d) staging buffers on top
 of these counts; the counts track the algorithmic working set, not this
 library's allocator behavior.
@@ -50,9 +50,10 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
     """Analytic working-set size, in scalars, of one attention call.
 
     Quadratic attention materializes the n x n weight block plus the n x d
-    output; the kernel variants stream through one feature-width x d state
-    plus a feature-width key total and the output, the feature width being
-    d for plain kernels and 2d for cosformer's [cos | sin]-scaled rows.
+    output; the kernel variants stream through the output and one
+    feature-width x (d + 1) sum, whose ones column is the key total, the
+    feature width being d for plain kernels and 2d for cosformer's
+    [cos | sin]-scaled rows.
     """
     if variant == "softmax":
         return seq_len * seq_len + seq_len * d_model
@@ -153,8 +154,8 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
         raise ConfigurationError(f"unknown benchmark mode {mode!r}")
     if not lengths or any(n < 1 for n in lengths):
         raise ConfigurationError("lengths must be positive")
-    if lengths != sorted(lengths):
-        raise ConfigurationError("lengths must be sorted ascending")
+    if any(a >= b for a, b in zip(lengths, lengths[1:])):
+        raise ConfigurationError("lengths must be strictly ascending")
     if repeats < 3:
         raise ConfigurationError(f"need repeats >= 3, got {repeats}")
     if d_model < 1:

@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="variants to time (default: all)")
     bench.add_argument("--lengths", nargs="+", type=int,
                        default=[256, 512, 1024, 2048],
-                       help="sequence lengths, ascending")
+                       help="sequence lengths, strictly ascending")
     bench.add_argument("--d-model", type=int, default=64,
                        help="model width (default 64)")
     bench.add_argument("--repeats", type=int, default=5,

@@ -33,6 +33,7 @@ from .errors import ConfigurationError
 from .linear import (
     _finalize,
     _scan,
+    _with_ones,
     causal_state_init,
     causal_state_step,
     cosformer_attention,
@@ -129,7 +130,8 @@ def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
         # Only the left (cos-scaled) d columns of each feature row.
         d = Qf.shape[1]
         qf, kf = qf[:, :d], kf[:, :d]
-    num, den = _scan(qf, kf, np.asarray(V, dtype=np.float64), config.causal)
+    num = _scan(qf, kf, _with_ones(V), config.causal)
+    num, den = num[:, :-1], num[:, -1]
     if mutation == "unfloored_denominator":
         # 0/0 on floored rows is the point here; keep numpy quiet about it.
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -10,7 +10,10 @@ matrix. For plain kernels qf, kf are phi(Q), phi(K); for the cosine
 re-weight they are the 2d-wide cos/sin-scaled rows of
 :func:`cosattn.reweight.decompose`, whose inner products carry the
 re-weight exactly. Either way one scan over one feature pair does the
-work. Cost is Theta(n * d_k * d_v); peak transient allocation is
+work: it scans [V | 1], so the numerator and the denominator come out
+of one (feature width) x (d_v + 1) sum, whose ones column is the key
+total. The analytic backward in :mod:`cosattn.grad` runs the same scan.
+Cost is Theta(n * d_k * d_v); peak transient allocation is
 Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
 Theta(n^2). Accumulation is float64 throughout.
 """
@@ -50,34 +53,42 @@ def _causal_drop(rows: int) -> np.ndarray:
     return drop
 
 
-def _scan(qf, kf, v, causal: bool):
-    """Numerator rows and denominator per query row, in float64.
+def _scan(qf, kf, v, causal: bool, suffix: bool = False):
+    """Rows sum_j (qf_i . kf_j) v_j over the keys each query admits, float64.
 
-    qf and kf are the kernel feature rows: phi(Q), phi(K) for plain
-    kernels, the 2d-wide cos/sin-scaled rows for the cosine
-    decomposition. The causal path walks fixed-size chunks: the
-    triangular part inside a chunk is a masked product, everything before
-    the chunk enters through a running (feature width) x d_v key-value
-    sum and a key total, so position i only ever sees keys j <= i and
-    transient buffers stay constant-size.
+    qf and kf are kernel feature rows: phi(Q), phi(K) for plain kernels,
+    the 2d-wide cos/sin-scaled rows for the cosine decomposition. The
+    causal path admits keys j <= i (j >= i with suffix) and walks
+    fixed-size chunks, last to first for a suffix: the triangular part
+    inside a chunk is a masked product, and the chunks already walked
+    enter through one running (feature width) x d_v key-value sum, so
+    transient buffers stay constant-size. Scanning a ones column of v
+    gives the denominator sum_j qf_i . kf_j.
     """
     if not causal:
-        return qf @ (kf.T @ v), qf @ kf.sum(axis=0)
+        return qf @ (kf.T @ v)
     n_q, width = qf.shape
-    num = np.empty((n_q, v.shape[1]))
-    den = np.empty(n_q)
+    out = np.empty((n_q, v.shape[1]))
     state = np.zeros((width, v.shape[1]))
-    total = np.zeros(width)
-    for start in range(0, n_q, _BLOCK):
+    starts = range(0, n_q, _BLOCK)
+    for start in reversed(starts) if suffix else starts:
         stop = min(start + _BLOCK, n_q)
         qc, kc, vc = qf[start:stop], kf[start:stop], v[start:stop]
         sim = qc @ kc.T
-        sim[_causal_drop(stop - start)] = 0.0
-        num[start:stop] = sim @ vc + qc @ state
-        den[start:stop] = sim.sum(axis=1) + qc @ total
+        drop = _causal_drop(stop - start)
+        sim[drop.T if suffix else drop] = 0.0
+        out[start:stop] = sim @ vc + qc @ state
         state += kc.T @ vc
-        total += kc.sum(axis=0)
-    return num, den
+    return out
+
+
+def _with_ones(V) -> np.ndarray:
+    """[V | 1] in float64: one scan of it gives the numerator and, in its
+    last column, the denominator."""
+    out = np.empty((V.shape[0], V.shape[1] + 1))
+    out[:, :-1] = V
+    out[:, -1] = 1.0
+    return out
 
 
 def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
@@ -102,8 +113,8 @@ def _attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     AttentionDims.from_qkv(Q, K, V, config.causal)
     qf, kf = _features(apply_feature_map(_wide(Q), config.feature_map),
                        apply_feature_map(_wide(K), config.feature_map), config)
-    num, den = _scan(qf, kf, _wide(V), config.causal)
-    out = _finalize(num, den, config.eps)
+    num = _scan(qf, kf, _with_ones(V), config.causal)
+    out = _finalize(num[:, :-1], num[:, -1], config.eps)
     return out.astype(_storage_dtype(Q, K, V), copy=False)
 
 
@@ -142,8 +153,8 @@ class CausalState:
 
     ``s`` (2 d_k x d_v) sums kf_j v_j^T and ``z`` (2 d_k) sums kf_j over
     the t positions seen so far, kf_j being key j's cos/sin-scaled
-    feature row: exactly what the batch causal scan carries between
-    chunks.
+    feature row: the value columns and the ones column of what the batch
+    causal scan carries between chunks.
 
     Single-owner: step one position at a time; the state may move between
     execution contexts between steps but must not be stepped concurrently.

@@ -299,8 +299,11 @@ def train_copy_task(attention_variant: AttentionConfig, seed: int,
     """
     if not attention_variant.causal:
         raise ConfigurationError("the copy task trains a causal block")
-    if max_steps < 1:
-        raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+    for name, value in (("max_steps", max_steps), ("batch_size", batch_size),
+                        ("copy_len", copy_len), ("eval_sequences", eval_sequences),
+                        ("eval_every", eval_every)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     init_rng, batch_rng, eval_rng = np.random.default_rng(seed).spawn(3)
 
     n = 2 * copy_len

@@ -79,6 +79,8 @@ def test_run_benchmark_usage_errors():
     with pytest.raises(ConfigurationError):
         run_benchmark(["linear"], [16, 8], 4, 3)
     with pytest.raises(ConfigurationError):
+        run_benchmark(["cosformer"], [64, 64], 8, 3)
+    with pytest.raises(ConfigurationError):
         run_benchmark(["linear"], [0], 4, 3)
     with pytest.raises(ConfigurationError):
         run_benchmark(["linear"], [8], 4, 2)

@@ -18,7 +18,7 @@ from cosattn.grad import (
     linear_attention_backward,
     softmax_attention_backward,
 )
-from cosattn.linear import cosformer_attention, linear_attention
+from cosattn.linear import _BLOCK, cosformer_attention, linear_attention
 from cosattn.core import softmax_attention
 
 
@@ -86,6 +86,43 @@ def test_cosformer_backward_matches_fd():
             def f(Q_, K_, V_, cfg=config):
                 return float((cosformer_attention(Q_, K_, V_, cfg) * g).sum())
             _check_grads(f, (Q, K, V), grads)
+
+
+@pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE],
+                         ids=lambda fm: fm.name)
+def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
+                                                              cosine):
+    # Three chunks, the last one partial: the prefix and suffix scans carry
+    # state across two chunk boundaries in each direction.
+    n = 2 * _BLOCK + 17
+    rng = np.random.default_rng(46)
+    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    if cosine:
+        config = AttentionConfig.cosformer(m=2 * n, causal=True,
+                                           feature_map=feature_map)
+        def loss(Q_, K_, V_):
+            return float((cosformer_attention(Q_, K_, V_, config) * g).sum())
+        grads = cosformer_backward(Q, K, V, config, g)
+    else:
+        def loss(Q_, K_, V_):
+            return float((linear_attention(Q_, K_, V_, feature_map=feature_map,
+                                           causal=True) * g).sum())
+        grads = linear_attention_backward(Q, K, V, g, feature_map=feature_map,
+                                          causal=True)
+    h = 1e-5
+    for idx, name in enumerate(("dQ", "dK", "dV")):
+        args = [Q, K, V]
+        direction = rng.standard_normal(args[idx].shape)
+        if name != "dV":
+            # A central difference across a relu kink measures nothing.
+            direction[np.abs(args[idx]) < 1e-3] = 0.0
+        moved = [a + h * direction if k == idx else a for k, a in enumerate(args)]
+        plus = loss(*moved)
+        moved[idx] = args[idx] - h * direction
+        slope = (plus - loss(*moved)) / (2.0 * h)
+        dot = float(np.sum(grads[idx] * direction))
+        assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-6), (name, dot, slope)
 
 
 def test_softmax_backward_matches_fd():

@@ -95,9 +95,11 @@ def test_initial_loss_near_uniform():
 def test_train_requires_causal_config():
     with pytest.raises(ConfigurationError):
         train_copy_task(AttentionConfig.softmax(causal=False), seed=0)
-    with pytest.raises(ConfigurationError):
-        train_copy_task(AttentionConfig.softmax(causal=True), seed=0,
-                        max_steps=0)
+    for field in ("max_steps", "batch_size", "copy_len", "eval_sequences",
+                  "eval_every"):
+        with pytest.raises(ConfigurationError, match=field):
+            train_copy_task(AttentionConfig.softmax(causal=True), seed=0,
+                            **{field: 0})
 
 
 def test_train_short_run_is_deterministic():

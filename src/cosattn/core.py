@@ -35,12 +35,17 @@ def _storage_dtype(*arrays: np.ndarray) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def require_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate x as a finite 2-D float matrix and return it as an ndarray."""
+def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate x as a finite, non-empty float matrix and return it as an ndarray.
+
+    With stack=True x may also be a stack (..., rows, cols) of matrices
+    with any leading axes; otherwise it must be exactly 2-D.
+    """
     arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
+        want = "at least 2-D" if stack else "2-D"
+        raise DimensionError(f"{name} must be {want}, got ndim={arr.ndim}")
+    if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float64)
@@ -51,12 +56,17 @@ def require_matrix(x, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttentionDims:
-    """Validated shape bundle for one attention call."""
+    """Validated shape bundle for one attention call.
+
+    ``lead`` holds the leading (batch, head, ...) axes that Q, K and V
+    share; it is empty for a single sequence.
+    """
 
     n_q: int
     n_k: int
     d_k: int
     d_v: int
+    lead: tuple[int, ...] = ()
 
     def __post_init__(self):
         for field in ("n_q", "n_k", "d_k", "d_v"):
@@ -66,17 +76,24 @@ class AttentionDims:
     @classmethod
     def from_qkv(cls, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                  causal: bool = False) -> "AttentionDims":
-        if Q.shape[1] != K.shape[1]:
+        """Dims of (..., n, d) inputs; Q, K and V share their leading axes."""
+        lead = Q.shape[:-2]
+        if K.shape[:-2] != lead or V.shape[:-2] != lead:
+            raise DimensionError(
+                "Q, K and V must share their leading axes, got "
+                f"{Q.shape}, {K.shape} and {V.shape}")
+        (n_q, d_k), (n_k, d_k_key), (n_v, d_v) = \
+            Q.shape[-2:], K.shape[-2:], V.shape[-2:]
+        if d_k != d_k_key:
             raise DimensionError(
                 f"Q and K must share the key width, got {Q.shape} vs {K.shape}")
-        if K.shape[0] != V.shape[0]:
+        if n_k != n_v:
             raise DimensionError(
                 f"K and V must share the row count, got {K.shape} vs {V.shape}")
-        if causal and Q.shape[0] != K.shape[0]:
+        if causal and n_q != n_k:
             raise DimensionError(
-                "causal attention requires n_q == n_k, got "
-                f"{Q.shape[0]} vs {K.shape[0]}")
-        return cls(Q.shape[0], K.shape[0], Q.shape[1], V.shape[1])
+                f"causal attention requires n_q == n_k, got {n_q} vs {n_k}")
+        return cls(n_q, n_k, d_k, d_v, lead)
 
 
 @dataclass(frozen=True)
@@ -208,27 +225,36 @@ def _check_horizon(config: AttentionConfig, n_q: int, n_k: int):
             f"sequence ({max(n_q, n_k)})")
 
 
+def _softmax_rows(S: np.ndarray, causal: bool) -> np.ndarray:
+    """Row-softmax of the scores S over the last axis, in place; entries
+    j > i of each slice are masked out first when causal."""
+    if causal:
+        np.copyto(S, -np.inf,
+                  where=np.triu(np.ones(S.shape[-2:], dtype=bool), 1))
+    S -= S.max(axis=-1, keepdims=True)
+    np.exp(S, out=S)
+    S /= S.sum(axis=-1, keepdims=True)
+    return S
+
+
 def softmax_attention(Q, K, V, causal: bool = False, scale: bool = True) -> np.ndarray:
     """Quadratic softmax attention, the classical reference.
 
-    Row i of the result is softmax(Q_i K^T [/ sqrt(d_k)]) V, with key
-    positions j > i masked out before the softmax when causal.
+    Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) share any
+    leading axes; each slice is attended on its own. Row i of the result
+    is softmax(Q_i K^T [/ sqrt(d_k)]) V, with key positions j > i masked
+    out before the softmax when causal.
     """
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
     dims = AttentionDims.from_qkv(Q, K, V, causal)
     out_dtype = _storage_dtype(Q, K, V)
 
-    S = _wide(Q) @ _wide(K).T
+    S = _wide(Q) @ _wide(K).swapaxes(-1, -2)
     if scale:
         S /= math.sqrt(dims.d_k)
-    if causal:
-        S[np.triu(np.ones(S.shape, dtype=bool), 1)] = -np.inf
-    S -= S.max(axis=1, keepdims=True)
-    np.exp(S, out=S)
-    S /= S.sum(axis=1, keepdims=True)
-    out = S @ _wide(V)
+    out = _softmax_rows(S, causal) @ _wide(V)
     return out.astype(out_dtype, copy=False)
 
 

@@ -10,7 +10,10 @@ gate takes subgradient 0 at exactly 0 (leaky takes its negative-side
 slope there), and a denominator at or below the floor eps is treated as
 a constant, contributing zero gradient.
 
-All gradients are computed and returned in float64.
+Every backward takes the forward's (..., n, d) stacks, leading axes
+shared by Q, K and V, and a d_out of exactly the forward output's shape
+(..., n_q, d_v); a d_out that would only broadcast is refused. All
+gradients are computed and returned in float64, shaped like Q, K and V.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     AttentionDims,
     FeatureMapKind,
     RELU,
+    _softmax_rows,
     _wide,
     apply_feature_map,
     require_matrix,
@@ -47,11 +51,13 @@ def feature_map_derivative(x: np.ndarray, kind: FeatureMapKind) -> np.ndarray:
     return np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), 1.0)
 
 
-def _check_d_out(d_out, n_q: int, d_v: int) -> np.ndarray:
-    d_out = require_matrix(d_out, "d_out")
-    if d_out.shape != (n_q, d_v):
-        raise DimensionError(
-            f"d_out must have shape ({n_q}, {d_v}), got {d_out.shape}")
+def _check_d_out(d_out, dims: AttentionDims) -> np.ndarray:
+    """d_out must be shaped like the forward's output, leading axes and
+    all, so a mis-batched d_out cannot broadcast."""
+    d_out = require_matrix(d_out, "d_out", stack=True)
+    want = dims.lead + (dims.n_q, dims.d_v)
+    if d_out.shape != want:
+        raise DimensionError(f"d_out must have shape {want}, got {d_out.shape}")
     return d_out
 
 
@@ -66,13 +72,14 @@ def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
     dK scan the feature pair of (a, b) over the feature-mapped rows Kp
     and Qp: the pair's inner products are a_i . b_j times the re-weight
     of (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
-    wide.
+    wide. Leading axes of the (..., n, d) inputs ride along in every
+    step.
     """
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
     dims = AttentionDims.from_qkv(Q, K, V, config.causal)
-    d_out = _check_d_out(d_out, dims.n_q, dims.d_v)
+    d_out = _check_d_out(d_out, dims)
 
     causal = config.causal
     Qw, Kw = _wide(Q), _wide(K)
@@ -80,16 +87,17 @@ def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
     Kp = apply_feature_map(Kw, config.feature_map)
     qf, kf = _features(Qp, Kp, config)
     num = _scan(qf, kf, _with_ones(V), causal)
-    num, den = num[:, :-1], num[:, -1]
+    num, den = num[..., :-1], num[..., -1]
 
     g = _wide(d_out)
     dhat = np.maximum(den, config.eps)
     # a = [u | -w], u = g / den. A row at or below the floor sees a
     # constant denominator, so its w, the denominator's share, is 0.
-    a = np.empty((dims.n_q, dims.d_v + 1))
-    u = np.divide(g, dhat[:, None], out=a[:, :-1])
-    a[:, -1] = np.where(den > config.eps,
-                        -np.einsum("ij,ij->i", g, num) / (dhat * dhat), 0.0)
+    a = np.empty(dims.lead + (dims.n_q, dims.d_v + 1))
+    u = np.divide(g, dhat[..., None], out=a[..., :-1])
+    a[..., -1] = np.where(den > config.eps,
+                          -np.einsum("...ij,...ij->...i", g, num) / (dhat * dhat),
+                          0.0)
     del num, den
 
     # Each buffer goes right after its last use (u is a view of a): at
@@ -97,7 +105,8 @@ def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
     # tracemalloc, against 32.5 MiB with every buffer kept to the end.
     dV = _scan(kf, qf, u, causal, suffix=True)
     del qf, kf, u
-    fa, fb = _features(a, _with_ones(V), config)
+    # (a, [V | 1]) comes from inputs checked above: scale it unchecked.
+    fa, fb = _features(a, _with_ones(V), config, check=False)
     del a
     dQ = _scan(fa, fb, Kp, causal)
     dK = _scan(fb, fa, Qp, causal, suffix=True)
@@ -109,40 +118,47 @@ def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
 
 def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU,
                               causal: bool = False, eps: float = 1e-6):
-    """Gradients of sum(d_out * linear_attention(Q, K, V))."""
+    """Gradients (dQ, dK, dV) of sum(d_out * linear_attention(Q, K, V)).
+
+    Takes (..., n, d) stacks as the forward does; d_out is shaped like
+    the forward's output.
+    """
     return _kernel_backward(Q, K, V, d_out,
                             AttentionConfig.linear(feature_map, causal, eps))
 
 
 def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
-    """Gradients of sum(d_out * cosformer_attention(Q, K, V, config))."""
+    """Gradients (dQ, dK, dV) of sum(d_out * cosformer_attention(Q, K, V, config)).
+
+    Takes (..., n, d) stacks as the forward does; d_out is shaped like
+    the forward's output.
+    """
     _require_cosine_config(config, "cosformer_backward")
     return _kernel_backward(Q, K, V, d_out, config)
 
 
 def softmax_attention_backward(Q, K, V, d_out, causal: bool = False,
                                scale: bool = True):
-    """Gradients of sum(d_out * softmax_attention(Q, K, V))."""
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
+    """Gradients (dQ, dK, dV) of sum(d_out * softmax_attention(Q, K, V)).
+
+    Takes (..., n, d) stacks as the forward does; d_out is shaped like
+    the forward's output.
+    """
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
     dims = AttentionDims.from_qkv(Q, K, V, causal)
-    d_out = _check_d_out(d_out, dims.n_q, dims.d_v)
+    d_out = _check_d_out(d_out, dims)
 
     Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
     alpha = 1.0 / math.sqrt(dims.d_k) if scale else 1.0
-    S = (Qw @ Kw.T) * alpha
-    if causal:
-        S[np.triu(np.ones(S.shape, dtype=bool), 1)] = -np.inf
-    S -= S.max(axis=1, keepdims=True)
-    np.exp(S, out=S)
-    W = S / S.sum(axis=1, keepdims=True)
+    W = _softmax_rows((Qw @ Kw.swapaxes(-1, -2)) * alpha, causal)
 
-    dV = W.T @ g
-    dW = g @ Vw.T
-    dS = W * (dW - np.einsum("ij,ij->i", dW, W)[:, None])
+    dV = W.swapaxes(-1, -2) @ g
+    dW = g @ Vw.swapaxes(-1, -2)
+    dS = W * (dW - np.einsum("...ij,...ij->...i", dW, W)[..., None])
     dQ = (dS @ Kw) * alpha
-    dK = (dS.T @ Qw) * alpha
+    dK = (dS.swapaxes(-1, -2) @ Qw) * alpha
     return dQ, dK, dV
 
 

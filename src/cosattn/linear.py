@@ -16,6 +16,11 @@ total. The analytic backward in :mod:`cosattn.grad` runs the same scan.
 Cost is Theta(n * d_k * d_v); peak transient allocation is
 Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
 Theta(n^2). Accumulation is float64 throughout.
+
+Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
+any leading (batch, head, ...) axes, shared by all three; every slice is
+attended on its own, in one call, with the arithmetic of a 2-D call on
+that slice. The streaming :class:`CausalState` decodes one 2-D sequence.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .core import (
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .reweight import decompose
+from .reweight import _position_scaled, decompose
 
 # Causal chunk size. Any fixed value gives the same chunk boundaries on
 # every call, which keeps prefix rows bit-identical under suffix edits.
@@ -57,64 +62,89 @@ def _scan(qf, kf, v, causal: bool, suffix: bool = False):
     """Rows sum_j (qf_i . kf_j) v_j over the keys each query admits, float64.
 
     qf and kf are kernel feature rows: phi(Q), phi(K) for plain kernels,
-    the 2d-wide cos/sin-scaled rows for the cosine decomposition. The
-    causal path admits keys j <= i (j >= i with suffix) and walks
-    fixed-size chunks, last to first for a suffix: the triangular part
-    inside a chunk is a masked product, and the chunks already walked
-    enter through one running (feature width) x d_v key-value sum, so
-    transient buffers stay constant-size. Scanning a ones column of v
-    gives the denominator sum_j qf_i . kf_j.
+    the 2d-wide cos/sin-scaled rows for the cosine decomposition. All
+    three are (..., n, width) stacks sharing their leading axes, and
+    every slice is scanned on its own. The causal path admits keys
+    j <= i (j >= i with suffix) and walks fixed-size chunks, last to
+    first for a suffix: the triangular part inside a chunk is a masked
+    product, and the chunks already walked enter through one running
+    (feature width) x d_v key-value sum per slice, so transient buffers
+    stay constant-size in n. Scanning a ones column of v gives the
+    denominator sum_j qf_i . kf_j.
     """
     if not causal:
-        return qf @ (kf.T @ v)
-    n_q, width = qf.shape
-    out = np.empty((n_q, v.shape[1]))
-    state = np.zeros((width, v.shape[1]))
-    starts = range(0, n_q, _BLOCK)
-    for start in reversed(starts) if suffix else starts:
+        return qf @ (kf.swapaxes(-1, -2) @ v)
+    n_q = qf.shape[-2]
+    out = np.empty(qf.shape[:-1] + (v.shape[-1],))
+    state = None
+    walk = range(0, n_q, _BLOCK)
+    if suffix:
+        walk = walk[::-1]
+    for start in walk:
         stop = min(start + _BLOCK, n_q)
-        qc, kc, vc = qf[start:stop], kf[start:stop], v[start:stop]
-        sim = qc @ kc.T
+        qc = qf[..., start:stop, :]
+        kc = kf[..., start:stop, :]
+        vc = v[..., start:stop, :]
+        sim = qc @ kc.swapaxes(-1, -2)
         drop = _causal_drop(stop - start)
-        sim[drop.T if suffix else drop] = 0.0
-        out[start:stop] = sim @ vc + qc @ state
-        state += kc.T @ vc
+        # copyto broadcasts the mask over the leading axes as fast as a
+        # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
+        np.copyto(sim, 0.0, where=drop.T if suffix else drop)
+        out[..., start:stop, :] = sim @ vc
+        # The state is zero in the first chunk walked and unread after
+        # the last, so a one-chunk scan is two products, not four, and
+        # allocates no state.
+        if state is not None:
+            out[..., start:stop, :] += qc @ state
+        if start != walk[-1]:
+            kv = kc.swapaxes(-1, -2) @ vc
+            if state is None:
+                state = kv
+            else:
+                state += kv
     return out
 
 
 def _with_ones(V) -> np.ndarray:
     """[V | 1] in float64: one scan of it gives the numerator and, in its
     last column, the denominator."""
-    out = np.empty((V.shape[0], V.shape[1] + 1))
-    out[:, :-1] = V
-    out[:, -1] = 1.0
+    out = np.empty(V.shape[:-1] + (V.shape[-1] + 1,))
+    out[..., :-1] = V
+    out[..., -1] = 1.0
     return out
 
 
 def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
     """Divide num by the floored denominator, in place."""
-    num /= np.maximum(den, eps)[:, None]
+    num /= np.maximum(den, eps)[..., None]
     return num
 
 
-def _features(Qp, Kp, config: AttentionConfig):
+def _features(Qp, Kp, config: AttentionConfig, check: bool = True):
     """The (qf, kf) pair the kernel paths scan: cosformer's 2d-wide rows
-    from decompose, or the feature-mapped rows themselves."""
-    if config.reweight.kind == "cosine":
+    from decompose, or the feature-mapped rows themselves.
+
+    check=False position-scales without decompose's finiteness, width
+    and horizon checks, for a pair built from inputs already checked.
+    """
+    if config.reweight.kind != "cosine":
+        return Qp, Kp
+    if check:
         return decompose(Qp, Kp, config.reweight.m)
-    return Qp, Kp
+    return _position_scaled(Qp, config.reweight.m), \
+        _position_scaled(Kp, config.reweight.m)
 
 
 def _attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     """Kernel attention under config: the body of both public forwards."""
-    Q = require_matrix(Q, "Q")
-    K = require_matrix(K, "K")
-    V = require_matrix(V, "V")
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
     AttentionDims.from_qkv(Q, K, V, config.causal)
     qf, kf = _features(apply_feature_map(_wide(Q), config.feature_map),
                        apply_feature_map(_wide(K), config.feature_map), config)
     num = _scan(qf, kf, _with_ones(V), config.causal)
-    out = _finalize(num[:, :-1], num[:, -1], config.eps)
+    out = _finalize(num[..., :-1], num[..., -1], config.eps)
     return out.astype(_storage_dtype(Q, K, V), copy=False)
 
 
@@ -122,8 +152,10 @@ def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
                      causal: bool = False, eps: float = 1e-6) -> np.ndarray:
     """Kernel attention without positional re-weighting, in linear time.
 
-    Agrees with kernel_attention_quadratic under a reweight-free config up
-    to accumulation order.
+    Q, K and V are (..., n, d) stacks sharing their leading axes; the
+    result is (..., n_q, d_v). Each slice agrees with
+    kernel_attention_quadratic under a reweight-free config up to
+    accumulation order.
     """
     return _attend(Q, K, V, AttentionConfig.linear(feature_map, causal, eps))
 
@@ -140,8 +172,9 @@ def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
     Feature rows are widened to 2d cos/sin-scaled rows (see
     :mod:`cosattn.reweight`), after which the re-weighted similarity is
     one plain kernel product and streams like any linear attention.
-    Requires a cosine reweight scheme with horizon m >= max(n_q, n_k) and
-    a non-negative feature map.
+    Q, K and V are (..., n, d) stacks sharing their leading axes, as in
+    linear_attention. Requires a cosine reweight scheme with horizon
+    m >= max(n_q, n_k) and a non-negative feature map.
     """
     _require_cosine_config(config, "cosformer_attention")
     return _attend(Q, K, V, config)
@@ -149,7 +182,7 @@ def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
 
 @dataclass
 class CausalState:
-    """Carry of a causal cosformer decode, one row at a time.
+    """Carry of a causal cosformer decode of one sequence, one row at a time.
 
     ``s`` (2 d_k x d_v) sums kf_j v_j^T and ``z`` (2 d_k) sums kf_j over
     the t positions seen so far, kf_j being key j's cos/sin-scaled

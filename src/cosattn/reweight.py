@@ -58,28 +58,34 @@ def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
 
 def _require_features(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionError(f"{name} must be a non-empty 2-D matrix")
+    if arr.ndim < 2 or arr.size == 0:
+        raise DimensionError(
+            f"{name} must be a non-empty (..., n, d) stack of feature rows")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def _position_scaled(F: np.ndarray, m: int) -> np.ndarray:
-    """[F cos | F sin] with each row scaled by its own position's factors."""
-    n, d = F.shape
-    cos, sin = position_factors(n, m)
-    out = np.empty((n, 2 * d))
-    np.multiply(F, cos[:, None], out=out[:, :d])
-    np.multiply(F, sin[:, None], out=out[:, d:])
+    """[F cos | F sin] with each row scaled by its own position's factors.
+
+    F is (..., n, d); positions run along axis -2 of every slice. No
+    check is made: callers pass validated float64 rows and m >= n.
+    """
+    d = F.shape[-1]
+    cos, sin = position_factors(F.shape[-2], m)
+    out = np.empty(F.shape[:-1] + (2 * d,))
+    np.multiply(F, cos[:, None], out=out[..., :d])
+    np.multiply(F, sin[:, None], out=out[..., d:])
     return out
 
 
 def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Position-scaled 2d-wide feature rows (q, k) of the cosine decomposition.
 
-    Row i of q is [Q_feat_i cos(pi i / (2m)) | Q_feat_i sin(pi i / (2m))]
-    and likewise for k, so that
+    Q_feat and K_feat are (..., n, d) feature rows. Row i of every slice
+    of q is [Q_feat_i cos(pi i / (2m)) | Q_feat_i sin(pi i / (2m))] and
+    likewise for k, so that, slice by slice,
 
         q @ k.T == (Q_feat @ K_feat.T) * reweight matrix
 
@@ -87,11 +93,12 @@ def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     Qf = _require_features(Q_feat, "Q_feat")
     Kf = _require_features(K_feat, "K_feat")
-    if Qf.shape[1] != Kf.shape[1]:
+    if Qf.shape[-1] != Kf.shape[-1]:
         raise DimensionError(
-            f"feature widths differ: {Qf.shape[1]} vs {Kf.shape[1]}")
-    if m < max(Qf.shape[0], Kf.shape[0]):
+            f"feature widths differ: {Qf.shape[-1]} vs {Kf.shape[-1]}")
+    longest = max(Qf.shape[-2], Kf.shape[-2])
+    if m < longest:
         raise ConfigurationError(
             f"cosine horizon m={m} is smaller than the longest sequence "
-            f"({max(Qf.shape[0], Kf.shape[0])})")
+            f"({longest})")
     return _position_scaled(Qf, m), _position_scaled(Kf, m)

@@ -12,6 +12,10 @@ joins, followed by a two-layer relu feedforward with its own residual. No
 normalization layers. A fixed sinusoidal positional encoding is added to
 the token embeddings; it is not a parameter. Everything runs in float64
 and is deterministic for a fixed seed.
+
+A training step makes one attention forward and one attention backward
+call over the whole (batch, n, d) stack of its sequences; held-out
+accuracy is evaluated batch_size sequences per forward call.
 """
 
 from __future__ import annotations
@@ -104,6 +108,24 @@ def _attention_backward(q, k, v, config: AttentionConfig, d_out):
                                      config.causal, config.eps)
 
 
+def _block(e, params: BlockParams, config: AttentionConfig):
+    """The block on a batch of embedded sequences e (batch, n, d_model).
+
+    Returns the output y and the cache (q, k, v, h, f1, r) the backward
+    needs. Attention runs once over the whole (batch, n, d) stack.
+    """
+    batch, n, d_model = e.shape
+    flat = e.reshape(batch * n, d_model)
+    q = (flat @ params.w_q).reshape(batch, n, -1)
+    k = (flat @ params.w_k).reshape(batch, n, -1)
+    v = (flat @ params.w_v).reshape(batch, n, -1)
+    h = e + _attention_forward(q, k, v, config)
+    f1 = h.reshape(batch * n, -1) @ params.w_ff1
+    r = np.maximum(f1, 0.0)
+    y = h + (r @ params.w_ff2).reshape(batch, n, d_model)
+    return y, (q, k, v, h, f1, r)
+
+
 def transformer_block_forward(x, params: BlockParams,
                               config: AttentionConfig) -> np.ndarray:
     """One attention block on pre-embedded rows x (n, d_model).
@@ -118,9 +140,8 @@ def transformer_block_forward(x, params: BlockParams,
         raise DimensionError(
             f"x width {x.shape[1]} does not match d_model {params.d_model}")
     x = np.asarray(x, dtype=np.float64)
-    q, k, v = x @ params.w_q, x @ params.w_k, x @ params.w_v
-    h = x + _attention_forward(q, k, v, config)
-    return h + np.maximum(h @ params.w_ff1, 0.0) @ params.w_ff2
+    y, _ = _block(x[None], params, config)
+    return y[0]
 
 
 @dataclass
@@ -189,18 +210,7 @@ def _forward_batch(inputs, params: BlockParams, config: AttentionConfig,
                    pe, loss_pos):
     """Logits at the loss positions plus the caches backward needs."""
     e = params.embedding[inputs] + pe[None, :, :]
-    batch, n, d_model = e.shape
-    flat = e.reshape(batch * n, d_model)
-    q = (flat @ params.w_q).reshape(batch, n, -1)
-    k = (flat @ params.w_k).reshape(batch, n, -1)
-    v = (flat @ params.w_v).reshape(batch, n, -1)
-    a = np.empty_like(v)
-    for b in range(batch):
-        a[b] = _attention_forward(q[b], k[b], v[b], config)
-    h = e + a
-    f1 = h.reshape(batch * n, -1) @ params.w_ff1
-    r = np.maximum(f1, 0.0)
-    y = h + (r @ params.w_ff2).reshape(batch, n, d_model)
+    y, (q, k, v, h, f1, r) = _block(e, params, config)
     logits = y[:, loss_pos, :] @ params.output_proj
     return logits, (e, q, k, v, h, f1, r, y)
 
@@ -238,12 +248,7 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
     d_h += (d_f1 @ params.w_ff1.T).reshape(batch, n, d_model)
 
     d_e = d_h.copy()
-    d_q = np.empty_like(q)
-    d_k = np.empty_like(k)
-    d_v = np.empty_like(v)
-    for b in range(batch):
-        d_q[b], d_k[b], d_v[b] = _attention_backward(q[b], k[b], v[b], config,
-                                                     d_h[b])
+    d_q, d_k, d_v = _attention_backward(q, k, v, config, d_h)
     flat_e = e.reshape(batch * n, d_model)
     grads = {
         "output_proj": d_output_proj,
@@ -262,7 +267,8 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
     return loss, grads
 
 
-def _accuracy(inputs, targets, params, config, pe, loss_pos, chunk=64):
+def _accuracy(inputs, targets, params, config, pe, loss_pos, chunk):
+    """Token accuracy, evaluated chunk sequences per forward call."""
     hits = 0
     for start in range(0, inputs.shape[0], chunk):
         logits, _ = _forward_batch(inputs[start:start + chunk], params, config,
@@ -336,7 +342,7 @@ def train_copy_task(attention_variant: AttentionConfig, seed: int,
         steps_run = step
         if step % eval_every == 0 or step == max_steps:
             accuracy = _accuracy(eval_inputs, eval_targets, params,
-                                 attention_variant, pe, loss_pos)
+                                 attention_variant, pe, loss_pos, batch_size)
             if accuracy >= target_accuracy:
                 break
     return TrainReport(

@@ -19,6 +19,10 @@ from cosattn.core import (
     softmax_attention,
 )
 from cosattn.errors import ConfigurationError, DimensionError
+from cosattn.linear import _BLOCK
+from cosattn.matio import write_matrix
+from cosattn.train import init_toy_params
+from cosattn.viz import CoverageMatrix
 
 import oracles
 
@@ -34,6 +38,31 @@ def test_require_matrix_validation():
     assert out.dtype == np.float64 and out.shape == (2, 2)
 
 
+def test_require_matrix_stack():
+    x = np.ones((2, 3, 4, 5), dtype=np.float32)
+    assert require_matrix(x, "x", stack=True) is x
+    for bad in (np.zeros(3), np.zeros((2, 0, 5)), np.zeros((0, 3, 5))):
+        with pytest.raises(DimensionError):
+            require_matrix(bad, "x", stack=True)
+    with pytest.raises(ValueError):
+        require_matrix(np.array([[[1.0, np.inf]]]), "x", stack=True)
+
+
+def test_single_matrix_callers_still_reject_a_stack(tmp_path):
+    cube = np.full((2, 3, 3), 0.5)
+    with pytest.raises(DimensionError):
+        require_matrix(cube, "x")
+    with pytest.raises(DimensionError):
+        write_matrix(cube, tmp_path / "cube.txt")
+    assert not (tmp_path / "cube.txt").exists()
+    with pytest.raises(DimensionError):
+        CoverageMatrix(cube, 0.5, 2).validate()
+    params = init_toy_params(np.random.default_rng(17), d_model=4, d_ff=4)
+    params.w_ff1 = params.w_ff1[None]
+    with pytest.raises(DimensionError):
+        params.validate()
+
+
 def test_dims_validation():
     Q, K, V = np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 5))
     dims = AttentionDims.from_qkv(Q, K, V)
@@ -44,6 +73,15 @@ def test_dims_validation():
         AttentionDims.from_qkv(Q, K, np.zeros((3, 5)))
     with pytest.raises(DimensionError):
         AttentionDims.from_qkv(Q, K, V, causal=True)
+    stacked = AttentionDims.from_qkv(*(np.stack([a] * 3) for a in (Q, K, V)))
+    assert stacked.lead == (3,) and stacked.n_k == 4 and dims.lead == ()
+    # Leading axes must match exactly; they never broadcast.
+    for lead_q, lead_k, lead_v in (((3,), (3,), (2,)), ((3,), (), ()),
+                                   ((2, 3), (3,), (2, 3)), ((1,), (3,), (3,))):
+        with pytest.raises(DimensionError):
+            AttentionDims.from_qkv(np.zeros(lead_q + Q.shape),
+                                   np.zeros(lead_k + K.shape),
+                                   np.zeros(lead_v + V.shape))
 
 
 def test_feature_map_kinds():
@@ -128,6 +166,25 @@ def test_softmax_matches_scalar_oracle():
             want = oracles.softmax_attention(Q.tolist(), K.tolist(),
                                              V.tolist(), causal, scale)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=str)
+def test_softmax_stack_matches_per_slice_calls(lead):
+    rng = np.random.default_rng(17)
+    for n in (1, 2 * _BLOCK + 17):
+        for causal in (False, True):
+            for dtype in (np.float32, np.float64):
+                n_k = n if causal else n + 3
+                Q = rng.standard_normal(lead + (n, 4)).astype(dtype)
+                K = rng.standard_normal(lead + (n_k, 4)).astype(dtype)
+                V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
+                got = softmax_attention(Q, K, V, causal=causal)
+                assert got.shape == lead + (n, 3) and got.dtype == dtype
+                for idx in np.ndindex(*lead):
+                    want = softmax_attention(Q[idx], K[idx], V[idx],
+                                             causal=causal)
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got[idx] - want)) <= 1e-13 * scale
 
 
 def test_softmax_rows_are_convex_combinations():

@@ -19,6 +19,7 @@ from cosattn.grad import (
     softmax_attention_backward,
 )
 from cosattn.linear import _BLOCK, cosformer_attention, linear_attention
+from cosattn.train import _attention_backward
 from cosattn.core import softmax_attention
 
 
@@ -123,6 +124,63 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
         slope = (plus - loss(*moved)) / (2.0 * h)
         dot = float(np.sum(grads[idx] * direction))
         assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-6), (name, dot, slope)
+
+
+STACK_BOUND = 1e-13
+
+
+def _stack_config(variant, m, causal):
+    if variant == "cosformer":
+        return AttentionConfig.cosformer(m=m, causal=causal)
+    if variant == "softmax":
+        return AttentionConfig.softmax(causal=causal)
+    feature_map = RELU if variant == "linear_relu" else ELU_PLUS_ONE
+    return AttentionConfig.linear(feature_map, causal=causal)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("variant", ["cosformer", "linear_relu",
+                                     "linear_elu_plus_one", "softmax"])
+def test_stacked_backward_matches_per_slice_calls(variant, lead):
+    rng = np.random.default_rng(47)
+    tiny = np.finfo(np.float64).tiny
+    for n in (1, 2 * _BLOCK + 17):
+        for causal in (False, True):
+            for dtype in (np.float32, np.float64):
+                n_k = n if causal else n + 3
+                config = _stack_config(variant, max(n, n_k), causal)
+                Q = rng.standard_normal(lead + (n, 4))
+                Q[..., ::7, :] = -np.abs(Q[..., ::7, :])  # eps-floored rows
+                Q = Q.astype(dtype)
+                K = rng.standard_normal(lead + (n_k, 4)).astype(dtype)
+                V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
+                g = rng.standard_normal(lead + (n, 3))
+                got = _attention_backward(Q, K, V, config, g)
+                for name, grad, arg in zip(("dQ", "dK", "dV"), got, (Q, K, V)):
+                    assert grad.shape == arg.shape, name
+                    assert grad.dtype == np.float64, name
+                for idx in np.ndindex(*lead):
+                    want = _attention_backward(Q[idx], K[idx], V[idx], config,
+                                               g[idx])
+                    for name, a, b in zip(("dQ", "dK", "dV"), got, want):
+                        scale = max(float(np.max(np.abs(b))), tiny)
+                        err = float(np.max(np.abs(a[idx] - b))) / scale
+                        assert err <= STACK_BOUND, (idx, name, err)
+
+
+@pytest.mark.parametrize("variant", ["cosformer", "linear_relu", "softmax"])
+def test_stacked_backward_shape_checks(variant):
+    config = _stack_config(variant, 4, causal=True)
+    X = np.ones((3, 4, 2))
+    _attention_backward(X, X, X, config, np.ones((3, 4, 2)))
+    # A d_out that would broadcast against the output is still refused.
+    for d_out in (np.ones((4, 2)), np.ones((1, 4, 2)), np.ones((2, 3, 4, 2)),
+                  np.ones((3, 4, 1)), np.ones((3, 3, 2))):
+        with pytest.raises(DimensionError):
+            _attention_backward(X, X, X, config, d_out)
+    for Q, K, V in ((X, X, X[:2]), (X[None], X, X), (X, X[0], X[0])):
+        with pytest.raises(DimensionError):
+            _attention_backward(Q, K, V, config, np.ones(Q.shape[:-1] + (2,)))
 
 
 def test_softmax_backward_matches_fd():

@@ -19,6 +19,7 @@ from cosattn.linear import (
     cosformer_attention,
     linear_attention,
 )
+from cosattn.train import _attention_forward
 
 
 def test_linear_matches_quadratic_all_maps():
@@ -63,6 +64,66 @@ def test_cosformer_spans_chunk_boundaries():
     got = cosformer_attention(Q, K, V, config)
     want = kernel_attention_quadratic(Q, K, V, config)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+# Stacked calls must match per-slice 2-D calls to this relative bound,
+# and every slice the quadratic oracle at the acceptance gate's bounds.
+STACK_BOUND = 1e-13
+GATE_BOUND = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-10}
+KERNEL_VARIANTS = ("cosformer", "linear_relu", "linear_elu_plus_one")
+
+
+def _rel(got, want):
+    scale = max(float(np.max(np.abs(want))), np.finfo(np.float64).tiny)
+    return float(np.max(np.abs(got - want))) / scale
+
+
+def _kernel_config(variant, m, causal):
+    if variant == "cosformer":
+        return AttentionConfig.cosformer(m=m, causal=causal)
+    feature_map = RELU if variant == "linear_relu" else ELU_PLUS_ONE
+    return AttentionConfig.linear(feature_map, causal=causal)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_stack_matches_per_slice_calls_and_oracle(variant, lead):
+    rng = np.random.default_rng(37)
+    for n in (1, 2 * _BLOCK + 17):
+        for causal in (False, True):
+            for dtype in (np.float32, np.float64):
+                n_k = n if causal else n + 3
+                config = _kernel_config(variant, max(n, n_k), causal)
+                Q = rng.standard_normal(lead + (n, 4))
+                # Every seventh query row relu-maps to zero features and
+                # lands on the eps floor.
+                Q[..., ::7, :] = -np.abs(Q[..., ::7, :])
+                Q = Q.astype(dtype)
+                K = rng.standard_normal(lead + (n_k, 4)).astype(dtype)
+                V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
+                got = _attention_forward(Q, K, V, config)
+                assert got.shape == lead + (n, 3) and got.dtype == dtype
+                for idx in np.ndindex(*lead):
+                    args = (Q[idx], K[idx], V[idx])
+                    want = _attention_forward(*args, config)
+                    assert _rel(got[idx], want) <= STACK_BOUND, idx
+                    oracle = kernel_attention_quadratic(*args, config)
+                    assert _rel(got[idx], oracle) <= GATE_BOUND[got.dtype], idx
+
+
+def test_stack_validation():
+    config = AttentionConfig.cosformer(m=4, causal=True)
+    X = np.ones((3, 4, 2))
+    with pytest.raises(DimensionError):
+        cosformer_attention(X, X, X[:2], config)
+    with pytest.raises(DimensionError):
+        cosformer_attention(X, X, X[0], config)
+    with pytest.raises(DimensionError):
+        linear_attention(X[None], X, X)
+    with pytest.raises(DimensionError):
+        linear_attention(np.ones(2), np.ones(2), np.ones(2))
+    with pytest.raises(ConfigurationError):
+        cosformer_attention(X, X, X, AttentionConfig.cosformer(m=3))
 
 
 def test_zero_feature_rows_hit_the_floor():

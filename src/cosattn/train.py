@@ -15,11 +15,15 @@ and is deterministic for a fixed seed.
 
 A training step makes one attention forward and one attention backward
 call over the whole (batch, n, d) stack of its sequences; held-out
-accuracy is evaluated batch_size sequences per forward call.
+accuracy is evaluated batch_size sequences per forward call. On glibc,
+training pins the allocator's trim and mmap thresholds (see _pin_heap),
+so each step reuses the heap pages the step before it freed.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +281,47 @@ def _accuracy(inputs, targets, params, config, pe, loss_pos, chunk):
     return hits / targets.size
 
 
+# glibc mallopt parameters, and the values they are pinned to: the ceiling
+# glibc's own dynamic mmap threshold rises to on 64-bit, and twice that for
+# trimming, as glibc's dynamic rule sets it.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _glibc_mallopt():
+    """glibc's mallopt; None off glibc, or when the environment already
+    sets the trim or the mmap threshold."""
+    env = os.environ
+    if ({"MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"} & env.keys()
+            or "threshold" in env.get("GLIBC_TUNABLES", "")):
+        return None
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):
+        return None
+    return ctypes.CDLL(None).mallopt
+
+
+def _pin_heap():
+    """Keep the trainer's freed arrays in the process heap, on glibc.
+
+    A batched step allocates and frees a few MiB of arrays (at the
+    defaults its peak is about 7 MiB). With glibc's dynamic thresholds the
+    trim threshold follows the largest array freed so far, about 1 MiB
+    here, so the freed top of the heap goes back to the kernel after every
+    step and the next step page-faults its working set in again: about
+    1500 faults a step, a quarter of the run spent in the kernel. This
+    pins both thresholds for the rest of the process.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def init_toy_params(rng, n_symbols: int = 16, d_model: int = 32,
                     d_ff: int = 64) -> BlockParams:
     """Seeded toy-model initialization; delimiter gets the extra embedding row."""
@@ -302,6 +347,8 @@ def train_copy_task(attention_variant: AttentionConfig, seed: int,
 
     Stops early once held-out token accuracy on the copied half reaches
     target_accuracy. Fully deterministic for a fixed seed and variant.
+    On glibc it pins the process's malloc trim and mmap thresholds, unless
+    the environment sets either (see _pin_heap).
     """
     if not attention_variant.causal:
         raise ConfigurationError("the copy task trains a causal block")
@@ -310,6 +357,7 @@ def train_copy_task(attention_variant: AttentionConfig, seed: int,
                         ("eval_every", eval_every)):
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    _pin_heap()
     init_rng, batch_rng, eval_rng = np.random.default_rng(seed).spawn(3)
 
     n = 2 * copy_len

@@ -1,5 +1,10 @@
 """Toy block plumbing and the copy-task trainer's contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +18,7 @@ from cosattn.train import (
     transformer_block_forward,
     variant_name,
 )
-from cosattn.train import _make_sequences, _forward_batch, _loss_and_dlogits
+from cosattn.train import _make_sequences, _forward_batch, _glibc_mallopt, _loss_and_dlogits
 
 
 def test_sinusoidal_encoding_shape_and_values():
@@ -124,3 +129,27 @@ def test_train_report_csv(tmp_path):
     assert lines[-1].startswith("#")
     first_step, first_loss = lines[1].split(",")
     assert int(first_step) == 1 and float(first_loss) > 0.0
+
+
+def test_train_steps_reuse_freed_heap_pages():
+    # With glibc's dynamic thresholds the freed top of the heap is trimmed
+    # after every step, and each step page-faults its ~6 MiB working set
+    # back in (about 1500 minor faults a step at the defaults). A fresh
+    # process, because arrays freed by earlier tests move the thresholds.
+    if _glibc_mallopt() is None:
+        pytest.skip("the heap thresholds are pinned through glibc's mallopt")
+    script = """
+import resource
+from cosattn import AttentionConfig, train_copy_task
+config = AttentionConfig.cosformer(m=32, causal=True)
+train_copy_task(config, seed=3, max_steps=20, eval_every=20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_copy_task(config, seed=4, max_steps=20, eval_every=20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert int(run.stdout.split()[-1]) < 20 * 100

@@ -1,9 +1,10 @@
 """Linear attention with exact cosine re-weighting, plus its oracles.
 
 The quadratic references in `core` define what every linear path must
-reproduce; `linear` holds the O(n) forwards, `grad` their analytic
-backwards, and the remaining modules wrap them in checks, benchmarks,
-visualization, and a toy trainer.
+reproduce; `linear` holds the O(n) forwards behind one config-driven
+`attend`, `grad` their analytic backwards behind `attend_backward`, and
+the remaining modules wrap them in checks, benchmarks, visualization,
+and a toy trainer.
 """
 
 from .bench import BenchmarkRecord, run_benchmark, transient_scalars, write_benchmark_csv
@@ -39,6 +40,7 @@ from .errors import (
     MatrixParseError,
 )
 from .grad import (
+    attend_backward,
     cosformer_backward,
     feature_map_derivative,
     finite_diff_grad,
@@ -47,6 +49,7 @@ from .grad import (
 )
 from .linear import (
     CausalState,
+    attend,
     causal_state_init,
     causal_state_step,
     cosformer_attention,
@@ -92,6 +95,8 @@ __all__ = [
     "VARIANTS",
     "VariantResult",
     "apply_feature_map",
+    "attend",
+    "attend_backward",
     "attention_weights_quadratic",
     "build_reweight_matrix",
     "causal_state_init",

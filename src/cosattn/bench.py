@@ -31,14 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionConfig, softmax_attention
+from .core import AttentionConfig
 from .errors import ConfigurationError
-from .grad import (
-    cosformer_backward,
-    linear_attention_backward,
-    softmax_attention_backward,
-)
-from .linear import cosformer_attention, linear_attention
+from .grad import attend_backward
+from .linear import attend
 
 BENCH_VARIANTS = ("softmax", "linear", "cosformer")
 BENCH_MODES = ("inference", "train")
@@ -121,25 +117,17 @@ def write_benchmark_csv(records, path) -> None:
 
 def _make_call(variant: str, mode: str, Q, K, V):
     """Closure running exactly the work being measured, nothing else."""
-    n = Q.shape[0]
     if variant == "softmax":
-        if mode == "inference":
-            return lambda: softmax_attention(Q, K, V)
-        d_out = np.ones_like(V)
-        return lambda: (softmax_attention(Q, K, V),
-                        softmax_attention_backward(Q, K, V, d_out))
-    if variant == "linear":
-        if mode == "inference":
-            return lambda: linear_attention(Q, K, V)
-        d_out = np.ones_like(V)
-        return lambda: (linear_attention(Q, K, V),
-                        linear_attention_backward(Q, K, V, d_out))
-    config = AttentionConfig.cosformer(m=n)
+        config = AttentionConfig.softmax()
+    elif variant == "linear":
+        config = AttentionConfig.linear()
+    else:
+        config = AttentionConfig.cosformer(m=Q.shape[0])
     if mode == "inference":
-        return lambda: cosformer_attention(Q, K, V, config)
+        return lambda: attend(Q, K, V, config)
     d_out = np.ones_like(V)
-    return lambda: (cosformer_attention(Q, K, V, config),
-                    cosformer_backward(Q, K, V, config, d_out))
+    return lambda: (attend(Q, K, V, config),
+                    attend_backward(Q, K, V, config, d_out))
 
 
 def run_benchmark(variants, lengths, d_model: int, repeats: int,

@@ -173,8 +173,9 @@ class AttentionConfig:
     """Bundle of knobs shared by the quadratic and linear attention paths.
 
     ``softmax_scale`` applies 1/sqrt(d_k) inside the softmax reference only;
-    kernel paths never scale. ``use_softmax`` routes block-level callers to
-    the quadratic softmax reference instead of a kernel attention.
+    kernel paths never scale. ``use_softmax`` makes :func:`cosattn.linear.attend`
+    and :func:`cosattn.grad.attend_backward` run the quadratic softmax
+    reference instead of a kernel attention.
     """
 
     feature_map: FeatureMapKind = RELU
@@ -216,13 +217,6 @@ def _require_eps(eps: float) -> None:
 def _require_kernel_config(config: AttentionConfig):
     if config.use_softmax:
         raise ConfigurationError("kernel-path operation called with a softmax config")
-
-
-def _check_horizon(config: AttentionConfig, n_q: int, n_k: int):
-    if config.reweight.kind == "cosine" and config.reweight.m < max(n_q, n_k):
-        raise ConfigurationError(
-            f"cosine horizon m={config.reweight.m} is smaller than the longest "
-            f"sequence ({max(n_q, n_k)})")
 
 
 def _softmax_rows(S: np.ndarray, causal: bool) -> np.ndarray:
@@ -286,7 +280,6 @@ def attention_weights_quadratic(Q, K, config: AttentionConfig) -> np.ndarray:
             f"Q and K must share the key width, got {Q.shape} vs {K.shape}")
     if config.causal and Q.shape[0] != K.shape[0]:
         raise DimensionError("causal attention requires n_q == n_k")
-    _check_horizon(config, Q.shape[0], K.shape[0])
     W = _weights_quadratic_wide(Q, K, config)
     return W.astype(_storage_dtype(Q, K), copy=False)
 
@@ -301,6 +294,5 @@ def kernel_attention_quadratic(Q, K, V, config: AttentionConfig) -> np.ndarray:
     K = require_matrix(K, "K")
     V = require_matrix(V, "V")
     AttentionDims.from_qkv(Q, K, V, config.causal)
-    _check_horizon(config, Q.shape[0], K.shape[0])
     out = _weights_quadratic_wide(Q, K, config) @ _wide(V)
     return out.astype(_storage_dtype(Q, K, V), copy=False)

@@ -34,10 +34,9 @@ from .linear import (
     _finalize,
     _scan,
     _with_ones,
+    attend,
     causal_state_init,
     causal_state_step,
-    cosformer_attention,
-    linear_attention,
 )
 from .reweight import decompose, position_angles
 
@@ -153,7 +152,7 @@ def _streaming_error(rng) -> float:
         Q[int(rng.integers(n))] = 0.0
     m = int(rng.choice((n, 2 * n)))
     config = AttentionConfig.cosformer(m=m, causal=True)
-    batch = cosformer_attention(Q, K, V, config)
+    batch = attend(Q, K, V, config)
     state = causal_state_init(d_k, d_v)
     streamed = np.empty_like(batch)
     for t in range(n):
@@ -197,14 +196,12 @@ def equivalence_trial(variant: str, seed: int, trial: int,
         m = int(rng.choice((n, 2 * n)))
         config = AttentionConfig.cosformer(m=m, causal=causal,
                                            feature_map=feature_map)
-        if mutation is None:
-            candidate = cosformer_attention(Q, K, V, config)
-        else:
-            candidate = _mutated_cosformer(Q, K, V, config, mutation)
     else:
         config = AttentionConfig.linear(feature_map=feature_map, causal=causal)
-        candidate = linear_attention(Q, K, V, feature_map=feature_map,
-                                     causal=causal, eps=config.eps)
+    if mutation is None:
+        candidate = attend(Q, K, V, config)
+    else:
+        candidate = _mutated_cosformer(Q, K, V, config, mutation)
     oracle = kernel_attention_quadratic(Q, K, V, config)
     return _rel_error(candidate, oracle)
 

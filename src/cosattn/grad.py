@@ -1,5 +1,8 @@
 """Analytic backward passes and finite-difference checking.
 
+:func:`attend_backward` is the backward for every variant: it picks the
+softmax gradient or the kernel gradient from its AttentionConfig, and
+the three public per-variant backwards are one-line wrappers around it.
 The kernel backward never materializes an n x n matrix: after re-running
 the forward's scan it is three more runs of it, because every gradient
 of kernel attention is itself a kernel numerator. The dQ scan admits
@@ -61,25 +64,42 @@ def _check_d_out(d_out, dims: AttentionDims) -> np.ndarray:
     return d_out
 
 
-def _kernel_backward(Q, K, V, d_out, config: AttentionConfig):
-    """Gradients of sum(d_out * forward) for the kernel forward under config.
+def attend_backward(Q, K, V, config: AttentionConfig, d_out):
+    """Gradients (dQ, dK, dV) of sum(d_out * attend(Q, K, V, config)).
 
-    Every gradient is a kernel numerator, so each is one more _scan.
-    With den floored at eps, u = d_out / den and w = (d_out . num) / den^2,
-    the loss's derivative by the similarity qf_i . kf_j is
-    u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and b = [V | 1]. dV
-    sums (qf_i . kf_j) u_i over the queries i that key j reaches. dQ and
-    dK scan the feature pair of (a, b) over the feature-mapped rows Kp
-    and Qp: the pair's inner products are a_i . b_j times the re-weight
-    of (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
-    wide. Leading axes of the (..., n, d) inputs ride along in every
-    step.
+    The one backward every variant runs through: Q, K, V and d_out are
+    validated once, then a softmax config runs the softmax gradient and
+    any other config the kernel gradient. Takes (..., n, d) stacks as
+    attend does; d_out is shaped like its output.
+
+    Kernel gradient: every gradient is a kernel numerator, so each is one
+    more _scan. With den floored at eps, u = d_out / den and
+    w = (d_out . num) / den^2, the loss's derivative by the similarity
+    qf_i . kf_j is u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and
+    b = [V | 1]. dV sums (qf_i . kf_j) u_i over the queries i that key j
+    reaches. dQ and dK scan the feature pair of (a, b) over the
+    feature-mapped rows Kp and Qp: the pair's inner products are
+    a_i . b_j times the re-weight of (i, j), the derivative by
+    Qp_i . Kp_j, so both come out d columns wide. Leading axes of the
+    (..., n, d) inputs ride along in every step.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
     dims = AttentionDims.from_qkv(Q, K, V, config.causal)
     d_out = _check_d_out(d_out, dims)
+
+    if config.use_softmax:
+        Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
+        alpha = 1.0 / math.sqrt(dims.d_k) if config.softmax_scale else 1.0
+        W = _softmax_rows((Qw @ Kw.swapaxes(-1, -2)) * alpha, config.causal)
+
+        dV = W.swapaxes(-1, -2) @ g
+        dW = g @ Vw.swapaxes(-1, -2)
+        dS = W * (dW - np.einsum("...ij,...ij->...i", dW, W)[..., None])
+        dQ = (dS @ Kw) * alpha
+        dK = (dS.swapaxes(-1, -2) @ Qw) * alpha
+        return dQ, dK, dV
 
     causal = config.causal
     Qw, Kw = _wide(Q), _wide(K)
@@ -123,8 +143,8 @@ def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU
     Takes (..., n, d) stacks as the forward does; d_out is shaped like
     the forward's output.
     """
-    return _kernel_backward(Q, K, V, d_out,
-                            AttentionConfig.linear(feature_map, causal, eps))
+    return attend_backward(Q, K, V, AttentionConfig.linear(feature_map, causal, eps),
+                           d_out)
 
 
 def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
@@ -134,7 +154,7 @@ def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
     the forward's output.
     """
     _require_cosine_config(config, "cosformer_backward")
-    return _kernel_backward(Q, K, V, d_out, config)
+    return attend_backward(Q, K, V, config, d_out)
 
 
 def softmax_attention_backward(Q, K, V, d_out, causal: bool = False,
@@ -144,22 +164,7 @@ def softmax_attention_backward(Q, K, V, d_out, causal: bool = False,
     Takes (..., n, d) stacks as the forward does; d_out is shaped like
     the forward's output.
     """
-    Q = require_matrix(Q, "Q", stack=True)
-    K = require_matrix(K, "K", stack=True)
-    V = require_matrix(V, "V", stack=True)
-    dims = AttentionDims.from_qkv(Q, K, V, causal)
-    d_out = _check_d_out(d_out, dims)
-
-    Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
-    alpha = 1.0 / math.sqrt(dims.d_k) if scale else 1.0
-    W = _softmax_rows((Qw @ Kw.swapaxes(-1, -2)) * alpha, causal)
-
-    dV = W.swapaxes(-1, -2) @ g
-    dW = g @ Vw.swapaxes(-1, -2)
-    dS = W * (dW - np.einsum("...ij,...ij->...i", dW, W)[..., None])
-    dQ = (dS @ Kw) * alpha
-    dK = (dS.swapaxes(-1, -2) @ Qw) * alpha
-    return dQ, dK, dV
+    return attend_backward(Q, K, V, AttentionConfig.softmax(causal, scale), d_out)
 
 
 def finite_diff_grad(f, X, h: float = 1e-5) -> np.ndarray:

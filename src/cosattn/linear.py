@@ -1,6 +1,9 @@
 """Linear-time kernel attention and its streaming causal form.
 
-Both entry points compute exactly the same quantity as the quadratic
+:func:`attend` is the forward for every variant: it picks the softmax
+reference or the kernel path from its AttentionConfig, and
+linear_attention and cosformer_attention are one-line wrappers around
+it. The kernel path computes exactly the same quantity as the quadratic
 references in :mod:`cosattn.core`, but by reassociating the sums:
 
     O_i = sum_j qf_i kf_j^T V_j / max(sum_j qf_i kf_j^T, eps)
@@ -41,6 +44,7 @@ from .core import (
     _wide,
     apply_feature_map,
     require_matrix,
+    softmax_attention,
 )
 from .errors import ConfigurationError, DimensionError
 from .reweight import _position_scaled, decompose
@@ -135,8 +139,17 @@ def _features(Qp, Kp, config: AttentionConfig, check: bool = True):
         _position_scaled(Kp, config.reweight.m)
 
 
-def _attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
-    """Kernel attention under config: the body of both public forwards."""
+def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
+    """Attention under config: the one forward every variant runs through.
+
+    Q, K and V are (..., n, d) stacks sharing their leading axes; the
+    result is (..., n_q, d_v) in the inputs' storage dtype. A softmax
+    config runs core.softmax_attention; any other config runs the
+    linear-time kernel scan, on cosformer's 2d-wide rows when the
+    reweight scheme is cosine.
+    """
+    if config.use_softmax:
+        return softmax_attention(Q, K, V, config.causal, config.softmax_scale)
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
@@ -157,7 +170,7 @@ def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
     kernel_attention_quadratic under a reweight-free config up to
     accumulation order.
     """
-    return _attend(Q, K, V, AttentionConfig.linear(feature_map, causal, eps))
+    return attend(Q, K, V, AttentionConfig.linear(feature_map, causal, eps))
 
 
 def _require_cosine_config(config: AttentionConfig, op: str) -> None:
@@ -177,7 +190,7 @@ def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
     m >= max(n_q, n_k) and a non-negative feature map.
     """
     _require_cosine_config(config, "cosformer_attention")
-    return _attend(Q, K, V, config)
+    return attend(Q, K, V, config)
 
 
 @dataclass

@@ -56,10 +56,14 @@ def test_run_benchmark_train_mode():
 
 
 def test_memory_error_becomes_failed_cell(monkeypatch):
-    def boom(*args, **kwargs):
-        raise MemoryError("simulated allocation failure")
+    attend = bench.attend
 
-    monkeypatch.setattr(bench, "softmax_attention", boom)
+    def boom(Q, K, V, config):
+        if config.use_softmax:
+            raise MemoryError("simulated allocation failure")
+        return attend(Q, K, V, config)
+
+    monkeypatch.setattr(bench, "attend", boom)
     records = run_benchmark(["softmax", "linear"], [8], d_model=4, repeats=3)
     failed, fine = records
     assert failed.failed and math.isnan(failed.mean_s)

@@ -12,6 +12,7 @@ from cosattn.core import (
 )
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.grad import (
+    attend_backward,
     cosformer_backward,
     feature_map_derivative,
     finite_diff_grad,
@@ -19,7 +20,6 @@ from cosattn.grad import (
     softmax_attention_backward,
 )
 from cosattn.linear import _BLOCK, cosformer_attention, linear_attention
-from cosattn.train import _attention_backward
 from cosattn.core import softmax_attention
 
 
@@ -155,13 +155,13 @@ def test_stacked_backward_matches_per_slice_calls(variant, lead):
                 K = rng.standard_normal(lead + (n_k, 4)).astype(dtype)
                 V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
                 g = rng.standard_normal(lead + (n, 3))
-                got = _attention_backward(Q, K, V, config, g)
+                got = attend_backward(Q, K, V, config, g)
                 for name, grad, arg in zip(("dQ", "dK", "dV"), got, (Q, K, V)):
                     assert grad.shape == arg.shape, name
                     assert grad.dtype == np.float64, name
                 for idx in np.ndindex(*lead):
-                    want = _attention_backward(Q[idx], K[idx], V[idx], config,
-                                               g[idx])
+                    want = attend_backward(Q[idx], K[idx], V[idx], config,
+                                           g[idx])
                     for name, a, b in zip(("dQ", "dK", "dV"), got, want):
                         scale = max(float(np.max(np.abs(b))), tiny)
                         err = float(np.max(np.abs(a[idx] - b))) / scale
@@ -172,15 +172,15 @@ def test_stacked_backward_matches_per_slice_calls(variant, lead):
 def test_stacked_backward_shape_checks(variant):
     config = _stack_config(variant, 4, causal=True)
     X = np.ones((3, 4, 2))
-    _attention_backward(X, X, X, config, np.ones((3, 4, 2)))
+    attend_backward(X, X, X, config, np.ones((3, 4, 2)))
     # A d_out that would broadcast against the output is still refused.
     for d_out in (np.ones((4, 2)), np.ones((1, 4, 2)), np.ones((2, 3, 4, 2)),
                   np.ones((3, 4, 1)), np.ones((3, 3, 2))):
         with pytest.raises(DimensionError):
-            _attention_backward(X, X, X, config, d_out)
+            attend_backward(X, X, X, config, d_out)
     for Q, K, V in ((X, X, X[:2]), (X[None], X, X), (X, X[0], X[0])):
         with pytest.raises(DimensionError):
-            _attention_backward(Q, K, V, config, np.ones(Q.shape[:-1] + (2,)))
+            attend_backward(Q, K, V, config, np.ones(Q.shape[:-1] + (2,)))
 
 
 def test_softmax_backward_matches_fd():

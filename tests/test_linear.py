@@ -14,12 +14,12 @@ from cosattn.core import (
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.linear import (
     _BLOCK,
+    attend,
     causal_state_init,
     causal_state_step,
     cosformer_attention,
     linear_attention,
 )
-from cosattn.train import _attention_forward
 
 
 def test_linear_matches_quadratic_all_maps():
@@ -101,11 +101,11 @@ def test_stack_matches_per_slice_calls_and_oracle(variant, lead):
                 Q = Q.astype(dtype)
                 K = rng.standard_normal(lead + (n_k, 4)).astype(dtype)
                 V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
-                got = _attention_forward(Q, K, V, config)
+                got = attend(Q, K, V, config)
                 assert got.shape == lead + (n, 3) and got.dtype == dtype
                 for idx in np.ndindex(*lead):
                     args = (Q[idx], K[idx], V[idx])
-                    want = _attention_forward(*args, config)
+                    want = attend(*args, config)
                     assert _rel(got[idx], want) <= STACK_BOUND, idx
                     oracle = kernel_attention_quadratic(*args, config)
                     assert _rel(got[idx], oracle) <= GATE_BOUND[got.dtype], idx

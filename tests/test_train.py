@@ -19,6 +19,7 @@ from cosattn.train import (
     variant_name,
 )
 from cosattn.train import _make_sequences, _forward_batch, _glibc_mallopt, _loss_and_dlogits
+from cosattn.train import _train_step
 
 
 def test_sinusoidal_encoding_shape_and_values():
@@ -95,6 +96,33 @@ def test_initial_loss_near_uniform():
     loss, _ = _loss_and_dlogits(logits, targets)
     # fresh model with a 0.02-scale head is close to the uniform 16-way loss
     assert abs(loss - np.log(16.0)) < 0.2
+
+
+@pytest.mark.parametrize("variant", ["softmax", "cosformer"])
+def test_train_step_gradients_match_directional_fd(variant):
+    # Covers the embedding gradient's one-hot scatter-add and the
+    # attend_backward call together with the rest of the step.
+    rng = np.random.default_rng(71)
+    params = init_toy_params(rng, n_symbols=5, d_model=8, d_ff=16)
+    inputs, targets = _make_sequences(rng, 4, 4, 5)
+    pe = sinusoidal_encoding(8, 8, base=40.0)
+    loss_pos = np.arange(4, 8)
+    config = (AttentionConfig.softmax(causal=True) if variant == "softmax"
+              else AttentionConfig.cosformer(m=8, causal=True))
+    _, grads = _train_step(inputs, targets, params, config, pe, loss_pos)
+    h = 1e-6
+    for name, grad in grads.items():
+        value = getattr(params, name)
+        direction = rng.standard_normal(value.shape)
+        losses = []
+        for sign in (1.0, -1.0):
+            setattr(params, name, value + sign * h * direction)
+            loss, _ = _train_step(inputs, targets, params, config, pe, loss_pos)
+            losses.append(loss)
+        setattr(params, name, value)
+        slope = (losses[0] - losses[1]) / (2.0 * h)
+        dot = float(np.sum(grad * direction))
+        assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-3), (name, dot, slope)
 
 
 def test_train_requires_causal_config():

@@ -175,7 +175,7 @@ class AttentionConfig:
     ``softmax_scale`` applies 1/sqrt(d_k) inside the softmax reference only;
     kernel paths never scale. ``use_softmax`` makes :func:`cosattn.linear.attend`
     and :func:`cosattn.grad.attend_backward` run the quadratic softmax
-    reference instead of a kernel attention.
+    reference instead of a kernel attention, and refuses a reweight.
     """
 
     feature_map: FeatureMapKind = RELU
@@ -187,6 +187,8 @@ class AttentionConfig:
 
     def __post_init__(self):
         _require_eps(self.eps)
+        if self.use_softmax and self.reweight.kind != "none":
+            raise ConfigurationError("a softmax config takes no reweight scheme")
         if self.reweight.kind == "cosine" and not self.feature_map.nonnegative:
             raise ConfigurationError(
                 "cosine reweighting requires a non-negative feature map "
@@ -275,11 +277,7 @@ def attention_weights_quadratic(Q, K, config: AttentionConfig) -> np.ndarray:
     _require_kernel_config(config)
     Q = require_matrix(Q, "Q")
     K = require_matrix(K, "K")
-    if Q.shape[1] != K.shape[1]:
-        raise DimensionError(
-            f"Q and K must share the key width, got {Q.shape} vs {K.shape}")
-    if config.causal and Q.shape[0] != K.shape[0]:
-        raise DimensionError("causal attention requires n_q == n_k")
+    AttentionDims.from_qkv(Q, K, K, config.causal)  # K stands in for V
     W = _weights_quadratic_wide(Q, K, config)
     return W.astype(_storage_dtype(Q, K), copy=False)
 

@@ -17,6 +17,10 @@ Every backward takes the forward's (..., n, d) stacks, leading axes
 shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
+
+attend_backward checks Q, K, V, d_out and the horizon once, at its
+boundary; both feature pairs, (Qp, Kp) and (a, [V | 1]), are then
+position-scaled unchecked.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .core import (
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .linear import _features, _require_cosine_config, _scan, _with_ones
+from .linear import _require_cosine_config, _scan, _with_ones
+from .reweight import _position_scaled, _require_horizon
 # Not called here; the benchmark's trace wraps this module attribute, so
 # it stays importable until the benchmark drops it.
 from .reweight import position_factors  # noqa: F401
@@ -54,6 +59,14 @@ def feature_map_derivative(x: np.ndarray, kind: FeatureMapKind) -> np.ndarray:
     return np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), 1.0)
 
 
+def _features(Qp, Kp, config: AttentionConfig):
+    """Cosformer's 2d-wide position-scaled pair, or the rows themselves."""
+    if config.reweight.kind != "cosine":
+        return Qp, Kp
+    return _position_scaled(Qp, config.reweight.m), \
+        _position_scaled(Kp, config.reweight.m)
+
+
 def _check_d_out(d_out, dims: AttentionDims) -> np.ndarray:
     """d_out must be shaped like the forward's output, leading axes and
     all, so a mis-batched d_out cannot broadcast."""
@@ -67,7 +80,7 @@ def _check_d_out(d_out, dims: AttentionDims) -> np.ndarray:
 def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     """Gradients (dQ, dK, dV) of sum(d_out * attend(Q, K, V, config)).
 
-    The one backward every variant runs through: Q, K, V and d_out are
+    The one backward every variant runs through: inputs and horizon are
     validated once, then a softmax config runs the softmax gradient and
     any other config the kernel gradient. Takes (..., n, d) stacks as
     attend does; d_out is shaped like its output.
@@ -88,6 +101,8 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     V = require_matrix(V, "V", stack=True)
     dims = AttentionDims.from_qkv(Q, K, V, config.causal)
     d_out = _check_d_out(d_out, dims)
+    if config.reweight.kind == "cosine":
+        _require_horizon(max(dims.n_q, dims.n_k), config.reweight.m)
 
     if config.use_softmax:
         Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
@@ -106,7 +121,8 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     Qp = apply_feature_map(Qw, config.feature_map)
     Kp = apply_feature_map(Kw, config.feature_map)
     qf, kf = _features(Qp, Kp, config)
-    num = _scan(qf, kf, _with_ones(V), causal)
+    b = _with_ones(V)
+    num = _scan(qf, kf, b, causal)
     num, den = num[..., :-1], num[..., -1]
 
     g = _wide(d_out)
@@ -125,9 +141,8 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     # tracemalloc, against 32.5 MiB with every buffer kept to the end.
     dV = _scan(kf, qf, u, causal, suffix=True)
     del qf, kf, u
-    # (a, [V | 1]) comes from inputs checked above: scale it unchecked.
-    fa, fb = _features(a, _with_ones(V), config, check=False)
-    del a
+    fa, fb = _features(a, b, config)
+    del a, b
     dQ = _scan(fa, fb, Kp, causal)
     dK = _scan(fb, fa, Qp, causal, suffix=True)
     del fa, fb, Qp, Kp

@@ -24,6 +24,10 @@ Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
 attended on its own, in one call, with the arithmetic of a 2-D call on
 that slice. The streaming :class:`CausalState` decodes one 2-D sequence.
+
+Checks run once, at the public boundary: attend validates Q, K and V,
+then :func:`cosattn.reweight.decompose` checks the horizon;
+causal_state_step checks its rows and position. _scan checks nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .core import (
     softmax_attention,
 )
 from .errors import ConfigurationError, DimensionError
-from .reweight import _position_scaled, decompose
+from .reweight import _require_horizon, decompose
 
 # Causal chunk size. Any fixed value gives the same chunk boundaries on
 # every call, which keeps prefix rows bit-identical under suffix edits.
@@ -124,21 +128,6 @@ def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
     return num
 
 
-def _features(Qp, Kp, config: AttentionConfig, check: bool = True):
-    """The (qf, kf) pair the kernel paths scan: cosformer's 2d-wide rows
-    from decompose, or the feature-mapped rows themselves.
-
-    check=False position-scales without decompose's finiteness, width
-    and horizon checks, for a pair built from inputs already checked.
-    """
-    if config.reweight.kind != "cosine":
-        return Qp, Kp
-    if check:
-        return decompose(Qp, Kp, config.reweight.m)
-    return _position_scaled(Qp, config.reweight.m), \
-        _position_scaled(Kp, config.reweight.m)
-
-
 def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     """Attention under config: the one forward every variant runs through.
 
@@ -154,8 +143,9 @@ def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
     AttentionDims.from_qkv(Q, K, V, config.causal)
-    qf, kf = _features(apply_feature_map(_wide(Q), config.feature_map),
-                       apply_feature_map(_wide(K), config.feature_map), config)
+    qf, kf = (apply_feature_map(_wide(X), config.feature_map) for X in (Q, K))
+    if config.reweight.kind == "cosine":
+        qf, kf = decompose(qf, kf, config.reweight.m)
     num = _scan(qf, kf, _with_ones(V), config.causal)
     out = _finalize(num[..., :-1], num[..., -1], config.eps)
     return out.astype(_storage_dtype(Q, K, V), copy=False)
@@ -249,8 +239,7 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
     if not (np.isfinite(q_t).all() and np.isfinite(k_t).all() and np.isfinite(v_t).all()):
         raise ValueError("step rows contain non-finite entries")
     pos = state.t + 1
-    if pos > m:
-        raise ConfigurationError(f"position {pos} exceeds the cosine horizon m={m}")
+    _require_horizon(pos, m)
 
     angle = (np.pi * pos) / (2.0 * m)
     cos_sin = np.array([[np.cos(angle)], [np.sin(angle)]])

@@ -9,6 +9,10 @@ re-weighted kernel is ordinary linear attention on those rows, which is
 what the linear-time path exploits.
 
 Angles are computed per position as (pi * pos) / (2 * m) in float64.
+
+The horizon rule m >= longest sequence has one owner, _require_horizon,
+run by build_reweight_matrix, decompose (which also validates its rows),
+causal_state_step and the kernel backward. _position_scaled checks nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ def position_factors(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
+def _require_horizon(longest: int, m: int) -> None:
+    """m must cover the longest sequence, or some re-weights turn negative."""
+    if m < longest:
+        raise ConfigurationError(
+            f"cosine horizon m={m} is smaller than the longest sequence "
+            f"({longest})")
+
+
 def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
     """Dense n_q x n_k matrix of cos_weight(i, j, m) values.
 
@@ -47,30 +59,17 @@ def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
     """
     if n_q < 1 or n_k < 1:
         raise DimensionError(f"need n_q, n_k >= 1, got {n_q}, {n_k}")
-    if m < max(n_q, n_k):
-        raise ConfigurationError(
-            f"cosine horizon m={m} is smaller than the longest sequence "
-            f"({max(n_q, n_k)})")
+    _require_horizon(max(n_q, n_k), m)
     i = np.arange(1, n_q + 1, dtype=np.float64)[:, None]
     j = np.arange(1, n_k + 1, dtype=np.float64)[None, :]
     return np.cos((np.pi * (i - j)) / (2.0 * m))
 
 
-def _require_features(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim < 2 or arr.size == 0:
-        raise DimensionError(
-            f"{name} must be a non-empty (..., n, d) stack of feature rows")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _position_scaled(F: np.ndarray, m: int) -> np.ndarray:
     """[F cos | F sin] with each row scaled by its own position's factors.
 
-    F is (..., n, d); positions run along axis -2 of every slice. No
-    check is made: callers pass validated float64 rows and m >= n.
+    F is (..., n, d); positions run along axis -2 of every slice. The
+    result is float64. No check is made: callers have checked F and m >= n.
     """
     d = F.shape[-1]
     cos, sin = position_factors(F.shape[-2], m)
@@ -91,14 +90,11 @@ def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     holds exactly in real arithmetic.
     """
-    Qf = _require_features(Q_feat, "Q_feat")
-    Kf = _require_features(K_feat, "K_feat")
+    from .core import require_matrix  # core imports this module
+    Qf = require_matrix(Q_feat, "Q_feat", stack=True)
+    Kf = require_matrix(K_feat, "K_feat", stack=True)
     if Qf.shape[-1] != Kf.shape[-1]:
         raise DimensionError(
             f"feature widths differ: {Qf.shape[-1]} vs {Kf.shape[-1]}")
-    longest = max(Qf.shape[-2], Kf.shape[-2])
-    if m < longest:
-        raise ConfigurationError(
-            f"cosine horizon m={m} is smaller than the longest sequence "
-            f"({longest})")
+    _require_horizon(max(Qf.shape[-2], Kf.shape[-2]), m)
     return _position_scaled(Qf, m), _position_scaled(Kf, m)

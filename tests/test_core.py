@@ -13,6 +13,7 @@ from cosattn.core import (
     ReweightScheme,
     apply_feature_map,
     attention_weights_quadratic,
+    cosine_reweight,
     kernel_attention_quadratic,
     leaky_relu,
     require_matrix,
@@ -137,6 +138,11 @@ def test_config_validation():
     cfg = AttentionConfig.cosformer(m=8, feature_map=ELU_PLUS_ONE)
     assert cfg.reweight.m == 8 and not cfg.use_softmax
     assert AttentionConfig.softmax().use_softmax
+    # The softmax reference has no reweight; attend would run plain
+    # softmax and never check the horizon.
+    with pytest.raises(ConfigurationError):
+        AttentionConfig(use_softmax=True, reweight=cosine_reweight(4),
+                        causal=True)
 
 
 def test_kernel_ops_reject_softmax_config():
@@ -153,6 +159,16 @@ def test_horizon_too_small_rejected():
     Q = np.ones((4, 2))
     with pytest.raises(ConfigurationError):
         attention_weights_quadratic(Q, Q, cfg)
+
+
+@pytest.mark.parametrize("config", [AttentionConfig.linear(causal=True),
+                                    AttentionConfig.cosformer(m=8, causal=True)],
+                         ids=["linear", "cosformer"])
+def test_weights_shape_errors(config):
+    with pytest.raises(DimensionError):
+        attention_weights_quadratic(np.ones((4, 2)), np.ones((4, 3)), config)
+    with pytest.raises(DimensionError):
+        attention_weights_quadratic(np.ones((4, 2)), np.ones((5, 2)), config)
 
 
 def test_softmax_matches_scalar_oracle():

@@ -226,6 +226,25 @@ def test_backward_validation():
         cosformer_backward(Q, Q, Q, AttentionConfig.softmax(), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=str)
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+def test_backward_refuses_a_horizon_below_the_longest_sequence(causal, lead):
+    # m = 4 < 9 rows; without the check the backward returns gradients of
+    # a re-weight that has turned negative.
+    n_q, n_k = (9, 9) if causal else (3, 9)
+    rng = np.random.default_rng(7)
+    Q = rng.standard_normal(lead + (n_q, 2))
+    K = rng.standard_normal(lead + (n_k, 2))
+    V = rng.standard_normal(lead + (n_k, 2))
+    g = np.ones(lead + (n_q, 2))
+    config = AttentionConfig.cosformer(m=4, causal=causal)
+    for backward in (attend_backward, cosformer_backward):
+        with pytest.raises(ConfigurationError):
+            backward(Q, K, V, config, g)
+    # m = max(n_q, n_k) is inside the horizon.
+    attend_backward(Q, K, V, AttentionConfig.cosformer(m=9, causal=causal), g)
+
+
 def test_finite_diff_grad_on_quadratic_form():
     # exact for a quadratic: f(x) = sum(x * x) has gradient 2x
     rng = np.random.default_rng(44)

@@ -42,6 +42,16 @@ BENCH_MODES = ("inference", "train")
 CSV_HEADER = "variant,seq_len,d_model,repeats,mean_s,std_s,median_s,transient_scalars,mode"
 
 
+def _require_variant(variant: str) -> None:
+    if variant not in BENCH_VARIANTS:
+        raise ConfigurationError(f"unknown benchmark variant {variant!r}")
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in BENCH_MODES:
+        raise ConfigurationError(f"unknown benchmark mode {mode!r}")
+
+
 def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
     """Analytic working-set size, in scalars, of one attention call.
 
@@ -51,13 +61,12 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
     feature width being d for plain kernels and 2d for cosformer's
     [cos | sin]-scaled rows.
     """
+    _require_variant(variant)
     if variant == "softmax":
         return seq_len * seq_len + seq_len * d_model
     if variant == "cosformer":
         return seq_len * d_model + 2 * d_model * d_model + 2 * d_model
-    if variant == "linear":
-        return seq_len * d_model + d_model * d_model + d_model
-    raise ConfigurationError(f"unknown benchmark variant {variant!r}")
+    return seq_len * d_model + d_model * d_model + d_model
 
 
 @dataclass(frozen=True)
@@ -83,10 +92,8 @@ class BenchmarkRecord:
         return not np.isfinite(self.mean_s)
 
     def validate(self) -> None:
-        if self.variant not in BENCH_VARIANTS:
-            raise ConfigurationError(f"unknown benchmark variant {self.variant!r}")
-        if self.mode not in BENCH_MODES:
-            raise ConfigurationError(f"unknown benchmark mode {self.mode!r}")
+        _require_variant(self.variant)
+        _require_mode(self.mode)
         if self.seq_len < 1 or self.d_model < 1 or self.repeats < 3:
             raise ConfigurationError("benchmark cell has out-of-range counts")
         if self.transient_scalars <= 0:
@@ -136,10 +143,8 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
     variants = list(variants)
     lengths = list(lengths)
     for v in variants:
-        if v not in BENCH_VARIANTS:
-            raise ConfigurationError(f"unknown benchmark variant {v!r}")
-    if mode not in BENCH_MODES:
-        raise ConfigurationError(f"unknown benchmark mode {mode!r}")
+        _require_variant(v)
+    _require_mode(mode)
     if not lengths or any(n < 1 for n in lengths):
         raise ConfigurationError("lengths must be positive")
     if any(a >= b for a, b in zip(lengths, lengths[1:])):

@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import ConfigurationError
 from .linear import (
+    _BLOCK,
     _finalize,
     _scan,
     _with_ones,
@@ -54,6 +55,7 @@ MUTATIONS = (
     "position_off_by_one",
     "dropped_sin_branch",
     "unfloored_denominator",
+    "dropped_carry",
 )
 
 # Matches the slope used by the leaky variant throughout the suite; any
@@ -129,7 +131,14 @@ def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
         # Only the left (cos-scaled) d columns of each feature row.
         d = Qf.shape[1]
         qf, kf = qf[:, :d], kf[:, :d]
-    num = _scan(qf, kf, _with_ones(V), config.causal)
+    v = _with_ones(V)
+    if mutation == "dropped_carry" and config.causal:
+        # Each chunk scanned on its own: no state carried between chunks.
+        chunks = [slice(start, start + _BLOCK)
+                  for start in range(0, len(v), _BLOCK)]
+        num = np.vstack([_scan(qf[c], kf[c], v[c], True) for c in chunks])
+    else:
+        num = _scan(qf, kf, v, config.causal)
     num, den = num[:, :-1], num[:, -1]
     if mutation == "unfloored_denominator":
         # 0/0 on floored rows is the point here; keep numpy quiet about it.

@@ -50,7 +50,7 @@ def _public_pairs(Q, K, V, g, causal, m):
 @pytest.mark.parametrize("lead", [(), (2, 3)], ids=str)
 def test_attend_equals_each_public_function(lead, dtype):
     rng = np.random.default_rng(59)
-    for n in (1, 2 * _BLOCK + 17):
+    for n in (1, _BLOCK + 1, 2 * _BLOCK + 17):
         for causal in (False, True):
             n_k = n if causal else n + 3
             Q = rng.standard_normal(lead + (n, 4))

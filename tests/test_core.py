@@ -187,7 +187,7 @@ def test_softmax_matches_scalar_oracle():
 @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=str)
 def test_softmax_stack_matches_per_slice_calls(lead):
     rng = np.random.default_rng(17)
-    for n in (1, 2 * _BLOCK + 17):
+    for n in (1, _BLOCK + 1, 2 * _BLOCK + 17):
         for causal in (False, True):
             for dtype in (np.float32, np.float64):
                 n_k = n if causal else n + 3

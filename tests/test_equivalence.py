@@ -18,7 +18,7 @@ def test_variant_roster():
         "linear_identity", "linear_relu", "linear_leaky_relu",
         "linear_elu_plus_one", "cosformer_relu", "cosformer_elu_plus_one",
         "streaming"}
-    assert len(MUTATIONS) == 3
+    assert len(MUTATIONS) == 4
 
 
 def test_thresholds():

@@ -144,7 +144,7 @@ def _stack_config(variant, m, causal):
 def test_stacked_backward_matches_per_slice_calls(variant, lead):
     rng = np.random.default_rng(47)
     tiny = np.finfo(np.float64).tiny
-    for n in (1, 2 * _BLOCK + 17):
+    for n in (1, _BLOCK + 1, 2 * _BLOCK + 17):
         for causal in (False, True):
             for dtype in (np.float32, np.float64):
                 n_k = n if causal else n + 3

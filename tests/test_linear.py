@@ -89,7 +89,7 @@ def _kernel_config(variant, m, causal):
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
 def test_stack_matches_per_slice_calls_and_oracle(variant, lead):
     rng = np.random.default_rng(37)
-    for n in (1, 2 * _BLOCK + 17):
+    for n in (1, _BLOCK + 1, 2 * _BLOCK + 17):
         for causal in (False, True):
             for dtype in (np.float32, np.float64):
                 n_k = n if causal else n + 3

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .linear import attend
 
 BENCH_VARIANTS = ("softmax", "linear", "cosformer")
 BENCH_MODES = ("inference", "train")
-
-CSV_HEADER = "variant,seq_len,d_model,repeats,mean_s,std_s,median_s,transient_scalars,mode"
 
 
 def _require_variant(variant: str) -> None:
@@ -103,17 +101,13 @@ class BenchmarkRecord:
             raise ConfigurationError("timings of a successful cell must be positive")
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.variant,
-            str(self.seq_len),
-            str(self.d_model),
-            str(self.repeats),
-            "%.9g" % self.mean_s,
-            "%.9g" % self.std_s,
-            "%.9g" % self.median_s,
-            str(self.transient_scalars),
-            self.mode,
-        ])
+        return ",".join(
+            "%.9g" % getattr(self, f.name) if f.type == "float"
+            else str(getattr(self, f.name)) for f in fields(self))
+
+
+# The CSV columns: BenchmarkRecord's fields in order, floats as %.9g.
+CSV_HEADER = ",".join(f.name for f in fields(BenchmarkRecord))
 
 
 def write_benchmark_csv(records, path) -> None:

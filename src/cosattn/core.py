@@ -23,6 +23,9 @@ _FEATURE_MAP_NAMES = ("identity", "relu", "leaky_relu", "elu_plus_one")
 # cosine re-weighting, where the decomposed denominator must stay sign-safe.
 NONNEGATIVE_FEATURE_MAPS = ("relu", "elu_plus_one")
 
+# Floor of every kernel attention denominator, unless a config sets its own.
+DEFAULT_EPS = 1e-6
+
 
 def _wide(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -170,44 +173,45 @@ def cosine_reweight(m: int) -> ReweightScheme:
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Bundle of knobs shared by the quadratic and linear attention paths.
+    """Which attention to run: feature map, reweight, causality and eps floor.
 
-    ``softmax_scale`` applies 1/sqrt(d_k) inside the softmax reference only;
-    kernel paths never scale. ``use_softmax`` makes :func:`cosattn.linear.attend`
-    and :func:`cosattn.grad.attend_backward` run the quadratic softmax
-    reference instead of a kernel attention, and refuses a reweight.
+    ``use_softmax`` makes :func:`cosattn.linear.attend` and
+    :func:`cosattn.grad.attend_backward` run the quadratic softmax
+    reference, always scaled by 1/sqrt(d_k), instead of a kernel
+    attention; the kernel-only fields must then keep their defaults.
     """
 
     feature_map: FeatureMapKind = RELU
     reweight: ReweightScheme = NO_REWEIGHT
     causal: bool = False
-    eps: float = 1e-6
-    softmax_scale: bool = True
+    eps: float = DEFAULT_EPS
     use_softmax: bool = False
 
     def __post_init__(self):
         _require_eps(self.eps)
-        if self.use_softmax and self.reweight.kind != "none":
-            raise ConfigurationError("a softmax config takes no reweight scheme")
+        if self.use_softmax and (self.reweight, self.feature_map, self.eps) \
+                != (NO_REWEIGHT, RELU, DEFAULT_EPS):
+            raise ConfigurationError(
+                "a softmax config takes no reweight scheme, feature map or eps")
         if self.reweight.kind == "cosine" and not self.feature_map.nonnegative:
             raise ConfigurationError(
                 "cosine reweighting requires a non-negative feature map "
                 f"(relu or elu_plus_one), got {self.feature_map.name!r}")
 
     @classmethod
-    def softmax(cls, causal: bool = False, scale: bool = True) -> "AttentionConfig":
-        return cls(causal=causal, softmax_scale=scale, use_softmax=True)
+    def softmax(cls, causal: bool = False) -> "AttentionConfig":
+        return cls(causal=causal, use_softmax=True)
 
     @classmethod
     def cosformer(cls, m: int, causal: bool = False,
                   feature_map: FeatureMapKind = RELU,
-                  eps: float = 1e-6) -> "AttentionConfig":
+                  eps: float = DEFAULT_EPS) -> "AttentionConfig":
         return cls(feature_map=feature_map, reweight=cosine_reweight(m),
                    causal=causal, eps=eps)
 
     @classmethod
     def linear(cls, feature_map: FeatureMapKind = RELU, causal: bool = False,
-               eps: float = 1e-6) -> "AttentionConfig":
+               eps: float = DEFAULT_EPS) -> "AttentionConfig":
         return cls(feature_map=feature_map, causal=causal, eps=eps)
 
 
@@ -233,12 +237,12 @@ def _softmax_rows(S: np.ndarray, causal: bool) -> np.ndarray:
     return S
 
 
-def softmax_attention(Q, K, V, causal: bool = False, scale: bool = True) -> np.ndarray:
-    """Quadratic softmax attention, the classical reference.
+def softmax_attention(Q, K, V, causal: bool = False) -> np.ndarray:
+    """Quadratic scaled dot-product softmax attention, the classical reference.
 
     Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) share any
     leading axes; each slice is attended on its own. Row i of the result
-    is softmax(Q_i K^T [/ sqrt(d_k)]) V, with key positions j > i masked
+    is softmax(Q_i K^T / sqrt(d_k)) V, with key positions j > i masked
     out before the softmax when causal.
     """
     Q = require_matrix(Q, "Q", stack=True)
@@ -248,8 +252,7 @@ def softmax_attention(Q, K, V, causal: bool = False, scale: bool = True) -> np.n
     out_dtype = _storage_dtype(Q, K, V)
 
     S = _wide(Q) @ _wide(K).swapaxes(-1, -2)
-    if scale:
-        S /= math.sqrt(dims.d_k)
+    S /= math.sqrt(dims.d_k)
     out = _softmax_rows(S, causal) @ _wide(V)
     return out.astype(out_dtype, copy=False)
 

@@ -279,8 +279,9 @@ def run_equivalence_suite(seed: int, trials: int,
     With a mutation named, only the cosine relu variant runs, with that
     defect injected; the point is that the report must then fail.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    for name, value in (("trials", trials), ("jobs", 1 if jobs is None else jobs)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     _require_precision(precision)
     variants = VARIANTS if mutation is None else ("cosformer_relu",)
     start = time.perf_counter()

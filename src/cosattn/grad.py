@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     AttentionConfig,
     AttentionDims,
+    DEFAULT_EPS,
     FeatureMapKind,
     RELU,
     _softmax_rows,
@@ -106,7 +107,7 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
 
     if config.use_softmax:
         Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
-        alpha = 1.0 / math.sqrt(dims.d_k) if config.softmax_scale else 1.0
+        alpha = 1.0 / math.sqrt(dims.d_k)
         W = _softmax_rows((Qw @ Kw.swapaxes(-1, -2)) * alpha, config.causal)
 
         dV = W.swapaxes(-1, -2) @ g
@@ -152,7 +153,7 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
 
 
 def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU,
-                              causal: bool = False, eps: float = 1e-6):
+                              causal: bool = False, eps: float = DEFAULT_EPS):
     """Gradients (dQ, dK, dV) of sum(d_out * linear_attention(Q, K, V)).
 
     Takes (..., n, d) stacks as the forward does; d_out is shaped like
@@ -172,14 +173,13 @@ def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
     return attend_backward(Q, K, V, config, d_out)
 
 
-def softmax_attention_backward(Q, K, V, d_out, causal: bool = False,
-                               scale: bool = True):
+def softmax_attention_backward(Q, K, V, d_out, causal: bool = False):
     """Gradients (dQ, dK, dV) of sum(d_out * softmax_attention(Q, K, V)).
 
     Takes (..., n, d) stacks as the forward does; d_out is shaped like
     the forward's output.
     """
-    return attend_backward(Q, K, V, AttentionConfig.softmax(causal, scale), d_out)
+    return attend_backward(Q, K, V, AttentionConfig.softmax(causal), d_out)
 
 
 def finite_diff_grad(f, X, h: float = 1e-5) -> np.ndarray:

@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     AttentionConfig,
     AttentionDims,
+    DEFAULT_EPS,
     FeatureMapKind,
     RELU,
     _require_kernel_config,
@@ -151,7 +152,7 @@ def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     reweight scheme is cosine.
     """
     if config.use_softmax:
-        return softmax_attention(Q, K, V, config.causal, config.softmax_scale)
+        return softmax_attention(Q, K, V, config.causal)
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
@@ -165,7 +166,7 @@ def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
 
 
 def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
-                     causal: bool = False, eps: float = 1e-6) -> np.ndarray:
+                     causal: bool = False, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Kernel attention without positional re-weighting, in linear time.
 
     Q, K and V are (..., n, d) stacks sharing their leading axes; the
@@ -230,7 +231,7 @@ def causal_state_init(d_k: int, d_v: int) -> CausalState:
 
 
 def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
-                      eps: float = 1e-6):
+                      eps: float = DEFAULT_EPS):
     """Advance one position and return (state, output row).
 
     Rows are feature-mapped internally with relu. The state is updated in

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import require_matrix
 from .errors import MatrixParseError
+from .viz import _require_unit_values
 
 
 def matrix_text(m) -> str:
@@ -83,8 +84,7 @@ def write_pgm(cov, path) -> None:
     """8-bit ASCII grayscale image of a coverage matrix (or plain values)."""
     values = np.asarray(getattr(cov, "values", cov), dtype=np.float64)
     values = require_matrix(values, "coverage values")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ValueError("coverage values must lie in [0, 1]")
+    _require_unit_values(values)
     pixels = np.rint(values * 255.0).astype(np.int64)
     rows, cols = pixels.shape
     lines = ["P2", f"{cols} {rows}", "255"]

@@ -1,22 +1,22 @@
 """Single-block toy model and copy-task trainer.
 
-The task: sequences of the form [t_1 .. t_L, DELIM, t_1 .. t_L]. The model
-reads the first 2L tokens and is trained, next-token style, only on the L
-predictions that land in the copied half, so the untrainable random first
-half never pollutes the loss. Solving it requires routing content across a
-fixed positional offset, which is exactly what the attention mechanism is
-supposed to provide.
+The task: sequences of the form [t_1 .. t_L, DELIM, t_1 .. t_L], with
+L = 16 tokens over 16 symbols. The model reads the first 2L = 32 tokens
+and is trained, next-token style, only on the L predictions that land in
+the copied half, so the untrainable random first half never pollutes the
+loss. Solving it requires routing content across a fixed positional
+offset, which is exactly what attention is supposed to provide.
 
-The block is one head of the configured attention between two residual
-joins, followed by a two-layer relu feedforward with its own residual. No
-normalization layers. A fixed sinusoidal positional encoding is added to
-the token embeddings; it is not a parameter. Everything runs in float64
-and is deterministic for a fixed seed.
+The block (d_model = 32, d_ff = 64) is one head of the configured
+attention between two residual joins, followed by a two-layer relu
+feedforward with its own residual. No normalization layers. A fixed
+sinusoidal positional encoding, not a parameter, is added to the token
+embeddings. Everything runs in float64 and is deterministic for a seed.
 
 A training step makes one attend and one attend_backward call over the
-whole (batch, n, d) stack of its sequences, so the config alone picks
-softmax, plain linear or cosformer attention; held-out accuracy is
-evaluated batch_size sequences per forward call. On glibc, training pins
+whole (32, n, d) batch stack, so the config alone picks softmax, plain
+linear or cosformer attention; held-out accuracy on 256 sequences is
+evaluated one batch per forward call. On glibc, training pins
 the allocator's trim and mmap thresholds (see _pin_heap), so each step
 reuses the heap pages the step before it freed.
 """
@@ -38,18 +38,24 @@ from .grad import attend_backward, cosformer_backward  # noqa: F401
 from .linear import attend, cosformer_attention  # noqa: F401
 
 
-def sinusoidal_encoding(n: int, d: int, base: float = 10000.0) -> np.ndarray:
-    """Fixed sin/cos positional code, (n, d), interleaved by frequency.
+# Copy-task sizes; the model's own sizes are init_toy_params's defaults.
+_BATCH = 32
+_COPY_LEN = 16
+_EVAL_SEQUENCES = 256
+_TARGET_ACCURACY = 0.99
 
-    The geometric frequency ladder runs from 1 down to 1/base; pick a base
-    so that a useful part of the ladder completes a cycle within n.
-    """
+
+def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
+    """Fixed sin/cos positional code, (n, d), interleaved by frequency."""
     if d % 2 != 0:
         raise ConfigurationError(f"encoding width must be even, got {d}")
-    if base <= 1.0:
-        raise ConfigurationError(f"encoding base must be > 1, got {base}")
     pos = np.arange(n, dtype=np.float64)[:, None]
-    freqs = 1.0 / (base ** (np.arange(d // 2, dtype=np.float64) * 2.0 / d))
+    # The geometric frequency ladder runs from 1 down to 1/40. The customary
+    # base of 1e4 leaves most channels near-constant over the copy task's
+    # 32-token window; base 40 spreads the ladder across the window. That
+    # matters for the kernel variants, whose attention cannot sharpen peaks
+    # the way softmax does.
+    freqs = 1.0 / (40.0 ** (np.arange(d // 2, dtype=np.float64) * 2.0 / d))
     angles = pos * freqs[None, :]
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(angles)
@@ -156,11 +162,11 @@ class TrainReport:
 
 
 class _Adam:
-    """Adam with the run's fixed step size and moment decays."""
+    """Adam with the trainer's fixed step size and moment decays."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.98, 1e-8
+
+    def __init__(self, params: dict):
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -254,13 +260,13 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
     return loss, grads
 
 
-def _accuracy(inputs, targets, params, config, pe, loss_pos, chunk):
-    """Token accuracy, evaluated chunk sequences per forward call."""
+def _accuracy(inputs, targets, params, config, pe, loss_pos):
+    """Token accuracy, evaluated one training batch per forward call."""
     hits = 0
-    for start in range(0, inputs.shape[0], chunk):
-        logits, _ = _forward_batch(inputs[start:start + chunk], params, config,
+    for start in range(0, inputs.shape[0], _BATCH):
+        logits, _ = _forward_batch(inputs[start:start + _BATCH], params, config,
                                    pe, loss_pos)
-        hits += int(np.sum(logits.argmax(axis=-1) == targets[start:start + chunk]))
+        hits += int(np.sum(logits.argmax(axis=-1) == targets[start:start + _BATCH]))
     return hits / targets.size
 
 
@@ -291,8 +297,8 @@ def _glibc_mallopt():
 def _pin_heap():
     """Keep the trainer's freed arrays in the process heap, on glibc.
 
-    A batched step allocates and frees a few MiB of arrays (at the
-    defaults its peak is about 7 MiB). With glibc's dynamic thresholds the
+    A batched step allocates and frees a few MiB of arrays (its peak is
+    about 7 MiB). With glibc's dynamic thresholds the
     trim threshold follows the largest array freed so far, about 1 MiB
     here, so the freed top of the heap goes back to the kernel after every
     step and the next step page-faults its working set in again: about
@@ -321,65 +327,54 @@ def init_toy_params(rng, n_symbols: int = 16, d_model: int = 32,
 
 
 def train_copy_task(attention_variant: AttentionConfig, seed: int,
-                    max_steps: int = 2000, batch_size: int = 32,
-                    copy_len: int = 16, n_symbols: int = 16,
-                    d_model: int = 32, d_ff: int = 64, lr: float = 1e-3,
-                    eval_sequences: int = 256, eval_every: int = 25,
-                    target_accuracy: float = 0.99) -> TrainReport:
+                    max_steps: int = 2000, eval_every: int = 25) -> TrainReport:
     """Train the toy block on the delimiter-copy task.
 
+    The sizes are fixed: batches of 32 sequences that copy 16 tokens over
+    16 symbols (n = 32), the init_toy_params model (d_model = 32,
+    d_ff = 64), Adam at step size 1e-3, and 256 held-out sequences.
     Stops early once held-out token accuracy on the copied half reaches
-    target_accuracy. Fully deterministic for a fixed seed and variant.
+    99 %. Fully deterministic for a fixed seed and variant.
     On glibc it pins the process's malloc trim and mmap thresholds, unless
     the environment sets either (see _pin_heap).
     """
     if not attention_variant.causal:
         raise ConfigurationError("the copy task trains a causal block")
-    for name, value in (("max_steps", max_steps), ("batch_size", batch_size),
-                        ("copy_len", copy_len), ("eval_sequences", eval_sequences),
-                        ("eval_every", eval_every)):
+    for name, value in (("max_steps", max_steps), ("eval_every", eval_every)):
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
     _pin_heap()
     init_rng, batch_rng, eval_rng = np.random.default_rng(seed).spawn(3)
 
-    n = 2 * copy_len
-    loss_pos = np.arange(copy_len, 2 * copy_len)
-    # The default 1e4 base leaves most channels near-constant over a
-    # 32-token window; a small base spreads the ladder across the window,
-    # and boosting the amplitude lets position terms compete with the
-    # unit-variance token embeddings. Both matter for the kernel variants,
-    # whose attention cannot sharpen peaks the way softmax does.
-    pe = 2.5 * sinusoidal_encoding(n, d_model, base=40.0)
-    params = init_toy_params(init_rng, n_symbols, d_model, d_ff)
-    params.validate()
-    param_dict = {k: getattr(params, k) for k in
-                  ("embedding", "w_q", "w_k", "w_v", "w_ff1", "w_ff2",
-                   "output_proj")}
-    opt = _Adam(param_dict, lr=lr)
-    eval_inputs, eval_targets = _make_sequences(eval_rng, eval_sequences,
-                                                copy_len, n_symbols)
+    params = init_toy_params(init_rng)
+    n_symbols = params.output_proj.shape[1]
+    loss_pos = np.arange(_COPY_LEN, 2 * _COPY_LEN)
+    # Boosting the amplitude lets position terms compete with the
+    # unit-variance token embeddings.
+    pe = 2.5 * sinusoidal_encoding(2 * _COPY_LEN, params.d_model)
+    param_dict = vars(params)  # the live arrays, which Adam updates in place
+    opt = _Adam(param_dict)
+    eval_inputs, eval_targets = _make_sequences(eval_rng, _EVAL_SEQUENCES,
+                                                _COPY_LEN, n_symbols)
 
     curve = []
     accuracy = 0.0
-    steps_run = 0
     for step in range(1, max_steps + 1):
-        inputs, targets = _make_sequences(batch_rng, batch_size, copy_len,
+        inputs, targets = _make_sequences(batch_rng, _BATCH, _COPY_LEN,
                                           n_symbols)
         loss, grads = _train_step(inputs, targets, params, attention_variant,
                                   pe, loss_pos)
         opt.update(param_dict, grads)
         curve.append((step, loss))
-        steps_run = step
         if step % eval_every == 0 or step == max_steps:
             accuracy = _accuracy(eval_inputs, eval_targets, params,
-                                 attention_variant, pe, loss_pos, batch_size)
-            if accuracy >= target_accuracy:
+                                 attention_variant, pe, loss_pos)
+            if accuracy >= _TARGET_ACCURACY:
                 break
     return TrainReport(
         variant=variant_name(attention_variant),
         seed=seed,
-        steps=steps_run,
+        steps=len(curve),
         final_loss=curve[-1][1],
         token_accuracy=accuracy,
         loss_curve=curve,

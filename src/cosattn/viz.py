@@ -23,6 +23,16 @@ from .errors import ConfigurationError, DimensionError
 _ROW_SUM_TOL = 1e-6
 
 
+def _require_threshold(threshold: float) -> None:
+    if not (0.0 <= threshold <= 1.0):
+        raise ConfigurationError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def _require_unit_values(values: np.ndarray) -> None:
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise ValueError("coverage values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class CoverageMatrix:
     """Averaged 0/1 marks over n_matrices inputs, values in [0, 1]."""
@@ -39,13 +49,10 @@ class CoverageMatrix:
         require_matrix(self.values, "coverage values")
         if self.values.shape[0] != self.values.shape[1]:
             raise DimensionError("coverage matrix must be square")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ConfigurationError(
-                f"threshold must be in [0, 1], got {self.threshold}")
+        _require_threshold(self.threshold)
         if self.n_matrices < 1:
             raise ConfigurationError("n_matrices must be >= 1")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ValueError("coverage values must lie in [0, 1]")
+        _require_unit_values(self.values)
         # Every value is an average of 0/1 marks over n_matrices inputs.
         counts = self.values * self.n_matrices
         if not np.allclose(counts, np.rint(counts), atol=1e-9):
@@ -82,8 +89,7 @@ def visualize_attention(matrices, threshold: float) -> CoverageMatrix:
     matrices = list(matrices)
     if not matrices:
         raise ConfigurationError("need at least one attention matrix")
-    if not (0.0 <= threshold <= 1.0):
-        raise ConfigurationError(f"threshold must be in [0, 1], got {threshold}")
+    _require_threshold(threshold)
     checked = []
     for idx, m in enumerate(matrices):
         m = require_matrix(m, f"matrices[{idx}]")

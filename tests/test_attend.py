@@ -25,12 +25,9 @@ from cosattn.train import _block
 
 def _public_pairs(Q, K, V, g, causal, m):
     """(config, forward, backward) for every named public function."""
-    pairs = []
-    for scale in (False, True):
-        pairs.append((
-            AttentionConfig.softmax(causal, scale),
-            lambda s=scale: softmax_attention(Q, K, V, causal, s),
-            lambda s=scale: softmax_attention_backward(Q, K, V, g, causal, s)))
+    pairs = [(AttentionConfig.softmax(causal),
+              lambda: softmax_attention(Q, K, V, causal),
+              lambda: softmax_attention_backward(Q, K, V, g, causal))]
     for fm in (IDENTITY, RELU, leaky_relu(0.25), ELU_PLUS_ONE):
         pairs.append((
             AttentionConfig.linear(fm, causal),

@@ -35,6 +35,11 @@ def test_check_mutation_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_rejects_jobs_below_one(capsys):
+    assert main(["check", "--trials", "1", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_bench_stdout(capsys):
     code = main(["bench", "--variants", "linear", "--lengths", "8",
                  "--d-model", "4", "--repeats", "3"])

@@ -143,6 +143,11 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         AttentionConfig(use_softmax=True, reweight=cosine_reweight(4),
                         causal=True)
+    # Nor a kernel feature map or eps floor, which it would silently drop.
+    with pytest.raises(ConfigurationError):
+        AttentionConfig(use_softmax=True, feature_map=ELU_PLUS_ONE)
+    with pytest.raises(ConfigurationError):
+        AttentionConfig(use_softmax=True, eps=0.5)
 
 
 def test_kernel_ops_reject_softmax_config():
@@ -174,14 +179,13 @@ def test_weights_shape_errors(config):
 def test_softmax_matches_scalar_oracle():
     rng = np.random.default_rng(11)
     for causal in (False, True):
-        for scale in (False, True):
-            Q = rng.standard_normal((5, 3))
-            K = Q if causal else rng.standard_normal((6, 3))
-            V = rng.standard_normal((K.shape[0], 4))
-            got = softmax_attention(Q, K, V, causal=causal, scale=scale)
-            want = oracles.softmax_attention(Q.tolist(), K.tolist(),
-                                             V.tolist(), causal, scale)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        Q = rng.standard_normal((5, 3))
+        K = Q if causal else rng.standard_normal((6, 3))
+        V = rng.standard_normal((K.shape[0], 4))
+        got = softmax_attention(Q, K, V, causal=causal)
+        want = oracles.softmax_attention(Q.tolist(), K.tolist(),
+                                         V.tolist(), causal)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=str)

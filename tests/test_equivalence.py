@@ -96,3 +96,7 @@ def test_suite_usage_errors():
         run_equivalence_suite(seed=0, trials=0)
     with pytest.raises(ConfigurationError):
         run_equivalence_suite(seed=0, trials=1, precision="exact")
+    # Both raise before any worker pool starts.
+    for jobs in (0, -1):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_equivalence_suite(seed=0, trials=1, jobs=jobs)

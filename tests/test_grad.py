@@ -186,18 +186,15 @@ def test_stacked_backward_shape_checks(variant):
 def test_softmax_backward_matches_fd():
     rng = np.random.default_rng(43)
     for causal in (False, True):
-        for scale in (False, True):
-            n = int(rng.integers(2, 10))
-            Q = rng.standard_normal((n, 3))
-            K = rng.standard_normal((n, 3))
-            V = rng.standard_normal((n, 2))
-            g = rng.standard_normal((n, 2))
-            grads = softmax_attention_backward(Q, K, V, g, causal=causal,
-                                               scale=scale)
-            def f(Q_, K_, V_, c=causal, s=scale):
-                return float((softmax_attention(Q_, K_, V_, causal=c,
-                                                scale=s) * g).sum())
-            _check_grads(f, (Q, K, V), grads)
+        n = int(rng.integers(2, 10))
+        Q = rng.standard_normal((n, 3))
+        K = rng.standard_normal((n, 3))
+        V = rng.standard_normal((n, 2))
+        g = rng.standard_normal((n, 2))
+        grads = softmax_attention_backward(Q, K, V, g, causal=causal)
+        def f(Q_, K_, V_, c=causal):
+            return float((softmax_attention(Q_, K_, V_, causal=c) * g).sum())
+        _check_grads(f, (Q, K, V), grads)
 
 
 def test_floored_rows_have_zero_denominator_gradient():

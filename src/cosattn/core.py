@@ -225,9 +225,11 @@ def _require_kernel_config(config: AttentionConfig):
         raise ConfigurationError("kernel-path operation called with a softmax config")
 
 
-def _softmax_rows(S: np.ndarray, causal: bool) -> np.ndarray:
-    """Row-softmax of the scores S over the last axis, in place; entries
-    j > i of each slice are masked out first when causal."""
+def _softmax_weights(Q: np.ndarray, K: np.ndarray, causal: bool) -> np.ndarray:
+    """Float64 weights softmax(Q K^T / sqrt(d_k)) of checked (..., n, d)
+    stacks; entries j > i of each slice are masked out first when causal."""
+    S = _wide(Q) @ _wide(K).swapaxes(-1, -2)
+    S /= math.sqrt(Q.shape[-1])
     if causal:
         np.copyto(S, -np.inf,
                   where=np.triu(np.ones(S.shape[-2:], dtype=bool), 1))
@@ -248,13 +250,9 @@ def softmax_attention(Q, K, V, causal: bool = False) -> np.ndarray:
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
-    dims = AttentionDims.from_qkv(Q, K, V, causal)
-    out_dtype = _storage_dtype(Q, K, V)
-
-    S = _wide(Q) @ _wide(K).swapaxes(-1, -2)
-    S /= math.sqrt(dims.d_k)
-    out = _softmax_rows(S, causal) @ _wide(V)
-    return out.astype(out_dtype, copy=False)
+    AttentionDims.from_qkv(Q, K, V, causal)
+    out = _softmax_weights(Q, K, causal) @ _wide(V)
+    return out.astype(_storage_dtype(Q, K, V), copy=False)
 
 
 def _weights_quadratic_wide(Q: np.ndarray, K: np.ndarray,

@@ -1,26 +1,29 @@
 """Analytic backward passes and finite-difference checking.
 
-:func:`attend_backward` is the backward for every variant: it picks the
-softmax gradient or the kernel gradient from its AttentionConfig, and
-the three public per-variant backwards are one-line wrappers around it.
-The kernel backward never materializes an n x n matrix: after re-running
-the forward's scan it is three more runs of it, because every gradient
-of kernel attention is itself a kernel numerator. The dQ scan admits
-keys j <= i as the forward does; the dK and dV scans are suffix scans,
-in which key j sees the queries i >= j. Cost stays
-Theta(n * d_k * d_v). Conventions at the non-smooth points: the relu
-gate takes subgradient 0 at exactly 0 (leaky takes its negative-side
-slope there), and a denominator at or below the floor eps is treated as
-a constant, contributing zero gradient.
+:func:`attend_backward` is the backward for every variant: it runs the
+forward once more, keeping its record, and hands that to _backward,
+which picks the softmax gradient or the kernel gradient from the
+record's AttentionConfig; the three public per-variant backwards are
+one-line wrappers around it. A caller that has just run the forward
+through :func:`cosattn.linear._forward` passes its record to _backward
+and skips the re-run, as the toy trainer and the benchmark sweep's
+train mode do. The kernel backward never materializes an n x n matrix:
+it is three runs of the forward's scan, because every gradient of
+kernel attention is itself a kernel numerator. The dQ scan admits keys
+j <= i as the forward does; the dK and dV scans are suffix scans, in
+which key j sees the queries i >= j. Cost stays Theta(n * d_k * d_v).
+Conventions at the non-smooth points: the relu gate takes subgradient 0
+at exactly 0 (leaky takes its negative-side slope there), and a
+denominator at or below the floor eps is treated as a constant,
+contributing zero gradient.
 
 Every backward takes the forward's (..., n, d) stacks, leading axes
 shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
 
-attend_backward checks Q, K, V, d_out and the horizon once, at its
-boundary; both feature pairs, (Qp, Kp) and (a, [V | 1]), are then
-position-scaled unchecked.
+The forward checks Q, K, V and the horizon, and _backward checks d_out;
+the pair (a, [V | 1]) is then position-scaled unchecked.
 """
 
 from __future__ import annotations
@@ -31,18 +34,16 @@ import numpy as np
 
 from .core import (
     AttentionConfig,
-    AttentionDims,
     DEFAULT_EPS,
     FeatureMapKind,
     RELU,
-    _softmax_rows,
     _wide,
     apply_feature_map,
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .linear import _require_cosine_config, _scan, _with_ones
-from .reweight import _position_scaled, _require_horizon
+from .linear import _forward, _require_cosine_config, _scan, _with_ones
+from .reweight import _position_scaled
 # Not called here; the benchmark's trace wraps this module attribute, so
 # it stays importable until the benchmark drops it.
 from .reweight import position_factors  # noqa: F401
@@ -60,35 +61,27 @@ def feature_map_derivative(x: np.ndarray, kind: FeatureMapKind) -> np.ndarray:
     return np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), 1.0)
 
 
-def _features(Qp, Kp, config: AttentionConfig):
-    """Cosformer's 2d-wide position-scaled pair, or the rows themselves."""
-    if config.reweight.kind != "cosine":
-        return Qp, Kp
-    return _position_scaled(Qp, config.reweight.m), \
-        _position_scaled(Kp, config.reweight.m)
-
-
-def _check_d_out(d_out, dims: AttentionDims) -> np.ndarray:
-    """d_out must be shaped like the forward's output, leading axes and
-    all, so a mis-batched d_out cannot broadcast."""
+def _check_d_out(d_out, shape: tuple) -> np.ndarray:
+    """d_out must have the forward output's shape, leading axes and all,
+    so a mis-batched d_out cannot broadcast."""
     d_out = require_matrix(d_out, "d_out", stack=True)
-    want = dims.lead + (dims.n_q, dims.d_v)
-    if d_out.shape != want:
-        raise DimensionError(f"d_out must have shape {want}, got {d_out.shape}")
+    if d_out.shape != shape:
+        raise DimensionError(f"d_out must have shape {shape}, got {d_out.shape}")
     return d_out
 
 
-def attend_backward(Q, K, V, config: AttentionConfig, d_out):
-    """Gradients (dQ, dK, dV) of sum(d_out * attend(Q, K, V, config)).
+def _backward(record: dict, d_out):
+    """Gradients (dQ, dK, dV) of sum(d_out * out), for the forward call of
+    :func:`cosattn.linear._forward` that returned (out, record).
 
-    The one backward every variant runs through: inputs and horizon are
-    validated once, then a softmax config runs the softmax gradient and
-    any other config the kernel gradient. Takes (..., n, d) stacks as
-    attend does; d_out is shaped like its output.
+    Checks d_out against the output's shape; the record's inputs were
+    checked by the forward. Arrays are taken out of the record as they
+    are read and each buffer goes right after its last use, so the
+    record is spent after one call.
 
     Kernel gradient: every gradient is a kernel numerator, so each is one
-    more _scan. With den floored at eps, u = d_out / den and
-    w = (d_out . num) / den^2, the loss's derivative by the similarity
+    more _scan. With den floored at eps to dhat, u = d_out / dhat and
+    w = (d_out . out) / dhat, the loss's derivative by the similarity
     qf_i . kf_j is u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and
     b = [V | 1]. dV sums (qf_i . kf_j) u_i over the queries i that key j
     reaches. dQ and dK scan the feature pair of (a, b) over the
@@ -97,19 +90,13 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     Qp_i . Kp_j, so both come out d columns wide. Leading axes of the
     (..., n, d) inputs ride along in every step.
     """
-    Q = require_matrix(Q, "Q", stack=True)
-    K = require_matrix(K, "K", stack=True)
-    V = require_matrix(V, "V", stack=True)
-    dims = AttentionDims.from_qkv(Q, K, V, config.causal)
-    d_out = _check_d_out(d_out, dims)
-    if config.reweight.kind == "cosine":
-        _require_horizon(max(dims.n_q, dims.n_k), config.reweight.m)
+    config = record.pop("config")
+    Qw, Kw, V = _wide(record.pop("Q")), _wide(record.pop("K")), record.pop("V")
+    g = _wide(_check_d_out(d_out, Qw.shape[:-1] + V.shape[-1:]))
 
     if config.use_softmax:
-        Qw, Kw, Vw, g = _wide(Q), _wide(K), _wide(V), _wide(d_out)
-        alpha = 1.0 / math.sqrt(dims.d_k)
-        W = _softmax_rows((Qw @ Kw.swapaxes(-1, -2)) * alpha, config.causal)
-
+        W, Vw = record.pop("W"), _wide(V)
+        alpha = 1.0 / math.sqrt(Qw.shape[-1])
         dV = W.swapaxes(-1, -2) @ g
         dW = g @ Vw.swapaxes(-1, -2)
         dS = W * (dW - np.einsum("...ij,...ij->...i", dW, W)[..., None])
@@ -117,39 +104,50 @@ def attend_backward(Q, K, V, config: AttentionConfig, d_out):
         dK = (dS.swapaxes(-1, -2) @ Qw) * alpha
         return dQ, dK, dV
 
-    causal = config.causal
-    Qw, Kw = _wide(Q), _wide(K)
-    Qp = apply_feature_map(Qw, config.feature_map)
-    Kp = apply_feature_map(Kw, config.feature_map)
-    qf, kf = _features(Qp, Kp, config)
-    b = _with_ones(V)
-    num = _scan(qf, kf, b, causal)
-    num, den = num[..., :-1], num[..., -1]
-
-    g = _wide(d_out)
+    causal, fm = config.causal, config.feature_map
+    qf, kf, out, den = (record.pop(k) for k in ("qf", "kf", "out", "den"))
+    if config.reweight.kind != "cosine":
+        Qp, Kp = qf, kf
+    elif "Qp" in record:
+        Qp, Kp = record.pop("Qp"), record.pop("Kp")
+    else:
+        Qp, Kp = apply_feature_map(Qw, fm), apply_feature_map(Kw, fm)
     dhat = np.maximum(den, config.eps)
-    # a = [u | -w], u = g / den. A row at or below the floor sees a
+    # a = [u | -w], u = g / dhat. A row at or below the floor sees a
     # constant denominator, so its w, the denominator's share, is 0.
-    a = np.empty(dims.lead + (dims.n_q, dims.d_v + 1))
+    a = np.empty(g.shape[:-1] + (g.shape[-1] + 1,))
     u = np.divide(g, dhat[..., None], out=a[..., :-1])
     a[..., -1] = np.where(den > config.eps,
-                          -np.einsum("...ij,...ij->...i", g, num) / (dhat * dhat),
-                          0.0)
-    del num, den
+                          -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
+    del out, den, dhat
 
     # Each buffer goes right after its last use (u is a view of a): at
-    # n = 4096, d = 64 a float64 call then peaks at 18.5 MiB under
+    # n = 4096, d = 64 a float64 call then peaks at 18.4 MiB under
     # tracemalloc, against 32.5 MiB with every buffer kept to the end.
     dV = _scan(kf, qf, u, causal, suffix=True)
     del qf, kf, u
-    fa, fb = _features(a, b, config)
-    del a, b
-    dQ = _scan(fa, fb, Kp, causal)
-    dK = _scan(fb, fa, Qp, causal, suffix=True)
-    del fa, fb, Qp, Kp
-    dQ *= feature_map_derivative(Qw, config.feature_map)
-    dK *= feature_map_derivative(Kw, config.feature_map)
+    b = _with_ones(V)
+    if config.reweight.kind == "cosine":
+        m = config.reweight.m
+        a, b = _position_scaled(a, m), _position_scaled(b, m)
+    dQ = _scan(a, b, Kp, causal)
+    dK = _scan(b, a, Qp, causal, suffix=True)
+    del a, b, Qp, Kp
+    dQ *= feature_map_derivative(Qw, fm)
+    dK *= feature_map_derivative(Kw, fm)
     return dQ, dK, dV
+
+
+def attend_backward(Q, K, V, config: AttentionConfig, d_out):
+    """Gradients (dQ, dK, dV) of sum(d_out * attend(Q, K, V, config)).
+
+    The one backward every variant runs through: the forward is run once
+    more, keeping its record, and _backward takes it from there. Takes
+    (..., n, d) stacks as attend does; d_out is shaped like its output.
+    A caller that has just run the forward should keep that record
+    instead (cosattn.linear._forward), as the toy trainer does.
+    """
+    return _backward(_forward(Q, K, V, config, keep_mapped=True)[1], d_out)
 
 
 def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU,

@@ -15,7 +15,9 @@ re-weight they are the 2d-wide cos/sin-scaled rows of
 re-weight exactly. Either way one scan over one feature pair does the
 work: it scans [V | 1], so the numerator and the denominator come out
 of one (feature width) x (d_v + 1) sum, whose ones column is the key
-total. The analytic backward in :mod:`cosattn.grad` runs the same scan.
+total. The analytic backward in :mod:`cosattn.grad` runs the same scan,
+from the record the private _forward keeps of the forward's scan:
+attend is that forward with its record dropped.
 Cost is Theta(n * d_k * d_v); peak transient allocation is
 Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
 Theta(n^2). Accumulation is float64 throughout.
@@ -25,8 +27,9 @@ any leading (batch, head, ...) axes, shared by all three; every slice is
 attended on its own, in one call, with the arithmetic of a 2-D call on
 that slice. The streaming :class:`CausalState` decodes one 2-D sequence.
 
-Checks run once, at the public boundary: attend validates Q, K and V,
-then :func:`cosattn.reweight.decompose` checks the horizon;
+Checks run once, at the public boundary: _forward, under attend and
+attend_backward alike, validates Q, K and V, then
+:func:`cosattn.reweight.decompose` checks the horizon;
 causal_state_step checks its rows and position. _scan checks nothing.
 """
 
@@ -46,10 +49,10 @@ from .core import (
     _require_kernel_config,
     _require_eps,
     _storage_dtype,
+    _softmax_weights,
     _wide,
     apply_feature_map,
     require_matrix,
-    softmax_attention,
 )
 from .errors import ConfigurationError, DimensionError
 from .reweight import _require_horizon, decompose
@@ -142,27 +145,52 @@ def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
     return num
 
 
+def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
+    """attend's output plus what the backward needs of it: (out, record).
+
+    The record is a dict for :func:`cosattn.grad._backward`, which takes
+    its arrays out as it goes, so one record serves one backward. It
+    holds the config and the validated Q, K and V, then for softmax the
+    weight matrix W, and for a kernel the feature pair (qf, kf), the
+    float64 output ``out`` and the unfloored denominator ``den``. out
+    and den are views of the scanned [num | den] buffer, and with float64
+    inputs the returned out is the record's out, so it must not be edited
+    in place while the record lives. [V | 1] is not kept (the backward
+    rebuilds it), nor, unless keep_mapped, cosformer's feature-mapped
+    rows Qp and Kp: each would stay alive through the scan of a call
+    that keeps no record.
+    """
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
+    AttentionDims.from_qkv(Q, K, V, config.causal)
+    record = dict(config=config, Q=Q, K=K, V=V)
+    if config.use_softmax:
+        record["W"] = _softmax_weights(Q, K, config.causal)
+        out = record["W"] @ _wide(V)
+    else:
+        qf, kf = (apply_feature_map(_wide(X), config.feature_map) for X in (Q, K))
+        if config.reweight.kind == "cosine":
+            if keep_mapped:
+                record.update(Qp=qf, Kp=kf)
+            qf, kf = decompose(qf, kf, config.reweight.m)
+        num = _scan(qf, kf, _with_ones(V), config.causal)
+        out = _finalize(num[..., :-1], num[..., -1], config.eps)
+        record.update(qf=qf, kf=kf, out=out, den=num[..., -1])
+    return out.astype(_storage_dtype(Q, K, V), copy=False), record
+
+
 def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     """Attention under config: the one forward every variant runs through.
 
     Q, K and V are (..., n, d) stacks sharing their leading axes; the
     result is (..., n_q, d_v) in the inputs' storage dtype. A softmax
-    config runs core.softmax_attention; any other config runs the
-    linear-time kernel scan, on cosformer's 2d-wide rows when the
-    reweight scheme is cosine.
+    config runs the scaled dot-product softmax reference; any other
+    config runs the linear-time kernel scan, on cosformer's 2d-wide rows
+    when the reweight scheme is cosine. It keeps no record for a
+    backward; a training step calls _forward instead.
     """
-    if config.use_softmax:
-        return softmax_attention(Q, K, V, config.causal)
-    Q = require_matrix(Q, "Q", stack=True)
-    K = require_matrix(K, "K", stack=True)
-    V = require_matrix(V, "V", stack=True)
-    AttentionDims.from_qkv(Q, K, V, config.causal)
-    qf, kf = (apply_feature_map(_wide(X), config.feature_map) for X in (Q, K))
-    if config.reweight.kind == "cosine":
-        qf, kf = decompose(qf, kf, config.reweight.m)
-    num = _scan(qf, kf, _with_ones(V), config.causal)
-    out = _finalize(num[..., :-1], num[..., -1], config.eps)
-    return out.astype(_storage_dtype(Q, K, V), copy=False)
+    return _forward(Q, K, V, config)[0]
 
 
 def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,

@@ -11,8 +11,9 @@ what the linear-time path exploits.
 Angles are computed per position as (pi * pos) / (2 * m) in float64.
 
 The horizon rule m >= longest sequence has one owner, _require_horizon,
-run by build_reweight_matrix, decompose (which also validates its rows),
-causal_state_step and the kernel backward. _position_scaled checks nothing.
+run by build_reweight_matrix, decompose (which also validates its rows;
+every kernel forward, and so every backward, goes through it) and
+causal_state_step. _position_scaled checks nothing.
 """
 
 from __future__ import annotations

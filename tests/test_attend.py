@@ -19,7 +19,8 @@ from cosattn import (
     softmax_attention,
     softmax_attention_backward,
 )
-from cosattn.linear import _BLOCK
+from cosattn.grad import _backward
+from cosattn.linear import _BLOCK, _forward
 from cosattn.train import _block
 
 
@@ -61,8 +62,12 @@ def test_attend_equals_each_public_function(lead, dtype):
                 got, want = attend(Q, K, V, config), forward()
                 assert got.dtype == want.dtype == dtype, config
                 assert np.array_equal(got, want), config
-                for a, b in zip(attend_backward(Q, K, V, config, g), backward()):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), config
+                kept, record = _forward(Q, K, V, config)
+                assert kept.dtype == dtype and np.array_equal(kept, want), config
+                grads = attend_backward(Q, K, V, config, g)
+                for a, b, c in zip(grads, backward(), _backward(record, g)):
+                    assert a.dtype == b.dtype == c.dtype, config
+                    assert np.array_equal(a, b) and np.array_equal(a, c), config
 
 
 def _causal_config(variant, n):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosattn import attend_backward, grad, linear, train
 from cosattn.core import RELU, AttentionConfig
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.train import (
@@ -121,6 +122,65 @@ def test_train_step_gradients_match_directional_fd(variant):
         slope = (losses[0] - losses[1]) / (2.0 * h)
         dot = float(np.sum(grad * direction))
         assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-3), (name, dot, slope)
+
+
+@pytest.mark.parametrize("config", [AttentionConfig.cosformer(m=32, causal=True),
+                                    AttentionConfig.linear(RELU, causal=True),
+                                    AttentionConfig.softmax(causal=True)],
+                         ids=["cosformer", "linear_relu", "softmax"])
+def test_train_step_gradients_come_from_its_own_forward(config, monkeypatch):
+    # The step's backward starts from the record its forward kept. Two
+    # steps run on different batches; the second step's attention
+    # gradients must be attend_backward's on that step's own q, k, v and
+    # d_h, so a record left over from the step before cannot pass.
+    rng = np.random.default_rng(73)
+    params = init_toy_params(rng)
+    pe = 2.5 * sinusoidal_encoding(32, 32)
+    loss_pos = np.arange(16, 32)
+    d_hs = []
+    backward = train._backward
+
+    def spy(record, d_out):
+        d_hs.append(d_out)
+        return backward(record, d_out)
+
+    monkeypatch.setattr(train, "_backward", spy)
+    for _ in range(2):
+        inputs, targets = _make_sequences(rng, 3, 16, 16)
+        _, grads = _train_step(inputs, targets, params, config, pe, loss_pos)
+    flat = (params.embedding[inputs] + pe[None]).reshape(3 * 32, 32)
+    q, k, v = ((flat @ w).reshape(3, 32, -1)
+               for w in (params.w_q, params.w_k, params.w_v))
+    fresh = attend_backward(q, k, v, config, d_hs[-1])
+    for name, d in zip(("w_q", "w_k", "w_v"), fresh):
+        want = flat.T @ d.reshape(3 * 32, -1)
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_train_step_scans_once_per_gradient(monkeypatch):
+    # One forward scan, then the dV, dQ and dK scans: the backward does
+    # not run the forward's scan again. Evaluation keeps no record.
+    scans = []
+    scan = linear._scan
+
+    def counting(*args, **kwargs):
+        scans.append(kwargs.get("suffix", False))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "_scan", counting)
+    monkeypatch.setattr(grad, "_scan", counting)
+    rng = np.random.default_rng(79)
+    params = init_toy_params(rng)
+    pe = 2.5 * sinusoidal_encoding(32, 32)
+    loss_pos = np.arange(16, 32)
+    config = AttentionConfig.cosformer(m=32, causal=True)
+    inputs, targets = _make_sequences(rng, 4, 16, 16)
+    _train_step(inputs, targets, params, config, pe, loss_pos)
+    assert scans == [False, True, False, True]
+    scans.clear()
+    _, cache = _forward_batch(inputs, params, config, pe, loss_pos)
+    assert cache[-1] is None and scans == [False]
 
 
 def test_train_requires_causal_config():

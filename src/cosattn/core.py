@@ -3,8 +3,11 @@
 The quadratic implementations here materialize the full n_q x n_k weight
 matrix and serve as exact oracles for the linear-time implementations in
 :mod:`cosattn.linear`. Element storage may be float32 ("standard") or
-float64 ("wide"); internal reductions always run in float64 and results
-are cast back to the storage dtype of the inputs.
+float64 ("wide"); results come back in the storage dtype of the inputs.
+The quadratic references here always reduce in float64. The linear-time
+kernel forward computes float32 storage in float32 for the non-negative
+maps when its overflow guard allows (:func:`cosattn.linear._compute_dtype`),
+and in float64 otherwise.
 """
 
 from __future__ import annotations

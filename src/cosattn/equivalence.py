@@ -32,6 +32,7 @@ from .core import (
 from .errors import ConfigurationError
 from .linear import (
     _BLOCK,
+    _compute_dtype,
     _finalize,
     _scan,
     _with_ones,
@@ -119,8 +120,9 @@ def _draw_case(rng, n_max: int, d_max: int):
 def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
     """The cosine forward with one deliberate, documented defect."""
     dtype = np.result_type(Q, K, V)
-    Qf = apply_feature_map(np.asarray(Q, dtype=np.float64), config.feature_map)
-    Kf = apply_feature_map(np.asarray(K, dtype=np.float64), config.feature_map)
+    compute = _compute_dtype(Q, K, V, config)
+    Qf = apply_feature_map(np.asarray(Q, compute), config.feature_map)
+    Kf = apply_feature_map(np.asarray(K, compute), config.feature_map)
     m = config.reweight.m
     qf, kf = decompose(Qf, Kf, m)
     if mutation == "position_off_by_one":
@@ -131,7 +133,7 @@ def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
         # Only the left (cos-scaled) d columns of each feature row.
         d = Qf.shape[1]
         qf, kf = qf[:, :d], kf[:, :d]
-    v = _with_ones(V)
+    v = _with_ones(V, compute)
     if mutation == "dropped_carry" and config.causal:
         # Each chunk scanned on its own: no state carried between chunks.
         chunks = [slice(start, start + _BLOCK)
@@ -139,13 +141,12 @@ def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
         num = np.vstack([_scan(qf[c], kf[c], v[c], True) for c in chunks])
     else:
         num = _scan(qf, kf, v, config.causal)
-    num, den = num[:, :-1], num[:, -1]
     if mutation == "unfloored_denominator":
         # 0/0 on floored rows is the point here; keep numpy quiet about it.
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = num / den[:, None]
+            out = num[:, :-1] / num[:, -1:]
     else:
-        out = _finalize(num, den, config.eps)
+        out = _finalize(num, config.eps)
     return out.astype(dtype) if dtype == np.float32 else out
 
 

@@ -21,6 +21,9 @@ Every backward takes the forward's (..., n, d) stacks, leading axes
 shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
+A record from a float32 kernel forward is widened to float64 once, at
+the start of the backward, so its arithmetic is the float64 backward's;
+only the forward's float32 rounding of qf, kf, out and den carries over.
 
 The forward checks Q, K, V and the horizon, and _backward checks d_out;
 the pair (a, [V | 1]) is then position-scaled unchecked.
@@ -91,7 +94,8 @@ def _backward(record: dict, d_out):
     (..., n, d) inputs ride along in every step.
     """
     config = record.pop("config")
-    Qw, Kw, V = _wide(record.pop("Q")), _wide(record.pop("K")), record.pop("V")
+    Q, K, V = (record.pop(k) for k in "QKV")
+    Qw, Kw = _wide(Q), _wide(K)
     g = _wide(_check_d_out(d_out, Qw.shape[:-1] + V.shape[-1:]))
 
     if config.use_softmax:
@@ -105,13 +109,17 @@ def _backward(record: dict, d_out):
         return dQ, dK, dV
 
     causal, fm = config.causal, config.feature_map
-    qf, kf, out, den = (record.pop(k) for k in ("qf", "kf", "out", "den"))
+    # A float32 forward's arrays are widened once, here, and Qp, Kp are
+    # mapped in the forward's dtype whether kept or rebuilt, so both
+    # routes give the same float64 gradients.
+    dtype = record["qf"].dtype
+    qf, kf, out, den = (_wide(record.pop(k)) for k in ("qf", "kf", "out", "den"))
     if config.reweight.kind != "cosine":
         Qp, Kp = qf, kf
     elif "Qp" in record:
-        Qp, Kp = record.pop("Qp"), record.pop("Kp")
+        Qp, Kp = _wide(record.pop("Qp")), _wide(record.pop("Kp"))
     else:
-        Qp, Kp = apply_feature_map(Qw, fm), apply_feature_map(Kw, fm)
+        Qp, Kp = (_wide(apply_feature_map(np.asarray(X, dtype), fm)) for X in (Q, K))
     dhat = np.maximum(den, config.eps)
     # a = [u | -w], u = g / dhat. A row at or below the floor sees a
     # constant denominator, so its w, the denominator's share, is 0.
@@ -126,7 +134,7 @@ def _backward(record: dict, d_out):
     # tracemalloc, against 32.5 MiB with every buffer kept to the end.
     dV = _scan(kf, qf, u, causal, suffix=True)
     del qf, kf, u
-    b = _with_ones(V)
+    b = _with_ones(V, np.float64)
     if config.reweight.kind == "cosine":
         m = config.reweight.m
         a, b = _position_scaled(a, m), _position_scaled(b, m)

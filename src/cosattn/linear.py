@@ -20,7 +20,11 @@ from the record the private _forward keeps of the forward's scan:
 attend is that forward with its record dropped.
 Cost is Theta(n * d_k * d_v); peak transient allocation is
 Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
-Theta(n^2). Accumulation is float64 throughout.
+Theta(n^2). The kernel forward computes in one dtype, chosen once per
+call by _compute_dtype: float32 for float32 storage under a non-negative
+feature map (relu, elu_plus_one) while the scan provably cannot
+overflow, float64 for everything else. The softmax reference and every
+backward compute in float64.
 
 Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
@@ -80,7 +84,7 @@ def _causal_drop(rows: int) -> np.ndarray:
 
 
 def _scan(qf, kf, v, causal: bool, suffix: bool = False):
-    """Rows sum_j (qf_i . kf_j) v_j over the keys each query admits, float64.
+    """Rows sum_j (qf_i . kf_j) v_j over the keys each query admits.
 
     qf and kf are kernel feature rows: phi(Q), phi(K) for plain kernels,
     the 2d-wide cos/sin-scaled rows for the cosine decomposition. All
@@ -91,7 +95,9 @@ def _scan(qf, kf, v, causal: bool, suffix: bool = False):
     product, and the chunks already walked enter through one running
     (feature width) x d_v key-value sum per slice, so transient buffers
     stay constant-size in n. Scanning a ones column of v gives the
-    denominator sum_j qf_i . kf_j.
+    denominator sum_j qf_i . kf_j. The output has the operands' dtype,
+    np.result_type(qf, v): float32 for the forward's float32 path, float64
+    everywhere else.
 
     The masked products grow with the chunk size _BLOCK and the carry
     does not. _BLOCK is fixed, so a prefix row rounds alike at every n,
@@ -100,7 +106,7 @@ def _scan(qf, kf, v, causal: bool, suffix: bool = False):
     if not causal:
         return qf @ (kf.swapaxes(-1, -2) @ v)
     n_q = qf.shape[-2]
-    out = np.empty(qf.shape[:-1] + (v.shape[-1],))
+    out = np.empty(qf.shape[:-1] + (v.shape[-1],), np.result_type(qf, v))
     state = None
     walk = range(0, n_q, _BLOCK)
     if suffix:
@@ -130,19 +136,57 @@ def _scan(qf, kf, v, causal: bool, suffix: bool = False):
     return out
 
 
-def _with_ones(V) -> np.ndarray:
-    """[V | 1] in float64: one scan of it gives the numerator and, in its
-    last column, the denominator."""
-    out = np.empty(V.shape[:-1] + (V.shape[-1] + 1,))
+def _with_ones(V, dtype) -> np.ndarray:
+    """[V | 1] in dtype, the scan's compute dtype: one scan of it gives the
+    numerator and, in its last column, the denominator."""
+    out = np.empty(V.shape[:-1] + (V.shape[-1] + 1,), dtype)
     out[..., :-1] = V
     out[..., -1] = 1.0
     return out
 
 
-def _finalize(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
-    """Divide num by the floored denominator, in place."""
-    num /= np.maximum(den, eps)[..., None]
-    return num
+def _finalize(num: np.ndarray, eps: float) -> np.ndarray:
+    """The scanned [num | den] divided by the floored den, in a fresh
+    C-contiguous (..., n, d_v) array of num's dtype, so the output keeps
+    no view of the den column."""
+    return np.divide(num[..., :-1], np.maximum(num[..., -1], eps)[..., None])
+
+
+_F32_TINY = float(np.finfo(np.float32).tiny)
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _compute_dtype(Q, K, V, config: AttentionConfig) -> np.dtype:
+    """The dtype a kernel forward computes in: float32 or float64.
+
+    float32 storage under a non-negative feature map (relu, elu_plus_one)
+    computes in float32 when the scan provably cannot overflow: every
+    feature is >= 0, so no sum in the scan cancels and each is at most
+
+        n_k * width * max(qf) * max(kf) * max(1, max|V|),
+
+    width being d_k, or 2 d_k for cosformer's cos/sin rows. The bound
+    covers the in-chunk similarities, the carried state and num/den alike;
+    it must stay below half the float32 maximum (the half absorbs rounding
+    growth in the sums), and eps must be a normal float32. Anything else
+    computes in float64: float64 storage, a sign-indefinite map (identity,
+    leaky_relu), and float32 inputs large enough to break the bound. The
+    guard reads the whole input, so a suffix edit large enough to trip it
+    moves the whole call, prefix rows included, to float64, and so does
+    one such slice of a stack, for every slice.
+    """
+    if _storage_dtype(Q, K, V) != np.float32 or not config.feature_map.nonnegative \
+            or not _F32_TINY <= config.eps <= _F32_MAX:
+        return np.dtype(np.float64)
+    # Both non-negative maps are non-decreasing: max phi(X) = phi(max X).
+    # Python floats, so that an oversized bound compares as inf instead of
+    # overflowing a float32 scalar.
+    top_q, top_k = (float(apply_feature_map(np.float64(X.max()), config.feature_map))
+                    for X in (Q, K))
+    top_v = max(1.0, float(V.max()), -float(V.min()))
+    width = Q.shape[-1] * (2 if config.reweight.kind == "cosine" else 1)
+    bound = K.shape[-2] * width * top_q * top_k * top_v
+    return np.dtype(np.float32 if bound < 0.5 * _F32_MAX else np.float64)
 
 
 def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
@@ -152,13 +196,14 @@ def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
     its arrays out as it goes, so one record serves one backward. It
     holds the config and the validated Q, K and V, then for softmax the
     weight matrix W, and for a kernel the feature pair (qf, kf), the
-    float64 output ``out`` and the unfloored denominator ``den``. out
-    and den are views of the scanned [num | den] buffer, and with float64
-    inputs the returned out is the record's out, so it must not be edited
-    in place while the record lives. [V | 1] is not kept (the backward
-    rebuilds it), nor, unless keep_mapped, cosformer's feature-mapped
-    rows Qp and Kp: each would stay alive through the scan of a call
-    that keeps no record.
+    output ``out`` and the unfloored denominator ``den``, all in the
+    compute dtype of :func:`_compute_dtype`. den is a view of the scanned
+    [num | den] buffer; out is a fresh array, and when the compute dtype
+    is the storage dtype the returned out is the record's out, so it must
+    not be edited in place while the record lives. [V | 1] is not kept
+    (the backward rebuilds it), nor, unless keep_mapped, cosformer's
+    feature-mapped rows Qp and Kp: each would stay alive through the scan
+    of a call that keeps no record.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
@@ -169,13 +214,15 @@ def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
         record["W"] = _softmax_weights(Q, K, config.causal)
         out = record["W"] @ _wide(V)
     else:
-        qf, kf = (apply_feature_map(_wide(X), config.feature_map) for X in (Q, K))
+        dtype = _compute_dtype(Q, K, V, config)
+        qf, kf = (apply_feature_map(np.asarray(X, dtype), config.feature_map)
+                  for X in (Q, K))
         if config.reweight.kind == "cosine":
             if keep_mapped:
                 record.update(Qp=qf, Kp=kf)
             qf, kf = decompose(qf, kf, config.reweight.m)
-        num = _scan(qf, kf, _with_ones(V), config.causal)
-        out = _finalize(num[..., :-1], num[..., -1], config.eps)
+        num = _scan(qf, kf, _with_ones(V, dtype), config.causal)
+        out = _finalize(num, config.eps)
         record.update(qf=qf, kf=kf, out=out, den=num[..., -1])
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
 

@@ -8,7 +8,9 @@ inner product of 2d-wide feature rows [phi(x) cos | phi(x) sin], so the
 re-weighted kernel is ordinary linear attention on those rows, which is
 what the linear-time path exploits.
 
-Angles are computed per position as (pi * pos) / (2 * m) in float64.
+Angles and their cos/sin factors are computed per position as
+(pi * pos) / (2 * m) in float64; float32 feature rows are scaled by the
+factors rounded once to float32.
 
 The horizon rule m >= longest sequence has one owner, _require_horizon,
 run by build_reweight_matrix, decompose (which also validates its rows;
@@ -70,11 +72,14 @@ def _position_scaled(F: np.ndarray, m: int) -> np.ndarray:
     """[F cos | F sin] with each row scaled by its own position's factors.
 
     F is (..., n, d); positions run along axis -2 of every slice. The
-    result is float64. No check is made: callers have checked F and m >= n.
+    result has F's dtype: for float32 F the float64 factors are rounded
+    once to float32, and float64 F is scaled in float64. No check is made:
+    callers have checked F and m >= n.
     """
     d = F.shape[-1]
-    cos, sin = position_factors(F.shape[-2], m)
-    out = np.empty(F.shape[:-1] + (2 * d,))
+    cos, sin = (c.astype(F.dtype, copy=False)
+                for c in position_factors(F.shape[-2], m))
+    out = np.empty(F.shape[:-1] + (2 * d,), F.dtype)
     np.multiply(F, cos[:, None], out=out[..., :d])
     np.multiply(F, sin[:, None], out=out[..., d:])
     return out

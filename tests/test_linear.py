@@ -14,6 +14,7 @@ from cosattn.core import (
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.linear import (
     _BLOCK,
+    _forward,
     attend,
     causal_state_init,
     causal_state_step,
@@ -103,9 +104,12 @@ def test_stack_matches_per_slice_calls_and_oracle(variant, lead):
                 V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
                 got = attend(Q, K, V, config)
                 assert got.shape == lead + (n, 3) and got.dtype == dtype
+                # A fresh array, not a view of the scanned [num | den].
+                assert got.flags.c_contiguous and got.flags.owndata
                 for idx in np.ndindex(*lead):
                     args = (Q[idx], K[idx], V[idx])
                     want = attend(*args, config)
+                    assert want.flags.c_contiguous and want.flags.owndata
                     assert _rel(got[idx], want) <= STACK_BOUND, idx
                     oracle = kernel_attention_quadratic(*args, config)
                     assert _rel(got[idx], oracle) <= GATE_BOUND[got.dtype], idx
@@ -143,12 +147,17 @@ def test_causal_prefix_bit_identical_under_suffix_edits():
         Q = rng.standard_normal((n, 4))
         K = rng.standard_normal((n, 4))
         V = rng.standard_normal((n, 4))
-        base = cosformer_attention(Q, K, V, config)
         cut = n // 2 + 1
         Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
         Q2[cut:], K2[cut:], V2[cut:] = 1e6, -1e6, 42.0
-        edited = cosformer_attention(Q2, K2, V2, config)
-        assert np.array_equal(base[:cut], edited[:cut])
+        for dtype in (np.float64, np.float32):
+            # The edits stay inside the float32 path's overflow guard, so
+            # both calls scan in the storage dtype.
+            base, record = _forward(*(a.astype(dtype) for a in (Q, K, V)), config)
+            edited, record2 = _forward(*(a.astype(dtype) for a in (Q2, K2, V2)),
+                                       config)
+            assert record["qf"].dtype == record2["qf"].dtype == dtype
+            assert np.array_equal(base[:cut], edited[:cut]), (n, dtype)
 
 
 def test_cosformer_requires_cosine_config():
@@ -225,3 +234,64 @@ def test_streaming_state_is_updated_in_place():
                                     np.ones(2), m=4)
     assert returned is state
     assert state.t == 1 and (state.s != 0.0).any()
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=str)
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_nonnegative_float32_forward_computes_in_float32(variant, lead):
+    rng = np.random.default_rng(38)
+    n = 3 * _BLOCK + 5
+    for causal in (False, True):
+        config = _kernel_config(variant, n, causal)
+        Q, K, V = (rng.standard_normal(lead + (n, 4)).astype(np.float32)
+                   for _ in range(3))
+        # Zeroed query rows: under relu their features vanish and the rows
+        # sit on the eps floor.
+        Q[..., ::9, :] = 0.0
+        out, record = _forward(Q, K, V, config)
+        assert record["qf"].dtype == record["out"].dtype == np.float32
+        assert out.dtype == np.float32
+        for idx in np.ndindex(*lead):
+            oracle = kernel_attention_quadratic(Q[idx], K[idx], V[idx], config)
+            assert _rel(out[idx], oracle) <= GATE_BOUND[out.dtype], (causal, idx)
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=str)
+@pytest.mark.parametrize("feature_map", [IDENTITY, leaky_relu(0.25)],
+                         ids=lambda f: f.name)
+def test_sign_indefinite_float32_forward_is_the_float64_forward(feature_map, lead):
+    rng = np.random.default_rng(39)
+    n = 3 * _BLOCK + 5
+    for causal in (False, True):
+        config = AttentionConfig.linear(feature_map, causal=causal)
+        Q, K, V = (rng.standard_normal(lead + (n, 4)).astype(np.float32)
+                   for _ in range(3))
+        out, record = _forward(Q, K, V, config)
+        assert record["qf"].dtype == np.float64 and out.dtype == np.float32
+        wide = attend(*(a.astype(np.float64) for a in (Q, K, V)), config)
+        assert np.array_equal(out, wide.astype(np.float32))
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_float32_overflow_guard_falls_back_to_float64(variant):
+    rng = np.random.default_rng(40)
+    n = 3 * _BLOCK + 5
+    config = _kernel_config(variant, n, causal=True)
+    Q, K, V = (rng.standard_normal((n, 8)) for _ in range(3))
+    # Unguarded, float32 sums of these overflow to inf and the output to
+    # NaN; the float64 forward of the same values is finite.
+    for scale in (1e13, 1e18):
+        args = [(a * scale).astype(np.float32) for a in (Q, K, V)]
+        out, record = _forward(*args, config)
+        assert record["qf"].dtype == np.float64 and out.dtype == np.float32
+        assert np.isfinite(out).all()
+        wide = attend(*(a.astype(np.float64) for a in args), config)
+        assert _rel(out, wide) <= GATE_BOUND[out.dtype], scale
+    # An eps below the smallest normal float32 would round to 0 there and
+    # divide the zero rows 0 by 0.
+    Q[::9] = -1.0
+    config = AttentionConfig(feature_map=config.feature_map,
+                             reweight=config.reweight, causal=True, eps=1e-300)
+    args = [a.astype(np.float32) for a in (Q, K, V)]
+    out, record = _forward(*args, config)
+    assert record["qf"].dtype == np.float64 and np.isfinite(out).all()

@@ -2,12 +2,13 @@
 
 The quadratic implementations here materialize the full n_q x n_k weight
 matrix and serve as exact oracles for the linear-time implementations in
-:mod:`cosattn.linear`. Element storage may be float32 ("standard") or
-float64 ("wide"); results come back in the storage dtype of the inputs.
-The quadratic references here always reduce in float64. The linear-time
-kernel forward computes float32 storage in float32 for the non-negative
-maps when its overflow guard allows (:func:`cosattn.linear._compute_dtype`),
-and in float64 otherwise.
+:mod:`cosattn.linear`; softmax_attention, the classical reference, is a
+wrapper over :func:`cosattn.linear.attend`. Element storage may be float32
+("standard") or float64 ("wide"); results come back in the storage dtype
+of the inputs. The quadratic references here always reduce in float64.
+The linear-time kernel forward computes float32 storage in float32 for the
+non-negative maps when its overflow guard allows
+(:func:`cosattn.linear._compute_dtype`), and in float64 otherwise.
 """
 
 from __future__ import annotations
@@ -248,14 +249,10 @@ def softmax_attention(Q, K, V, causal: bool = False) -> np.ndarray:
     Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) share any
     leading axes; each slice is attended on its own. Row i of the result
     is softmax(Q_i K^T / sqrt(d_k)) V, with key positions j > i masked
-    out before the softmax when causal.
+    out before the softmax when causal; a wrapper over linear.attend.
     """
-    Q = require_matrix(Q, "Q", stack=True)
-    K = require_matrix(K, "K", stack=True)
-    V = require_matrix(V, "V", stack=True)
-    AttentionDims.from_qkv(Q, K, V, causal)
-    out = _softmax_weights(Q, K, causal) @ _wide(V)
-    return out.astype(_storage_dtype(Q, K, V), copy=False)
+    from .linear import attend  # linear imports this module
+    return attend(Q, K, V, AttentionConfig.softmax(causal))
 
 
 def _weights_quadratic_wide(Q: np.ndarray, K: np.ndarray,

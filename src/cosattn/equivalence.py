@@ -8,39 +8,32 @@ rounding, not approximately.
 
 Trials are keyed by (seed, trial index), so reports are deterministic and
 independent of execution order; the optional process pool changes timing
-only. The seeded mutations re-run the cosine variant with one deliberate
-defect each, to demonstrate the suite actually rejects broken kernels.
+only. Each seeded mutation swaps one internal of the shipped forward for a
+broken stand-in for one trial, which calls attend itself; the swap is
+process-local (each pool worker swaps its own) and not thread-safe.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linear
 from .core import (
     ELU_PLUS_ONE,
     IDENTITY,
     RELU,
     AttentionConfig,
-    apply_feature_map,
     kernel_attention_quadratic,
     leaky_relu,
 )
 from .errors import ConfigurationError
-from .linear import (
-    _BLOCK,
-    _compute_dtype,
-    _finalize,
-    _scan,
-    _with_ones,
-    attend,
-    causal_state_init,
-    causal_state_step,
-)
-from .reweight import decompose, position_angles
+from .linear import _BLOCK, attend, causal_state_init, causal_state_step
 
 VARIANTS = (
     "linear_identity",
@@ -50,13 +43,6 @@ VARIANTS = (
     "cosformer_relu",
     "cosformer_elu_plus_one",
     "streaming",
-)
-
-MUTATIONS = (
-    "position_off_by_one",
-    "dropped_sin_branch",
-    "unfloored_denominator",
-    "dropped_carry",
 )
 
 # Matches the slope used by the leaky variant throughout the suite; any
@@ -77,6 +63,7 @@ _TINY = np.finfo(np.float64).tiny
 
 def threshold_for(variant: str, precision: str) -> float:
     """Pass/fail bound on max relative error for one variant."""
+    _require_variant(variant)
     _require_precision(precision)
     if variant == "streaming":
         # The streaming oracle is the batch forward itself, so the two
@@ -117,37 +104,56 @@ def _draw_case(rng, n_max: int, d_max: int):
     return Q, K, V, causal
 
 
-def _mutated_cosformer(Q, K, V, config: AttentionConfig, mutation: str):
-    """The cosine forward with one deliberate, documented defect."""
-    dtype = np.result_type(Q, K, V)
-    compute = _compute_dtype(Q, K, V, config)
-    Qf = apply_feature_map(np.asarray(Q, compute), config.feature_map)
-    Kf = apply_feature_map(np.asarray(K, compute), config.feature_map)
-    m = config.reweight.m
-    qf, kf = decompose(Qf, Kf, m)
-    if mutation == "position_off_by_one":
-        # Query angles taken at positions 2..n+1 instead of 1..n.
-        ang = position_angles(Qf.shape[0] + 1, m)[1:, None]
-        qf = np.hstack([Qf * np.cos(ang), Qf * np.sin(ang)])
-    elif mutation == "dropped_sin_branch":
-        # Only the left (cos-scaled) d columns of each feature row.
-        d = Qf.shape[1]
-        qf, kf = qf[:, :d], kf[:, :d]
-    v = _with_ones(V, compute)
-    if mutation == "dropped_carry" and config.causal:
-        # Each chunk scanned on its own: no state carried between chunks.
-        chunks = [slice(start, start + _BLOCK)
-                  for start in range(0, len(v), _BLOCK)]
-        num = np.vstack([_scan(qf[c], kf[c], v[c], True) for c in chunks])
-    else:
-        num = _scan(qf, kf, v, config.causal)
-    if mutation == "unfloored_denominator":
-        # 0/0 on floored rows is the point here; keep numpy quiet about it.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = num[:, :-1] / num[:, -1:]
-    else:
-        out = _finalize(num, config.eps)
-    return out.astype(dtype) if dtype == np.float32 else out
+def _position_off_by_one(decompose, Q_feat, K_feat, m):
+    """Query rows scaled at positions 2..n+1 instead of 1..n."""
+    q, k = decompose(Q_feat, K_feat, m)
+    qc, qs = np.split(q, 2, axis=-1)
+    # Each (cos, sin) pair turned on by one angle; Python floats keep q's dtype.
+    c, s = float(np.cos(np.pi / (2.0 * m))), float(np.sin(np.pi / (2.0 * m)))
+    return np.concatenate([qc * c - qs * s, qs * c + qc * s], axis=-1), k
+
+
+def _dropped_sin_branch(decompose, Q_feat, K_feat, m):
+    """Only the left (cos-scaled) d columns of each feature row."""
+    d = Q_feat.shape[-1]
+    return tuple(x[..., :d] for x in decompose(Q_feat, K_feat, m))
+
+
+def _unfloored_denominator(finalize, num, eps):
+    """num / den with no eps floor: the 0/0 on floored rows is the point."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return num[..., :-1] / num[..., -1:]
+
+
+def _dropped_carry(scan, qf, kf, v, causal):
+    """Each causal chunk scanned on its own: no state carried between chunks."""
+    if not causal:
+        return scan(qf, kf, v, False)
+    chunks = (slice(i, i + _BLOCK) for i in range(0, qf.shape[-2], _BLOCK))
+    return np.concatenate([scan(qf[..., c, :], kf[..., c, :], v[..., c, :], True)
+                           for c in chunks], axis=-2)
+
+
+# Mutation -> (linear attribute replaced, defect called with the original).
+_DEFECTS = {
+    "position_off_by_one": ("decompose", _position_off_by_one),
+    "dropped_sin_branch": ("decompose", _dropped_sin_branch),
+    "unfloored_denominator": ("_finalize", _unfloored_denominator),
+    "dropped_carry": ("_scan", _dropped_carry),
+}
+MUTATIONS = tuple(_DEFECTS)
+
+
+@contextlib.contextmanager
+def _injected(mutation: str):
+    """linear with the mutation's defect in place, restored on any exit."""
+    name, defect = _DEFECTS[mutation]
+    original = getattr(linear, name)
+    setattr(linear, name, functools.partial(defect, original))
+    try:
+        yield
+    finally:
+        setattr(linear, name, original)
 
 
 def _streaming_error(rng) -> float:
@@ -188,7 +194,7 @@ def equivalence_trial(variant: str, seed: int, trial: int,
     """Relative error of one seeded random case for one variant."""
     _require_variant(variant)
     _require_precision(precision)
-    if mutation is not None and mutation not in MUTATIONS:
+    if mutation is not None and mutation not in _DEFECTS:
         raise ConfigurationError(f"unknown mutation {mutation!r}")
     if mutation is not None and not variant.startswith("cosformer"):
         raise ConfigurationError(
@@ -208,10 +214,8 @@ def equivalence_trial(variant: str, seed: int, trial: int,
                                            feature_map=feature_map)
     else:
         config = AttentionConfig.linear(feature_map=feature_map, causal=causal)
-    if mutation is None:
+    with contextlib.nullcontext() if mutation is None else _injected(mutation):
         candidate = attend(Q, K, V, config)
-    else:
-        candidate = _mutated_cosformer(Q, K, V, config, mutation)
     oracle = kernel_attention_quadratic(Q, K, V, config)
     return _rel_error(candidate, oracle)
 
@@ -260,15 +264,12 @@ class Report:
 
 
 def _trial_errors(variant, seed, trials, precision, mutation, jobs):
-    args = [(variant, seed, t, precision, mutation) for t in range(trials)]
+    trial = functools.partial(equivalence_trial, variant, seed,
+                              precision=precision, mutation=mutation)
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_trial_star, args, chunksize=32))
-    return [equivalence_trial(*a) for a in args]
-
-
-def _trial_star(args):
-    return equivalence_trial(*args)
+            return list(pool.map(trial, range(trials), chunksize=32))
+    return list(map(trial, range(trials)))
 
 
 def run_equivalence_suite(seed: int, trials: int,
@@ -277,8 +278,10 @@ def run_equivalence_suite(seed: int, trials: int,
                           jobs: int | None = None) -> Report:
     """Run every variant for the given number of seeded trials.
 
-    With a mutation named, only the cosine relu variant runs, with that
-    defect injected; the point is that the report must then fail.
+    With a mutation named, only the cosine relu variant runs, each trial
+    with that defect swapped into one internal of the shipped forward
+    (process-local, so each worker swaps its own; not thread-safe); the
+    point is that the report must then fail.
     """
     for name, value in (("trials", trials), ("jobs", 1 if jobs is None else jobs)):
         if value < 1:

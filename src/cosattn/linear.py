@@ -2,9 +2,9 @@
 
 :func:`attend` is the forward for every variant: it picks the softmax
 reference or the kernel path from its AttentionConfig, and
-linear_attention and cosformer_attention are one-line wrappers around
-it. The kernel path computes exactly the same quantity as the quadratic
-references in :mod:`cosattn.core`, but by reassociating the sums:
+linear_attention, cosformer_attention and core.softmax_attention are
+one-line wrappers around it. The kernel path computes exactly what the
+quadratic references in :mod:`cosattn.core` do, reassociating the sums:
 
     O_i = sum_j qf_i kf_j^T V_j / max(sum_j qf_i kf_j^T, eps)
 

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from cosattn import linear
+from cosattn.core import AttentionConfig
 from cosattn.equivalence import (
     MUTATIONS,
     VARIANTS,
+    _injected,
     equivalence_trial,
     run_equivalence_suite,
     threshold_for,
 )
 from cosattn.errors import ConfigurationError
+from cosattn.linear import _BLOCK, attend
 
 
 def test_variant_roster():
@@ -18,7 +22,9 @@ def test_variant_roster():
         "linear_identity", "linear_relu", "linear_leaky_relu",
         "linear_elu_plus_one", "cosformer_relu", "cosformer_elu_plus_one",
         "streaming"}
-    assert len(MUTATIONS) == 4
+    # The CLI's --mutation choices and the gate's output order follow it.
+    assert MUTATIONS == ("position_off_by_one", "dropped_sin_branch",
+                         "unfloored_denominator", "dropped_carry")
 
 
 def test_thresholds():
@@ -29,6 +35,8 @@ def test_thresholds():
     assert threshold_for("streaming", "wide") == 1e-12
     with pytest.raises(ConfigurationError):
         threshold_for("cosformer_relu", "exact")
+    with pytest.raises(ConfigurationError):
+        threshold_for("bogus", "standard")
 
 
 def test_trial_is_deterministic_and_order_free():
@@ -65,13 +73,19 @@ def test_suite_passes_both_precisions():
         assert "equivalence suite" in report.summary()
 
 
-def test_parallel_matches_serial():
-    serial = run_equivalence_suite(seed=13, trials=16, jobs=None)
-    parallel = run_equivalence_suite(seed=13, trials=16, jobs=2)
+@pytest.mark.parametrize("mutation", [None, "dropped_carry"])
+def test_parallel_matches_serial(mutation):
+    # A mutated run fails alike in a worker pool only if each worker swaps
+    # the defect into its own attend.
+    serial = run_equivalence_suite(seed=13, trials=16, mutation=mutation)
+    parallel = run_equivalence_suite(seed=13, trials=16, mutation=mutation,
+                                     jobs=2)
+    assert len(serial.results) == len(parallel.results)
     for s, p in zip(serial.results, parallel.results):
         assert s.variant == p.variant
         assert s.max_rel_error == p.max_rel_error
         assert s.failures == p.failures
+        assert s.failures >= (mutation is not None)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -81,6 +95,29 @@ def test_mutations_are_caught(mutation):
     assert [r.variant for r in report.results] == ["cosformer_relu"]
     assert report.results[0].failures >= 1
     assert "FAIL" in report.summary()
+
+
+def test_defects_never_outlive_their_trial():
+    originals = (linear.decompose, linear._finalize, linear._scan)
+    rng = np.random.default_rng(5)
+    n = 2 * _BLOCK + 5
+    Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
+    Q[3] = 0.0  # a floored row, which only the unfloored defect turns NaN
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    before = attend(Q, K, V, config)
+    for mutation in MUTATIONS:
+        # Inside the swap the shipped attend itself is broken...
+        with _injected(mutation):
+            assert not np.array_equal(attend(Q, K, V, config), before)
+        # ...and after a trial, or an exception inside the swap, it is not.
+        equivalence_trial("cosformer_relu", seed=0, trial=1, mutation=mutation)
+        with pytest.raises(RuntimeError, match="inside"):
+            with _injected(mutation):
+                raise RuntimeError("inside the swap")
+        for now, original in zip(
+                (linear.decompose, linear._finalize, linear._scan), originals):
+            assert now is original, mutation
+        assert np.array_equal(attend(Q, K, V, config), before), mutation
 
 
 def test_unfloored_denominator_fails_on_nan():

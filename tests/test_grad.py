@@ -19,7 +19,12 @@ from cosattn.grad import (
     linear_attention_backward,
     softmax_attention_backward,
 )
-from cosattn.linear import _BLOCK, cosformer_attention, linear_attention
+from cosattn.linear import (
+    _BLOCK,
+    _compute_dtype,
+    cosformer_attention,
+    linear_attention,
+)
 from cosattn.core import softmax_attention
 
 
@@ -124,6 +129,39 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
         slope = (plus - loss(*moved)) / (2.0 * h)
         dot = float(np.sum(grads[idx] * direction))
         assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-6), (name, dot, slope)
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE],
+                         ids=lambda fm: fm.name)
+def test_float32_record_gradients_match_float64(feature_map, cosine, causal):
+    # Float32 inputs run a float32 forward whose record the backward widens,
+    # so only that forward's rounding separates the gradients from those of
+    # the same values in float64. The error is scaled by the largest entry
+    # of the whole float64 (dQ, dK, dV): at d_k = 1 dQ is identically zero,
+    # and a per-matrix scale would divide rounding by nothing. The bound is
+    # not universal: a query row with a single, small positive feature has
+    # a zero dQ row whose float32 residue grows like 1 / phi(q).
+    rng = np.random.default_rng(49)
+    for n, d_k, d_v in ((1, 1, 1), (6, 1, 3), (11, 4, 2),
+                        (2 * _BLOCK + 17, 8, 5)):
+        Q, K, V = (rng.standard_normal((n, d)).astype(np.float32)
+                   for d in (d_k, d_k, d_v))
+        g = rng.standard_normal((n, d_v))
+        if cosine:
+            config = AttentionConfig.cosformer(m=2 * n, causal=causal,
+                                               feature_map=feature_map)
+        else:
+            config = AttentionConfig.linear(feature_map, causal=causal)
+        assert _compute_dtype(Q, K, V, config) == np.float32
+        got = attend_backward(Q, K, V, config, g)
+        want = attend_backward(*(X.astype(np.float64) for X in (Q, K, V)),
+                               config, g)
+        scale = max([float(np.max(np.abs(w))) for w in want]
+                    + [np.finfo(np.float64).tiny])
+        err = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+        assert err / scale <= 1e-4, (n, d_k, err / scale)
 
 
 STACK_BOUND = 1e-13

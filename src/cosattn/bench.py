@@ -33,8 +33,8 @@ import numpy as np
 
 from .core import AttentionConfig
 from .errors import ConfigurationError
-from .grad import _backward
-from .linear import _forward, attend
+from .grad import attend_backward
+from .linear import attend
 
 BENCH_VARIANTS = ("softmax", "linear", "cosformer")
 BENCH_MODES = ("inference", "train")
@@ -126,9 +126,8 @@ def _make_call(variant: str, mode: str, Q, K, V):
         config = AttentionConfig.cosformer(m=Q.shape[0])
     if mode == "inference":
         return lambda: attend(Q, K, V, config)
-    # A training step: the forward keeps its record, the backward takes it.
     d_out = np.ones_like(V)
-    return lambda: _backward(_forward(Q, K, V, config)[1], d_out)
+    return lambda: attend_backward(Q, K, V, config, d_out)
 
 
 def run_benchmark(variants, lengths, d_model: int, repeats: int,

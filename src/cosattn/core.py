@@ -220,8 +220,8 @@ class AttentionConfig:
 
 
 def _require_eps(eps: float) -> None:
-    if not (eps > 0.0):
-        raise ConfigurationError(f"eps must be > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError(f"eps must be finite and > 0, got {eps!r}")
 
 
 def _require_kernel_config(config: AttentionConfig):

@@ -189,21 +189,20 @@ def _compute_dtype(Q, K, V, config: AttentionConfig) -> np.dtype:
     return np.dtype(np.float32 if bound < 0.5 * _F32_MAX else np.float64)
 
 
-def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
+def _forward(Q, K, V, config: AttentionConfig):
     """attend's output plus what the backward needs of it: (out, record).
 
     The record is a dict for :func:`cosattn.grad._backward`, which takes
-    its arrays out as it goes, so one record serves one backward. It
-    holds the config and the validated Q, K and V, then for softmax the
-    weight matrix W, and for a kernel the feature pair (qf, kf), the
-    output ``out`` and the unfloored denominator ``den``, all in the
-    compute dtype of :func:`_compute_dtype`. den is a view of the scanned
-    [num | den] buffer; out is a fresh array, and when the compute dtype
-    is the storage dtype the returned out is the record's out, so it must
-    not be edited in place while the record lives. [V | 1] is not kept
-    (the backward rebuilds it), nor, unless keep_mapped, cosformer's
-    feature-mapped rows Qp and Kp: each would stay alive through the scan
-    of a call that keeps no record.
+    its arrays out as it goes, so one record serves one backward. It has
+    one shape per config: the config and the validated Q, K and V, then
+    for softmax the weight matrix W, and for a kernel the feature pair
+    (qf, kf), the output ``out`` and the unfloored denominator ``den``,
+    all in the compute dtype of :func:`_compute_dtype`. den is a view of
+    the scanned [num | den] buffer; out is a fresh array, and when the
+    compute dtype is the storage dtype the returned out is the record's
+    out, so it must not be edited in place while the record lives.
+    Neither [V | 1] nor cosformer's feature-mapped rows phi(Q), phi(K)
+    are kept: the backward rebuilds both, bit-identically.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
@@ -218,8 +217,6 @@ def _forward(Q, K, V, config: AttentionConfig, keep_mapped: bool = False):
         qf, kf = (apply_feature_map(np.asarray(X, dtype), config.feature_map)
                   for X in (Q, K))
         if config.reweight.kind == "cosine":
-            if keep_mapped:
-                record.update(Qp=qf, Kp=kf)
             qf, kf = decompose(qf, kf, config.reweight.m)
         num = _scan(qf, kf, _with_ones(V, dtype), config.causal)
         out = _finalize(num, config.eps)

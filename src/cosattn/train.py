@@ -19,7 +19,7 @@ linear or cosformer attention. Its forward (cosattn.linear._forward)
 keeps a record of the scan, or of softmax's weights, and its backward
 (cosattn.grad._backward) starts from that record instead of running the
 forward again. Held-out accuracy on 256 sequences is evaluated one
-batch per forward call, through attend, which keeps no record. On
+batch per forward call; each batch's record dies before the next runs. On
 glibc, training pins the allocator's trim and mmap thresholds (see
 _pin_heap), so each step reuses the heap pages the step before it freed.
 """
@@ -38,7 +38,7 @@ from .errors import ConfigurationError, DimensionError
 # benchmark's trace wraps them as attributes of this module, so they stay
 # importable until the benchmark drops them.
 from .grad import _backward, cosformer_backward  # noqa: F401
-from .linear import _forward, attend, cosformer_attention  # noqa: F401
+from .linear import _forward, cosformer_attention  # noqa: F401
 
 
 # Copy-task sizes; the model's own sizes are init_toy_params's defaults.
@@ -103,23 +103,19 @@ class BlockParams:
         return self.embedding.shape[1]
 
 
-def _block(e, params: BlockParams, config: AttentionConfig, train: bool = False):
+def _block(e, params: BlockParams, config: AttentionConfig):
     """The block on a batch of embedded sequences e (batch, n, d_model).
 
     Returns the output y and the cache (h, f1, r, record) the backward
-    needs. Attention runs once over the whole (batch, n, d) stack; when
-    training, its forward keeps the record that _backward takes, and
-    otherwise record is None.
+    needs. Attention runs once over the whole (batch, n, d) stack, and
+    its forward keeps the record that _backward takes.
     """
     batch, n, d_model = e.shape
     flat = e.reshape(batch * n, d_model)
     q = (flat @ params.w_q).reshape(batch, n, -1)
     k = (flat @ params.w_k).reshape(batch, n, -1)
     v = (flat @ params.w_v).reshape(batch, n, -1)
-    if train:
-        att, record = _forward(q, k, v, config)
-    else:
-        att, record = attend(q, k, v, config), None
+    att, record = _forward(q, k, v, config)
     h = e + att
     f1 = h.reshape(batch * n, -1) @ params.w_ff1
     r = np.maximum(f1, 0.0)
@@ -208,11 +204,11 @@ def _make_sequences(rng, count: int, copy_len: int, n_symbols: int):
 
 
 def _forward_batch(inputs, params: BlockParams, config: AttentionConfig,
-                   pe, loss_pos, train: bool = False):
-    """Logits at the loss positions plus the caches backward needs; the
-    attention record among them is None unless training."""
+                   pe, loss_pos):
+    """Logits at the loss positions plus the caches backward needs, the
+    attention record among them; [0] alone lets the caches go."""
     e = params.embedding[inputs] + pe[None, :, :]
-    y, (h, f1, r, record) = _block(e, params, config, train)
+    y, (h, f1, r, record) = _block(e, params, config)
     logits = y[:, loss_pos, :] @ params.output_proj
     return logits, (e, h, f1, r, y, record)
 
@@ -233,7 +229,7 @@ def _loss_and_dlogits(logits, targets):
 def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
                 pe, loss_pos):
     logits, (e, h, f1, r, y, record) = _forward_batch(
-        inputs, params, config, pe, loss_pos, train=True)
+        inputs, params, config, pe, loss_pos)
     loss, d_logits = _loss_and_dlogits(logits, targets)
     batch, n, d_model = e.shape
 
@@ -273,11 +269,12 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
 
 
 def _accuracy(inputs, targets, params, config, pe, loss_pos):
-    """Token accuracy, evaluated one training batch per forward call."""
+    """Token accuracy, one training batch per forward call. Only the
+    logits are bound, so each batch's record dies before the next's."""
     hits = 0
     for start in range(0, inputs.shape[0], _BATCH):
-        logits, _ = _forward_batch(inputs[start:start + _BATCH], params, config,
-                                   pe, loss_pos)
+        logits = _forward_batch(inputs[start:start + _BATCH], params, config,
+                                pe, loss_pos)[0]
         hits += int(np.sum(logits.argmax(axis=-1) == targets[start:start + _BATCH]))
     return hits / targets.size
 

@@ -21,7 +21,18 @@ from cosattn import (
 )
 from cosattn.grad import _backward
 from cosattn.linear import _BLOCK, _forward
-from cosattn.train import _block
+from cosattn.train import (
+    _Adam,
+    _block,
+    _make_sequences,
+    _train_step,
+    sinusoidal_encoding,
+)
+
+
+# The record has one shape per config: what the backward reads, no more.
+_SOFTMAX_RECORD = {"config", "Q", "K", "V", "W"}
+_KERNEL_RECORD = {"config", "Q", "K", "V", "qf", "kf", "out", "den"}
 
 
 def _public_pairs(Q, K, V, g, causal, m):
@@ -64,6 +75,8 @@ def test_attend_equals_each_public_function(lead, dtype):
                 assert np.array_equal(got, want), config
                 kept, record = _forward(Q, K, V, config)
                 assert kept.dtype == dtype and np.array_equal(kept, want), config
+                assert record.keys() == (_SOFTMAX_RECORD if config.use_softmax
+                                         else _KERNEL_RECORD), config
                 grads = attend_backward(Q, K, V, config, g)
                 for a, b, c in zip(grads, backward(), _backward(record, g)):
                     assert a.dtype == b.dtype == c.dtype, config
@@ -107,16 +120,31 @@ def test_stacked_causal_rows_ignore_later_tokens(variant):
             assert np.array_equal(dQ2[..., :i + 1, :], dQ[..., :i + 1, :]), (n, i)
 
 
+def _trained_params(rng, config):
+    """init_toy_params after 50 copy-task training steps under config."""
+    params = init_toy_params(rng)
+    pe = 2.5 * sinusoidal_encoding(32, 32)
+    opt = _Adam(vars(params))
+    for _ in range(50):
+        inputs, targets = _make_sequences(rng, 32, 16, 16)
+        _, grads = _train_step(inputs, targets, params, config, pe,
+                               np.arange(16, 32))
+        opt.update(vars(params), grads)
+    return params
+
+
 @pytest.mark.parametrize("variant", ["softmax", "cosformer", "linear_relu"])
 def test_block_rows_ignore_later_tokens(variant):
+    # At initialization and after training: a trained model's weights
+    # must not open a path from later tokens either.
     rng = np.random.default_rng(67)
-    params = init_toy_params(rng)
     batch, n = 32, 32
     config = _causal_config(variant, n)
-    e = rng.standard_normal((batch, n, params.d_model))
-    y, _ = _block(e, params, config)
-    for i in _cut_points(n):
-        edited = e.copy()
-        edited[:, i + 1:, :] = rng.standard_normal(edited[:, i + 1:, :].shape)
-        y2, _ = _block(edited, params, config)
-        assert np.array_equal(y2[:, :i + 1, :], y[:, :i + 1, :]), i
+    for params in (init_toy_params(rng), _trained_params(rng, config)):
+        e = rng.standard_normal((batch, n, params.d_model))
+        y, _ = _block(e, params, config)
+        for i in _cut_points(n):
+            edited = e.copy()
+            edited[:, i + 1:, :] = rng.standard_normal(edited[:, i + 1:, :].shape)
+            y2, _ = _block(edited, params, config)
+            assert np.array_equal(y2[:, :i + 1, :], y[:, :i + 1, :]), i

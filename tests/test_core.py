@@ -130,6 +130,9 @@ def test_reweight_scheme_validation():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         AttentionConfig(eps=0.0)
+    # an infinite floor would zero every output row
+    with pytest.raises(ConfigurationError):
+        AttentionConfig.linear(eps=np.inf)
     # cosine reweighting needs a non-negative map
     with pytest.raises(ConfigurationError):
         AttentionConfig.cosformer(m=8, feature_map=IDENTITY)

@@ -256,6 +256,8 @@ def test_backward_validation():
         linear_attention_backward(np.array([[0.0, 0.0], [1.0, 1.0]]), Q, Q,
                                   np.ones((2, 2)), eps=0.0)
     with pytest.raises(ConfigurationError):
+        linear_attention_backward(Q, Q, Q, np.ones((2, 2)), eps=np.inf)
+    with pytest.raises(ConfigurationError):
         cosformer_backward(Q, Q, Q, AttentionConfig.linear(RELU), np.ones((2, 2)))
     with pytest.raises(ConfigurationError):
         cosformer_backward(Q, Q, Q, AttentionConfig.softmax(), np.ones((2, 2)))

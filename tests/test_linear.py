@@ -221,6 +221,9 @@ def test_streaming_step_validation():
     with pytest.raises(ConfigurationError):
         causal_state_step(state, np.zeros(3), np.ones(3), np.ones(2), m=8,
                           eps=0.0)
+    with pytest.raises(ConfigurationError):
+        causal_state_step(state, np.ones(3), np.ones(3), np.ones(2), m=8,
+                          eps=np.inf)
     # stepping past the horizon refuses
     state2 = causal_state_init(1, 1)
     causal_state_step(state2, np.ones(1), np.ones(1), np.ones(1), m=1)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from cosattn.train import (
     variant_name,
 )
 from cosattn.train import _make_sequences, _forward_batch, _glibc_mallopt, _loss_and_dlogits
-from cosattn.train import _train_step
+from cosattn.train import _accuracy, _train_step
 
 
 def test_sinusoidal_encoding_shape_and_values():
@@ -160,7 +161,7 @@ def test_train_step_gradients_come_from_its_own_forward(config, monkeypatch):
 
 def test_train_step_scans_once_per_gradient(monkeypatch):
     # One forward scan, then the dV, dQ and dK scans: the backward does
-    # not run the forward's scan again. Evaluation keeps no record.
+    # not run the forward's scan again. An evaluation forward scans once.
     scans = []
     scan = linear._scan
 
@@ -179,8 +180,30 @@ def test_train_step_scans_once_per_gradient(monkeypatch):
     _train_step(inputs, targets, params, config, pe, loss_pos)
     assert scans == [False, True, False, True]
     scans.clear()
-    _, cache = _forward_batch(inputs, params, config, pe, loss_pos)
-    assert cache[-1] is None and scans == [False]
+    _forward_batch(inputs, params, config, pe, loss_pos)
+    assert scans == [False]
+
+
+def test_evaluation_keeps_at_most_one_attention_record(monkeypatch):
+    # Each eval batch's record must be dead before the next batch's
+    # forward starts, or evaluation holds two records at its peak.
+    records = []
+    forward = train._forward
+
+    def spy(*args):
+        assert all(ref() is None for ref in records), len(records)
+        out, record = forward(*args)
+        records.append(weakref.ref(record["qf"]))
+        return out, record
+
+    monkeypatch.setattr(train, "_forward", spy)
+    rng = np.random.default_rng(83)
+    params = init_toy_params(rng)
+    pe = 2.5 * sinusoidal_encoding(32, 32)
+    inputs, targets = _make_sequences(rng, 96, 16, 16)
+    config = AttentionConfig.cosformer(m=32, causal=True)
+    _accuracy(inputs, targets, params, config, pe, np.arange(16, 32))
+    assert len(records) == 3
 
 
 def test_train_requires_causal_config():

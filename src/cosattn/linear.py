@@ -29,16 +29,24 @@ backward compute in float64.
 Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
 attended on its own, in one call, with the arithmetic of a 2-D call on
-that slice. The streaming :class:`CausalState` decodes one 2-D sequence.
+that slice. The streaming :class:`CausalState` decodes one 2-D sequence
+with the causal scan's own state: the carry over whole chunks plus the
+current chunk's rows, folded into the carry every _BLOCK tokens at the
+scan's chunk boundaries. A token costs Theta(_BLOCK * (d_k + d_v)) for
+its chunk rows plus one Theta(d_k * d_v) read of the carry, and no write
+to it; one Theta(_BLOCK * d_k * d_v) fold every _BLOCK tokens adds the
+chunk.
 
 Checks run once, at the public boundary: _forward, under attend and
 attend_backward alike, validates Q, K and V, then
 :func:`cosattn.reweight.decompose` checks the horizon;
-causal_state_step checks its rows and position. _scan checks nothing.
+causal_state_step checks its rows, eps and position before it changes
+its state. _scan checks nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -273,43 +281,77 @@ def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
 class CausalState:
     """Carry of a causal cosformer decode of one sequence, one row at a time.
 
-    ``s`` (2 d_k x d_v) sums kf_j v_j^T and ``z`` (2 d_k) sums kf_j over
-    the t positions seen so far, kf_j being key j's cos/sin-scaled
-    feature row: the value columns and the ones column of what the batch
-    causal scan carries between chunks.
+    The state is what the batch causal scan holds inside a chunk:
+    ``carry`` (2 d_k x (d_v + 1)) sums kf_j [v_j | 1] over every whole
+    _BLOCK-row chunk before the current one, kf_j being key j's
+    cos/sin-scaled feature row, and ``keys`` (_BLOCK x 2 d_k) and
+    ``vals`` (_BLOCK x (d_v + 1), ones in the last column) hold the
+    current chunk's rows: position t sits in row (t - 1) % _BLOCK, and
+    the rows after it hold the previous chunk until overwritten. ``s``
+    (2 d_k x d_v, sum of kf_j v_j^T) and ``z`` (2 d_k, sum of kf_j) over
+    the t positions seen so far are read-only: each call builds a fresh
+    array from the carry and the chunk's rows.
 
     Single-owner: step one position at a time; the state may move between
     execution contexts between steps but must not be stepped concurrently.
     """
 
-    s: np.ndarray
-    z: np.ndarray
+    carry: np.ndarray
+    keys: np.ndarray
+    vals: np.ndarray
     t: int = field(default=0)
 
     @property
     def d_k(self) -> int:
-        return self.s.shape[0] // 2
+        return self.carry.shape[0] // 2
 
     @property
     def d_v(self) -> int:
-        return self.s.shape[1]
+        return self.carry.shape[1] - 1
+
+    def _sums(self) -> np.ndarray:
+        """carry plus the rows written since the last fold."""
+        r = (self.t - 1) % _BLOCK + 1 if self.t else 0
+        return self.carry + self.keys[:r].T @ self.vals[:r]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._sums()[:, :-1]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._sums()[:, -1]
 
 
 def causal_state_init(d_k: int, d_v: int) -> CausalState:
     """Fresh all-zero state for a decode with the given key/value widths."""
     if d_k < 1 or d_v < 1:
         raise DimensionError(f"need d_k, d_v >= 1, got {d_k}, {d_v}")
-    return CausalState(s=np.zeros((2 * d_k, d_v)), z=np.zeros(2 * d_k))
+    vals = np.zeros((_BLOCK, d_v + 1))
+    vals[:, -1] = 1.0
+    return CausalState(carry=np.zeros((2 * d_k, d_v + 1)),
+                       keys=np.zeros((_BLOCK, 2 * d_k)), vals=vals)
+
+
+def _fold(state: CausalState) -> None:
+    """Add the full chunk in keys and vals to the carry: the batch scan's
+    own update between chunks."""
+    state.carry += state.keys.T @ state.vals
 
 
 def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
                       eps: float = DEFAULT_EPS):
     """Advance one position and return (state, output row).
 
-    Rows are feature-mapped internally with relu. The state is updated in
-    place and returned; per-step cost is Theta(d_k * d_v) independent of
-    how many steps came before. Raises if the next position would exceed
-    the horizon m.
+    Rows are feature-mapped internally with relu. Every check runs before
+    the state changes, so a refused step leaves it as it was. The state is
+    updated in place and returned. The new key and value rows go into the
+    chunk buffer, and the output is qf @ carry plus the in-chunk part
+    (keys qf) @ vals: a step costs Theta(_BLOCK * (d_k + d_v)) plus one
+    Theta(d_k * d_v) read of the carry, and once every _BLOCK steps a
+    Theta(_BLOCK * d_k * d_v) fold of the full chunk into the carry,
+    however many steps came before. Chunk boundaries are the batch scan's.
+    Raises if the next position would exceed the horizon m.
     """
     _require_eps(eps)
     q_t = np.asarray(q_t, dtype=np.float64)
@@ -322,19 +364,23 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
             f"{q_t.shape} and {k_t.shape}")
     if v_t.shape != (state.d_v,):
         raise DimensionError(f"v_t must have shape ({state.d_v},), got {v_t.shape}")
-    if not (np.isfinite(q_t).all() and np.isfinite(k_t).all() and np.isfinite(v_t).all()):
+    row = np.concatenate((q_t, k_t, v_t))
+    if not np.isfinite(row).all():
         raise ValueError("step rows contain non-finite entries")
     pos = state.t + 1
     _require_horizon(pos, m)
 
+    r = state.t % _BLOCK
+    if r == 0 and state.t:
+        _fold(state)
     angle = (np.pi * pos) / (2.0 * m)
-    cos_sin = np.array([[np.cos(angle)], [np.sin(angle)]])
-    qf = (cos_sin * np.maximum(q_t, 0.0)).ravel()
-    kf = (cos_sin * np.maximum(k_t, 0.0)).ravel()
-    # One d_k x d_v outer product per half keeps the step's transient at
-    # d_k x d_v; a single 2d_k x d_v outer product would double it.
-    state.s[:d] += np.outer(kf[:d], v_t)
-    state.s[d:] += np.outer(kf[d:], v_t)
-    state.z += kf
+    # Row 0 is [q cos | q sin], row 1 [k cos | k sin], of the relu rows.
+    feats = (np.maximum(row[:2 * d], 0.0).reshape(2, 1, d)
+             * np.array([[math.cos(angle)], [math.sin(angle)]])).reshape(2, 2 * d)
+    qf = feats[0]
+    state.keys[r] = feats[1]
+    state.vals[r, :-1] = row[2 * d:]
     state.t = pos
-    return state, (qf @ state.s) / max(qf @ state.z, eps)
+    r += 1
+    out = qf @ state.carry + (state.keys[:r] @ qf) @ state.vals[:r]
+    return state, out[:-1] / max(out[-1], eps)

@@ -120,6 +120,22 @@ def test_defects_never_outlive_their_trial():
         assert np.array_equal(attend(Q, K, V, config), before), mutation
 
 
+def test_streaming_trial_catches_a_skipped_fold(monkeypatch):
+    # The decode folds each full chunk into its carry in one helper; with
+    # that helper a no-op, every sequence longer than one chunk forgets
+    # its earlier chunks and breaks the 1e-12 bound, and no shorter one
+    # notices.
+    monkeypatch.setattr(linear, "_fold", lambda state: None)
+    bound = threshold_for("streaming", "standard")
+    long = 0
+    for trial in range(24):
+        n = int(np.random.default_rng([0, trial]).integers(1, 257))
+        error = equivalence_trial("streaming", seed=0, trial=trial)
+        assert (error > bound) == (n > _BLOCK), (trial, n, error)
+        long += n > _BLOCK
+    assert 0 < long < 24
+
+
 def test_unfloored_denominator_fails_on_nan():
     # the injected defect divides by a raw zero denominator somewhere in
     # 40 trials; the resulting NaN must count as a failure, not slip past

@@ -1,5 +1,7 @@
 """Linear-time paths against the quadratic oracles, plus streaming."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from cosattn.linear import (
     cosformer_attention,
     linear_attention,
 )
+from cosattn.reweight import decompose
 
 
 def test_linear_matches_quadratic_all_maps():
@@ -237,6 +240,96 @@ def test_streaming_state_is_updated_in_place():
                                     np.ones(2), m=4)
     assert returned is state
     assert state.t == 1 and (state.s != 0.0).any()
+
+
+def _snapshot(state):
+    """Every field of a decode state, and its s and z, as bytes."""
+    return (state.t, state.s.tobytes(), state.z.tobytes(),
+            state.carry.tobytes(), state.keys.tobytes(), state.vals.tobytes())
+
+
+@pytest.mark.parametrize("t", [0, 7, _BLOCK, 2 * _BLOCK + 3])
+def test_refused_steps_leave_the_state_unchanged(t):
+    # At t = _BLOCK the chunk buffer is full, so the refused step is the
+    # one that would fold it into the carry first.
+    rng = np.random.default_rng(39)
+    d_k, d_v, m = 3, 2, 4 * _BLOCK
+    state = causal_state_init(d_k, d_v)
+    for _ in range(t):
+        causal_state_step(state, *rng.standard_normal((2, d_k)),
+                          rng.standard_normal(d_v), m)
+    q, k, v = np.ones(d_k), np.ones(d_k), np.ones(d_v)
+    nan_q, inf_k, inf_v = q.copy(), k.copy(), v.copy()
+    nan_q[1], inf_k[0], inf_v[-1] = np.nan, np.inf, -np.inf
+    refused = [
+        (DimensionError, (np.ones(d_k - 1), k, v, m)),
+        (DimensionError, (q, np.ones(d_k + 1), v, m)),
+        (DimensionError, (q, k, np.ones(d_v + 1), m)),
+        (DimensionError, (q[None], k, v, m)),
+        (ValueError, (nan_q, k, v, m)),
+        (ValueError, (q, inf_k, v, m)),
+        (ValueError, (q, k, inf_v, m)),
+        (ConfigurationError, (q, k, v, m, 0.0)),
+        (ConfigurationError, (q, k, v, m, -1.0)),
+        (ConfigurationError, (q, k, v, m, np.inf)),
+        (ConfigurationError, (q, k, v, t)),  # position t + 1 is past m = t
+    ]
+    before = _snapshot(state)
+    for error, args in refused:
+        with pytest.raises(error):
+            causal_state_step(state, *args)
+        assert _snapshot(state) == before, args
+    # The state still decodes: the next accepted step folds as it should.
+    causal_state_step(state, q, k, v, m)
+    assert state.t == t + 1
+
+
+def test_streaming_chunk_boundaries_match_batch_and_prefix_sums():
+    rng = np.random.default_rng(40)
+    n, d_k, d_v = 2 * _BLOCK + 9, 4, 3
+    Q, K, V = (rng.standard_normal((n, d)) for d in (d_k, d_k, d_v))
+    config = AttentionConfig.cosformer(m=n, causal=True)  # m = n exactly
+    batch = cosformer_attention(Q, K, V, config)
+    _, kf = decompose(np.maximum(Q, 0.0), np.maximum(K, 0.0), n)
+    checked = {1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, n}
+    state = causal_state_init(d_k, d_v)
+    for t in range(1, n + 1):
+        _, row = causal_state_step(state, Q[t - 1], K[t - 1], V[t - 1], n)
+        if t in checked:
+            np.testing.assert_allclose(row, batch[t - 1], rtol=0, atol=1e-12,
+                                       err_msg=f"row at t={t}")
+            s, z = kf[:t].T @ V[:t], kf[:t].sum(axis=0)
+            for got, want in ((state.s, s), (state.z, z)):
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                    err_msg=f"sums at t={t}")
+    assert state.t == n
+
+
+def test_unfolded_step_allocates_no_rank1_temporary():
+    # A step that does not fold writes one buffer row and reads the carry:
+    # its transients are vectors. The per-token rank-1 update of the state
+    # allocated a d_k x d_v block per step; even that is below one state.
+    d = 64
+    rank1 = d * d * 8
+    rng = np.random.default_rng(41)
+    Q, K, V = (rng.standard_normal((2 * _BLOCK + 1, d)) for _ in range(3))
+    state = causal_state_init(d, d)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for t in range(2 * _BLOCK + 1):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            causal_state_step(state, Q[t], K[t], V[t], m=4 * _BLOCK)
+            peaks[t] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    folds = {_BLOCK, 2 * _BLOCK}  # steps t + 1 = 33 and 65 fold a chunk
+    # The tracer sees NumPy buffers: a fold makes a state-sized product.
+    assert all(peaks[t] >= 2 * d * (d + 1) * 8 for t in folds)
+    worst = max(p for t, p in peaks.items() if t not in folds)
+    assert worst < rank1, worst
 
 
 @pytest.mark.parametrize("lead", [(), (2, 3)], ids=str)

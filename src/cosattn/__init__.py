@@ -13,7 +13,6 @@ from .core import (
     IDENTITY,
     RELU,
     AttentionConfig,
-    AttentionDims,
     FeatureMapKind,
     ReweightScheme,
     apply_feature_map,
@@ -75,7 +74,6 @@ from .viz import CoverageMatrix, visualize_attention
 
 __all__ = [
     "AttentionConfig",
-    "AttentionDims",
     "BenchmarkRecord",
     "BlockParams",
     "CausalState",

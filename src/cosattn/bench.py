@@ -116,14 +116,20 @@ def write_benchmark_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def variant_config(variant: str, m: int, causal: bool) -> AttentionConfig:
+    """The config a variant name stands for; m is cosformer's horizon and
+    is ignored by the other variants."""
+    _require_variant(variant)
+    if variant == "softmax":
+        return AttentionConfig.softmax(causal)
+    if variant == "linear":
+        return AttentionConfig.linear(causal=causal)
+    return AttentionConfig.cosformer(m, causal=causal)
+
+
 def _make_call(variant: str, mode: str, Q, K, V):
     """Closure running exactly the work being measured, nothing else."""
-    if variant == "softmax":
-        config = AttentionConfig.softmax()
-    elif variant == "linear":
-        config = AttentionConfig.linear()
-    else:
-        config = AttentionConfig.cosformer(m=Q.shape[0])
+    config = variant_config(variant, m=Q.shape[0], causal=False)
     if mode == "inference":
         return lambda: attend(Q, K, V, config)
     d_out = np.ones_like(V)

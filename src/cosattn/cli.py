@@ -17,6 +17,7 @@ from .bench import (
     BENCH_VARIANTS,
     CSV_HEADER,
     run_benchmark,
+    variant_config,
     write_benchmark_csv,
 )
 from .core import AttentionConfig, attention_weights_quadratic
@@ -25,8 +26,6 @@ from .errors import ConfigurationError, DimensionError, MatrixParseError
 from .matio import matrix_text, read_matrix, write_pgm
 from .train import train_copy_task
 from .viz import visualize_attention
-
-_TRAIN_VARIANTS = ("cosformer", "softmax", "linear")
 
 
 def _cmd_check(args) -> int:
@@ -89,12 +88,7 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    if args.variant == "cosformer":
-        config = AttentionConfig.cosformer(m=32, causal=True)
-    elif args.variant == "softmax":
-        config = AttentionConfig.softmax(causal=True)
-    else:
-        config = AttentionConfig.linear(causal=True)
+    config = variant_config(args.variant, m=32, causal=True)
     report = train_copy_task(config, args.seed, max_steps=args.steps)
     print(report.summary())
     if args.out:
@@ -162,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train = subs.add_parser(
         "train-toy", help="train the single-block model on the copy task")
     _add_common(train, "write the loss curve CSV to PATH")
-    train.add_argument("--variant", choices=_TRAIN_VARIANTS,
+    train.add_argument("--variant", choices=BENCH_VARIANTS,
                        default="cosformer",
                        help="attention variant (default cosformer)")
     train.add_argument("--steps", type=int, default=2000,

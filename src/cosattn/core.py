@@ -9,6 +9,9 @@ of the inputs. The quadratic references here always reduce in float64.
 The linear-time kernel forward computes float32 storage in float32 for the
 non-negative maps when its overflow guard allows
 (:func:`cosattn.linear._compute_dtype`), and in float64 otherwise.
+The shape rules of an attention call live in _require_qkv, which the
+quadratic references and :func:`cosattn.linear.attend`'s forward run on
+the arrays require_matrix has checked.
 """
 
 from __future__ import annotations
@@ -61,46 +64,26 @@ def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class AttentionDims:
-    """Validated shape bundle for one attention call.
-
-    ``lead`` holds the leading (batch, head, ...) axes that Q, K and V
-    share; it is empty for a single sequence.
-    """
-
-    n_q: int
-    n_k: int
-    d_k: int
-    d_v: int
-    lead: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for field in ("n_q", "n_k", "d_k", "d_v"):
-            if getattr(self, field) < 1:
-                raise DimensionError(f"{field} must be >= 1")
-
-    @classmethod
-    def from_qkv(cls, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
-                 causal: bool = False) -> "AttentionDims":
-        """Dims of (..., n, d) inputs; Q, K and V share their leading axes."""
-        lead = Q.shape[:-2]
-        if K.shape[:-2] != lead or V.shape[:-2] != lead:
-            raise DimensionError(
-                "Q, K and V must share their leading axes, got "
-                f"{Q.shape}, {K.shape} and {V.shape}")
-        (n_q, d_k), (n_k, d_k_key), (n_v, d_v) = \
-            Q.shape[-2:], K.shape[-2:], V.shape[-2:]
-        if d_k != d_k_key:
-            raise DimensionError(
-                f"Q and K must share the key width, got {Q.shape} vs {K.shape}")
-        if n_k != n_v:
-            raise DimensionError(
-                f"K and V must share the row count, got {K.shape} vs {V.shape}")
-        if causal and n_q != n_k:
-            raise DimensionError(
-                f"causal attention requires n_q == n_k, got {n_q} vs {n_k}")
-        return cls(n_q, n_k, d_k, d_v, lead)
+def _require_qkv(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
+                 causal: bool) -> None:
+    """Shape rules of one attention call on checked (..., n, d) stacks:
+    Q, K and V share their leading axes, Q and K their width, K and V
+    their row count, and a causal call has n_q == n_k."""
+    lead = Q.shape[:-2]
+    if K.shape[:-2] != lead or V.shape[:-2] != lead:
+        raise DimensionError(
+            "Q, K and V must share their leading axes, got "
+            f"{Q.shape}, {K.shape} and {V.shape}")
+    if Q.shape[-1] != K.shape[-1]:
+        raise DimensionError(
+            f"Q and K must share the key width, got {Q.shape} vs {K.shape}")
+    if K.shape[-2] != V.shape[-2]:
+        raise DimensionError(
+            f"K and V must share the row count, got {K.shape} vs {V.shape}")
+    if causal and Q.shape[-2] != K.shape[-2]:
+        raise DimensionError(
+            "causal attention requires n_q == n_k, got "
+            f"{Q.shape[-2]} vs {K.shape[-2]}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +175,8 @@ class AttentionConfig:
     use_softmax: bool = False
 
     def __post_init__(self):
-        _require_eps(self.eps)
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigurationError(f"eps must be finite and > 0, got {self.eps!r}")
         if self.use_softmax and (self.reweight, self.feature_map, self.eps) \
                 != (NO_REWEIGHT, RELU, DEFAULT_EPS):
             raise ConfigurationError(
@@ -217,11 +201,6 @@ class AttentionConfig:
     def linear(cls, feature_map: FeatureMapKind = RELU, causal: bool = False,
                eps: float = DEFAULT_EPS) -> "AttentionConfig":
         return cls(feature_map=feature_map, causal=causal, eps=eps)
-
-
-def _require_eps(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise ConfigurationError(f"eps must be finite and > 0, got {eps!r}")
 
 
 def _require_kernel_config(config: AttentionConfig):
@@ -278,7 +257,7 @@ def attention_weights_quadratic(Q, K, config: AttentionConfig) -> np.ndarray:
     _require_kernel_config(config)
     Q = require_matrix(Q, "Q")
     K = require_matrix(K, "K")
-    AttentionDims.from_qkv(Q, K, K, config.causal)  # K stands in for V
+    _require_qkv(Q, K, K, config.causal)  # K stands in for V
     W = _weights_quadratic_wide(Q, K, config)
     return W.astype(_storage_dtype(Q, K), copy=False)
 
@@ -292,6 +271,6 @@ def kernel_attention_quadratic(Q, K, V, config: AttentionConfig) -> np.ndarray:
     Q = require_matrix(Q, "Q")
     K = require_matrix(K, "K")
     V = require_matrix(V, "V")
-    AttentionDims.from_qkv(Q, K, V, config.causal)
+    _require_qkv(Q, K, V, config.causal)
     out = _weights_quadratic_wide(Q, K, config) @ _wide(V)
     return out.astype(_storage_dtype(Q, K, V), copy=False)

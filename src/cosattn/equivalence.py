@@ -157,19 +157,14 @@ def _injected(mutation: str):
 
 
 def _streaming_error(rng) -> float:
-    """Token loop vs batch causal forward, always in wide precision."""
-    n = int(rng.integers(1, 257))
-    d_k = int(rng.integers(1, 17))
-    d_v = int(rng.integers(1, 17))
-    Q = rng.standard_normal((n, d_k))
-    K = rng.standard_normal((n, d_k))
-    V = rng.standard_normal((n, d_v))
-    if rng.random() < 0.25:
-        Q[int(rng.integers(n))] = 0.0
+    """Token loop vs batch causal forward, always in wide precision; the
+    drawn causal flag is unused, since a decode is causal."""
+    Q, K, V, _ = _draw_case(rng, n_max=256, d_max=16)
+    n = Q.shape[0]
     m = int(rng.choice((n, 2 * n)))
     config = AttentionConfig.cosformer(m=m, causal=True)
     batch = attend(Q, K, V, config)
-    state = causal_state_init(d_k, d_v)
+    state = causal_state_init(Q.shape[1], V.shape[1])
     streamed = np.empty_like(batch)
     for t in range(n):
         state, streamed[t] = causal_state_step(state, Q[t], K[t], V[t], m,

@@ -38,10 +38,12 @@ to it; one Theta(_BLOCK * d_k * d_v) fold every _BLOCK tokens adds the
 chunk.
 
 Checks run once, at the public boundary: _forward, under attend and
-attend_backward alike, validates Q, K and V, then
+attend_backward alike, validates Q, K and V and, through
+:func:`cosattn.core._require_qkv`, their shapes; then
 :func:`cosattn.reweight.decompose` checks the horizon;
-causal_state_step checks its rows, eps and position before it changes
-its state. _scan checks nothing.
+causal_state_step checks its rows and position, and that m and eps are
+the ones its state's first step fixed, before it changes its state.
+_scan checks nothing.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ import numpy as np
 
 from .core import (
     AttentionConfig,
-    AttentionDims,
     DEFAULT_EPS,
     FeatureMapKind,
     RELU,
     _require_kernel_config,
-    _require_eps,
+    _require_qkv,
     _storage_dtype,
     _softmax_weights,
     _wide,
@@ -215,7 +216,7 @@ def _forward(Q, K, V, config: AttentionConfig):
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
     V = require_matrix(V, "V", stack=True)
-    AttentionDims.from_qkv(Q, K, V, config.causal)
+    _require_qkv(Q, K, V, config.causal)
     record = dict(config=config, Q=Q, K=K, V=V)
     if config.use_softmax:
         record["W"] = _softmax_weights(Q, K, config.causal)
@@ -287,10 +288,10 @@ class CausalState:
     cos/sin-scaled feature row, and ``keys`` (_BLOCK x 2 d_k) and
     ``vals`` (_BLOCK x (d_v + 1), ones in the last column) hold the
     current chunk's rows: position t sits in row (t - 1) % _BLOCK, and
-    the rows after it hold the previous chunk until overwritten. ``s``
-    (2 d_k x d_v, sum of kf_j v_j^T) and ``z`` (2 d_k, sum of kf_j) over
-    the t positions seen so far are read-only: each call builds a fresh
-    array from the carry and the chunk's rows.
+    the rows after it hold the previous chunk until overwritten. ``config``
+    is the cosformer config of the decode, set by the first accepted step
+    from its m and eps; every later step must pass the same two, since the
+    rows already summed were scaled at that horizon.
 
     Single-owner: step one position at a time; the state may move between
     execution contexts between steps but must not be stepped concurrently.
@@ -300,6 +301,7 @@ class CausalState:
     keys: np.ndarray
     vals: np.ndarray
     t: int = field(default=0)
+    config: AttentionConfig | None = field(default=None, init=False)
 
     @property
     def d_k(self) -> int:
@@ -308,19 +310,6 @@ class CausalState:
     @property
     def d_v(self) -> int:
         return self.carry.shape[1] - 1
-
-    def _sums(self) -> np.ndarray:
-        """carry plus the rows written since the last fold."""
-        r = (self.t - 1) % _BLOCK + 1 if self.t else 0
-        return self.carry + self.keys[:r].T @ self.vals[:r]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._sums()[:, :-1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._sums()[:, -1]
 
 
 def causal_state_init(d_k: int, d_v: int) -> CausalState:
@@ -351,9 +340,16 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
     Theta(d_k * d_v) read of the carry, and once every _BLOCK steps a
     Theta(_BLOCK * d_k * d_v) fold of the full chunk into the carry,
     however many steps came before. Chunk boundaries are the batch scan's.
-    Raises if the next position would exceed the horizon m.
+    Raises if the next position would exceed the horizon m, or if m or eps
+    differ from the first step's.
     """
-    _require_eps(eps)
+    config = state.config
+    if config is None:
+        config = AttentionConfig.cosformer(m, causal=True, eps=eps)
+    elif m != config.reweight.m or eps != config.eps:
+        raise ConfigurationError(
+            f"this decode runs at m={config.reweight.m}, eps={config.eps!r}; "
+            f"got m={m}, eps={eps!r}")
     q_t = np.asarray(q_t, dtype=np.float64)
     k_t = np.asarray(k_t, dtype=np.float64)
     v_t = np.asarray(v_t, dtype=np.float64)
@@ -370,6 +366,7 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
     pos = state.t + 1
     _require_horizon(pos, m)
 
+    state.config = config
     r = state.t % _BLOCK
     if r == 0 and state.t:
         _fold(state)

@@ -90,6 +90,8 @@ def test_run_benchmark_usage_errors():
         run_benchmark(["linear"], [8], 4, 2)
     with pytest.raises(ConfigurationError):
         run_benchmark(["linear"], [8], 0, 3)
+    with pytest.raises(ConfigurationError):
+        bench.variant_config("flash", 8, causal=False)
 
 
 def test_record_validation_rejects_bad_cells():

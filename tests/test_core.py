@@ -8,9 +8,9 @@ from cosattn.core import (
     IDENTITY,
     RELU,
     AttentionConfig,
-    AttentionDims,
     FeatureMapKind,
     ReweightScheme,
+    _require_qkv,
     apply_feature_map,
     attention_weights_quadratic,
     cosine_reweight,
@@ -66,23 +66,21 @@ def test_single_matrix_callers_still_reject_a_stack(tmp_path):
 
 def test_dims_validation():
     Q, K, V = np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 5))
-    dims = AttentionDims.from_qkv(Q, K, V)
-    assert (dims.n_q, dims.n_k, dims.d_k, dims.d_v) == (3, 4, 2, 5)
+    _require_qkv(Q, K, V, causal=False)
     with pytest.raises(DimensionError):
-        AttentionDims.from_qkv(Q, np.zeros((4, 3)), V)
+        _require_qkv(Q, np.zeros((4, 3)), V, causal=False)
     with pytest.raises(DimensionError):
-        AttentionDims.from_qkv(Q, K, np.zeros((3, 5)))
+        _require_qkv(Q, K, np.zeros((3, 5)), causal=False)
     with pytest.raises(DimensionError):
-        AttentionDims.from_qkv(Q, K, V, causal=True)
-    stacked = AttentionDims.from_qkv(*(np.stack([a] * 3) for a in (Q, K, V)))
-    assert stacked.lead == (3,) and stacked.n_k == 4 and dims.lead == ()
+        _require_qkv(Q, K, V, causal=True)
+    _require_qkv(*(np.stack([a] * 3) for a in (Q, K, V)), causal=False)
+    _require_qkv(*(np.zeros((2, 3, 4, 2)) for _ in range(3)), causal=True)
     # Leading axes must match exactly; they never broadcast.
     for lead_q, lead_k, lead_v in (((3,), (3,), (2,)), ((3,), (), ()),
                                    ((2, 3), (3,), (2, 3)), ((1,), (3,), (3,))):
         with pytest.raises(DimensionError):
-            AttentionDims.from_qkv(np.zeros(lead_q + Q.shape),
-                                   np.zeros(lead_k + K.shape),
-                                   np.zeros(lead_v + V.shape))
+            _require_qkv(np.zeros(lead_q + Q.shape), np.zeros(lead_k + K.shape),
+                         np.zeros(lead_v + V.shape), causal=False)
 
 
 def test_feature_map_kinds():

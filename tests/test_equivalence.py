@@ -8,6 +8,7 @@ from cosattn.core import AttentionConfig
 from cosattn.equivalence import (
     MUTATIONS,
     VARIANTS,
+    _draw_case,
     _injected,
     equivalence_trial,
     run_equivalence_suite,
@@ -124,16 +125,20 @@ def test_streaming_trial_catches_a_skipped_fold(monkeypatch):
     # The decode folds each full chunk into its carry in one helper; with
     # that helper a no-op, every sequence longer than one chunk forgets
     # its earlier chunks and breaks the 1e-12 bound, and no shorter one
-    # notices.
+    # notices. Nor does a case whose keys are all non-positive: every row
+    # sits on the eps floor and reads zero, whatever the carry holds.
     monkeypatch.setattr(linear, "_fold", lambda state: None)
     bound = threshold_for("streaming", "standard")
-    long = 0
+    long = floored = 0
     for trial in range(24):
-        n = int(np.random.default_rng([0, trial]).integers(1, 257))
+        _, K, _, _ = _draw_case(np.random.default_rng([0, trial]), 256, 16)
+        n = K.shape[0]
         error = equivalence_trial("streaming", seed=0, trial=trial)
-        assert (error > bound) == (n > _BLOCK), (trial, n, error)
-        long += n > _BLOCK
-    assert 0 < long < 24
+        shows = n > _BLOCK and (K > 0.0).any()
+        assert (error > bound) == shows, (trial, n, error)
+        long += shows
+        floored += not (K > 0.0).any()
+    assert 0 < long < 24 and floored
 
 
 def test_unfloored_denominator_fails_on_nan():

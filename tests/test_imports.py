@@ -1,7 +1,10 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and the package
+exports exactly what it imports."""
 
 import ast
 from pathlib import Path
+
+import cosattn
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cosattn"
 
@@ -35,3 +38,11 @@ def test_no_module_imports_a_name_it_never_uses():
               for name in _unused_imports(path)}
     # Equality, so an allowance goes once its import does.
     assert unused == ALLOWED
+
+
+def test_all_lists_each_imported_name_once():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(cosattn.__all__) == len(set(cosattn.__all__))
+    assert set(cosattn.__all__) == imported

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cosattn.core import (
+    DEFAULT_EPS,
     ELU_PLUS_ONE,
     IDENTITY,
     RELU,
@@ -211,49 +212,28 @@ def test_streaming_matches_batch():
         assert state.t == n
 
 
-def test_streaming_step_validation():
-    state = causal_state_init(3, 2)
-    with pytest.raises(DimensionError):
-        causal_state_step(state, np.ones(2), np.ones(3), np.ones(2), m=8)
-    with pytest.raises(DimensionError):
-        causal_state_step(state, np.ones(3), np.ones(3), np.ones(3), m=8)
-    with pytest.raises(ValueError):
-        causal_state_step(state, np.array([1.0, np.nan, 0.0]), np.ones(3),
-                          np.ones(2), m=8)
-    # a zero query row would divide 0 by 0 without the eps floor
-    with pytest.raises(ConfigurationError):
-        causal_state_step(state, np.zeros(3), np.ones(3), np.ones(2), m=8,
-                          eps=0.0)
-    with pytest.raises(ConfigurationError):
-        causal_state_step(state, np.ones(3), np.ones(3), np.ones(2), m=8,
-                          eps=np.inf)
-    # stepping past the horizon refuses
-    state2 = causal_state_init(1, 1)
-    causal_state_step(state2, np.ones(1), np.ones(1), np.ones(1), m=1)
-    with pytest.raises(ConfigurationError):
-        causal_state_step(state2, np.ones(1), np.ones(1), np.ones(1), m=1)
-
-
 def test_streaming_state_is_updated_in_place():
     state = causal_state_init(2, 2)
     returned, _ = causal_state_step(state, np.ones(2), np.ones(2),
                                     np.ones(2), m=4)
     assert returned is state
-    assert state.t == 1 and (state.s != 0.0).any()
+    assert state.t == 1 and (state.keys[0] != 0.0).any()
+    assert state.config == AttentionConfig.cosformer(4, causal=True)
 
 
 def _snapshot(state):
-    """Every field of a decode state, and its s and z, as bytes."""
-    return (state.t, state.s.tobytes(), state.z.tobytes(),
-            state.carry.tobytes(), state.keys.tobytes(), state.vals.tobytes())
+    """Every field of a decode state, the arrays as bytes."""
+    return (state.t, state.config, state.carry.tobytes(),
+            state.keys.tobytes(), state.vals.tobytes())
 
 
 @pytest.mark.parametrize("t", [0, 7, _BLOCK, 2 * _BLOCK + 3])
 def test_refused_steps_leave_the_state_unchanged(t):
     # At t = _BLOCK the chunk buffer is full, so the refused step is the
-    # one that would fold it into the carry first.
+    # one that would fold it into the carry first. The horizon m = t + 1
+    # admits exactly one more step.
     rng = np.random.default_rng(39)
-    d_k, d_v, m = 3, 2, 4 * _BLOCK
+    d_k, d_v, m = 3, 2, t + 1
     state = causal_state_init(d_k, d_v)
     for _ in range(t):
         causal_state_step(state, *rng.standard_normal((2, d_k)),
@@ -272,8 +252,13 @@ def test_refused_steps_leave_the_state_unchanged(t):
         (ConfigurationError, (q, k, v, m, 0.0)),
         (ConfigurationError, (q, k, v, m, -1.0)),
         (ConfigurationError, (q, k, v, m, np.inf)),
-        (ConfigurationError, (q, k, v, t)),  # position t + 1 is past m = t
+        (ConfigurationError, (q, k, v, 0)),  # no horizon m >= 1
     ]
+    if t:
+        # The first step fixed m and eps: the rows summed so far were
+        # scaled at that horizon.
+        refused += [(ConfigurationError, (q, k, v, m + 1)),
+                    (ConfigurationError, (q, k, v, m, 2 * DEFAULT_EPS))]
     before = _snapshot(state)
     for error, args in refused:
         with pytest.raises(error):
@@ -281,7 +266,12 @@ def test_refused_steps_leave_the_state_unchanged(t):
         assert _snapshot(state) == before, args
     # The state still decodes: the next accepted step folds as it should.
     causal_state_step(state, q, k, v, m)
-    assert state.t == t + 1
+    assert state.t == t + 1 == m
+    # Position m + 1 is past the horizon of the state's own m.
+    before = _snapshot(state)
+    with pytest.raises(ConfigurationError):
+        causal_state_step(state, q, k, v, m)
+    assert _snapshot(state) == before
 
 
 def test_streaming_chunk_boundaries_match_batch_and_prefix_sums():
@@ -291,6 +281,7 @@ def test_streaming_chunk_boundaries_match_batch_and_prefix_sums():
     config = AttentionConfig.cosformer(m=n, causal=True)  # m = n exactly
     batch = cosformer_attention(Q, K, V, config)
     _, kf = decompose(np.maximum(Q, 0.0), np.maximum(K, 0.0), n)
+    v1 = np.hstack((V, np.ones((n, 1))))
     checked = {1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, n}
     state = causal_state_init(d_k, d_v)
     for t in range(1, n + 1):
@@ -298,11 +289,13 @@ def test_streaming_chunk_boundaries_match_batch_and_prefix_sums():
         if t in checked:
             np.testing.assert_allclose(row, batch[t - 1], rtol=0, atol=1e-12,
                                        err_msg=f"row at t={t}")
-            s, z = kf[:t].T @ V[:t], kf[:t].sum(axis=0)
-            for got, want in ((state.s, s), (state.z, z)):
-                np.testing.assert_allclose(
-                    got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
-                    err_msg=f"sums at t={t}")
+            # The carry plus the current chunk's rows: [s | z] over 1..t.
+            r = (t - 1) % _BLOCK + 1
+            got = state.carry + state.keys[:r].T @ state.vals[:r]
+            want = kf[:t].T @ v1[:t]
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                err_msg=f"sums at t={t}")
     assert state.t == n
 
 

@@ -2,12 +2,18 @@
 
 Timing protocol: per (variant, length) cell, inputs are drawn from an rng
 keyed by (seed, length, d_model) so every variant times the exact same
-matrices, one warm-up call is discarded, then `repeats` calls are timed
-with a monotonic clock. A variant's lengths are timed round-robin, one
-call each per round, so slow stretches of a noisy machine hit every
-length alike and length-to-length ratios stay stable. Mean, std, and
-median of the repeats are all reported; ratio arguments should use the
-median, which is robust to a stray slow run.
+matrices. A variant's lengths are timed round-robin, one call each per
+round, so slow stretches of a noisy machine hit every length alike and
+length-to-length ratios stay stable. Warm-up rounds come first and are
+discarded: at least one, and more until the warm-up has lasted as long
+as the timed rounds should (repeats times the first round), up to
+_WARMUP_S seconds. After 45 s idle, a 2-vCPU shared host ran softmax
+calls at n = 2048 and 4096 2-2.5x slow for their first 1.45 s: one
+warm-up round did not cover that, and waiting for two rounds to agree
+would not either, since the slow rounds agree with each other. Then the
+last `repeats` rounds are timed with a monotonic clock.
+Mean, std, and median of the repeats are all reported; ratio arguments
+should use the median, which is robust to a stray slow run.
 
 Memory is reported as an analytic transient-scalar count, the number of
 temporary scalars the streaming form of each variant needs, rather than
@@ -38,6 +44,8 @@ from .linear import attend
 
 BENCH_VARIANTS = ("softmax", "linear", "cosformer")
 BENCH_MODES = ("inference", "train")
+
+_WARMUP_S = 2.0  # longest warm-up of one variant, in seconds
 
 
 def _require_variant(variant: str) -> None:
@@ -136,6 +144,18 @@ def _make_call(variant: str, mode: str, Q, K, V):
     return lambda: attend_backward(Q, K, V, config, d_out)
 
 
+def _round(calls, times) -> None:
+    """Time one call per length; running out of memory drops a length."""
+    for n, call in calls.items():
+        if times[n] is not None:
+            start = time.perf_counter()
+            try:
+                call()
+                times[n].append(time.perf_counter() - start)
+            except MemoryError:
+                times[n] = None
+
+
 def run_benchmark(variants, lengths, d_model: int, repeats: int,
                   mode: str = "inference", seed: int = 0) -> list[BenchmarkRecord]:
     """Time each variant at each length; returns one record per cell."""
@@ -165,27 +185,20 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
             V = rng.standard_normal((n, d_model))
             calls[n] = _make_call(variant, mode, Q, K, V)
         times = {n: [] for n in lengths}
-        # Each round calls every length once, so a burst of machine noise
-        # lands on all lengths of the variant alike instead of skewing
-        # their ratios. Round 0 is the warm-up; its times are dropped.
-        for _ in range(1 + repeats):
-            for n in lengths:
-                if times[n] is None:
-                    continue
-                start = time.perf_counter()
-                try:
-                    calls[n]()
-                except MemoryError:
-                    times[n] = None
-                    continue
-                times[n].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        _round(calls, times)
+        warmup_s = min(_WARMUP_S, repeats * (time.perf_counter() - start))
+        while time.perf_counter() - start < warmup_s:
+            _round(calls, times)
+        for _ in range(repeats):
+            _round(calls, times)
         for n in lengths:
             if times[n] is None:
                 mean_s = std_s = median_s = float("nan")
             else:
-                mean_s = statistics.fmean(times[n][1:])
-                std_s = statistics.pstdev(times[n][1:])
-                median_s = statistics.median(times[n][1:])
+                mean_s = statistics.fmean(times[n][-repeats:])
+                std_s = statistics.pstdev(times[n][-repeats:])
+                median_s = statistics.median(times[n][-repeats:])
             record = BenchmarkRecord(
                 variant=variant,
                 seq_len=n,

@@ -7,8 +7,8 @@ wrapper over :func:`cosattn.linear.attend`. Element storage may be float32
 ("standard") or float64 ("wide"); results come back in the storage dtype
 of the inputs. The quadratic references here always reduce in float64.
 The linear-time kernel forward computes float32 storage in float32 for the
-non-negative maps when its overflow guard allows
-(:func:`cosattn.linear._compute_dtype`), and in float64 otherwise.
+non-negative maps, redoing in float64 a scan that overflows, and computes
+everything else in float64 (:func:`cosattn.linear._forward`).
 The shape rules of an attention call live in _require_qkv, which the
 quadratic references and :func:`cosattn.linear.attend`'s forward run on
 the arrays require_matrix has checked.
@@ -46,7 +46,7 @@ def _storage_dtype(*arrays: np.ndarray) -> np.dtype:
 
 
 def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Validate x as a finite, non-empty float matrix and return it as an ndarray.
+    """Validate x as a finite, non-empty real matrix and return it as an ndarray.
 
     With stack=True x may also be a stack (..., rows, cols) of matrices
     with any leading axes; otherwise it must be exactly 2-D.
@@ -57,6 +57,8 @@ def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise DimensionError(f"{name} must be {want}, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():

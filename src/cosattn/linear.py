@@ -20,11 +20,11 @@ from the record the private _forward keeps of the forward's scan:
 attend is that forward with its record dropped.
 Cost is Theta(n * d_k * d_v); peak transient allocation is
 Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
-Theta(n^2). The kernel forward computes in one dtype, chosen once per
-call by _compute_dtype: float32 for float32 storage under a non-negative
-feature map (relu, elu_plus_one) while the scan provably cannot
-overflow, float64 for everything else. The softmax reference and every
-backward compute in float64.
+Theta(n^2). The kernel forward computes float32 storage in float32 under
+a non-negative feature map (relu, elu_plus_one), and everything else in
+float64; a float32 scan that overflows shows inf or NaN in its
+[num | den] and is redone once in float64 (see _forward). The softmax
+reference and every backward compute in float64.
 
 Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
@@ -165,37 +165,13 @@ _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _compute_dtype(Q, K, V, config: AttentionConfig) -> np.dtype:
-    """The dtype a kernel forward computes in: float32 or float64.
-
-    float32 storage under a non-negative feature map (relu, elu_plus_one)
-    computes in float32 when the scan provably cannot overflow: every
-    feature is >= 0, so no sum in the scan cancels and each is at most
-
-        n_k * width * max(qf) * max(kf) * max(1, max|V|),
-
-    width being d_k, or 2 d_k for cosformer's cos/sin rows. The bound
-    covers the in-chunk similarities, the carried state and num/den alike;
-    it must stay below half the float32 maximum (the half absorbs rounding
-    growth in the sums), and eps must be a normal float32. Anything else
-    computes in float64: float64 storage, a sign-indefinite map (identity,
-    leaky_relu), and float32 inputs large enough to break the bound. The
-    guard reads the whole input, so a suffix edit large enough to trip it
-    moves the whole call, prefix rows included, to float64, and so does
-    one such slice of a stack, for every slice.
-    """
-    if _storage_dtype(Q, K, V) != np.float32 or not config.feature_map.nonnegative \
-            or not _F32_TINY <= config.eps <= _F32_MAX:
-        return np.dtype(np.float64)
-    # Both non-negative maps are non-decreasing: max phi(X) = phi(max X).
-    # Python floats, so that an oversized bound compares as inf instead of
-    # overflowing a float32 scalar.
-    top_q, top_k = (float(apply_feature_map(np.float64(X.max()), config.feature_map))
-                    for X in (Q, K))
-    top_v = max(1.0, float(V.max()), -float(V.min()))
-    width = Q.shape[-1] * (2 if config.reweight.kind == "cosine" else 1)
-    bound = K.shape[-2] * width * top_q * top_k * top_v
-    return np.dtype(np.float32 if bound < 0.5 * _F32_MAX else np.float64)
+def _map_and_scan(Q, K, V, config: AttentionConfig, dtype):
+    """The feature pair (qf, kf) and the scanned [num | den], in dtype."""
+    qf, kf = (apply_feature_map(np.asarray(X, dtype), config.feature_map)
+              for X in (Q, K))
+    if config.reweight.kind == "cosine":
+        qf, kf = decompose(qf, kf, config.reweight.m)
+    return qf, kf, _scan(qf, kf, _with_ones(V, dtype), config.causal)
 
 
 def _forward(Q, K, V, config: AttentionConfig):
@@ -206,12 +182,24 @@ def _forward(Q, K, V, config: AttentionConfig):
     one shape per config: the config and the validated Q, K and V, then
     for softmax the weight matrix W, and for a kernel the feature pair
     (qf, kf), the output ``out`` and the unfloored denominator ``den``,
-    all in the compute dtype of :func:`_compute_dtype`. den is a view of
-    the scanned [num | den] buffer; out is a fresh array, and when the
-    compute dtype is the storage dtype the returned out is the record's
-    out, so it must not be edited in place while the record lives.
-    Neither [V | 1] nor cosformer's feature-mapped rows phi(Q), phi(K)
-    are kept: the backward rebuilds both, bit-identically.
+    all in the compute dtype. den is a view of the scanned [num | den]
+    buffer; out is a fresh array, and when the compute dtype is the
+    storage dtype the returned out is the record's out, so it must not be
+    edited in place while the record lives. Neither [V | 1] nor
+    cosformer's feature-mapped rows phi(Q), phi(K) are kept: the backward
+    rebuilds both, bit-identically.
+
+    A kernel forward scans float32 storage in float32 under a non-negative
+    map (relu, elu_plus_one) with eps a normal float32 (else eps rounds to
+    0 or inf), and all else in float64, since a sign-indefinite map may
+    cancel in its denominators. With finite inputs and non-negative finite
+    features a float32 scan fails only by overflowing, and [num | den]
+    shows it: an inf in an unmasked similarity, in the carry or in a
+    product arrives there as inf or NaN (0 * inf is NaN); one in a masked
+    similarity is zeroed and affects nothing. The call is then scanned
+    again in float64; num is checked, not out, as an overflowed den over a
+    finite num divides to a finite 0. So a suffix edit that overflows, or
+    one such slice of a stack, moves the whole call to float64.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
@@ -222,12 +210,13 @@ def _forward(Q, K, V, config: AttentionConfig):
         record["W"] = _softmax_weights(Q, K, config.causal)
         out = record["W"] @ _wide(V)
     else:
-        dtype = _compute_dtype(Q, K, V, config)
-        qf, kf = (apply_feature_map(np.asarray(X, dtype), config.feature_map)
-                  for X in (Q, K))
-        if config.reweight.kind == "cosine":
-            qf, kf = decompose(qf, kf, config.reweight.m)
-        num = _scan(qf, kf, _with_ones(V, dtype), config.causal)
+        num = None
+        if _storage_dtype(Q, K, V) == np.float32 and config.feature_map.nonnegative \
+                and _F32_TINY <= config.eps <= _F32_MAX:
+            with np.errstate(over="ignore", invalid="ignore"):  # num shows overflow
+                qf, kf, num = _map_and_scan(Q, K, V, config, np.float32)
+        if num is None or not np.isfinite(num).all():
+            qf, kf, num = _map_and_scan(Q, K, V, config, np.float64)
         out = _finalize(num, config.eps)
         record.update(qf=qf, kf=kf, out=out, den=num[..., -1])
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
@@ -350,9 +339,7 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
         raise ConfigurationError(
             f"this decode runs at m={config.reweight.m}, eps={config.eps!r}; "
             f"got m={m}, eps={eps!r}")
-    q_t = np.asarray(q_t, dtype=np.float64)
-    k_t = np.asarray(k_t, dtype=np.float64)
-    v_t = np.asarray(v_t, dtype=np.float64)
+    q_t, k_t, v_t = np.asarray(q_t), np.asarray(k_t), np.asarray(v_t)
     d = state.d_k
     if q_t.shape != (d,) or k_t.shape != (d,):
         raise DimensionError(
@@ -360,7 +347,10 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
             f"{q_t.shape} and {k_t.shape}")
     if v_t.shape != (state.d_v,):
         raise DimensionError(f"v_t must have shape ({state.d_v},), got {v_t.shape}")
-    row = np.concatenate((q_t, k_t, v_t))
+    if "c" in (q_t.dtype.kind, k_t.dtype.kind, v_t.dtype.kind):
+        raise ValueError("step rows must be real, not complex")
+    # The cast np.asarray(x, np.float64) makes; complex was refused above.
+    row = np.concatenate((q_t, k_t, v_t), dtype=np.float64, casting="unsafe")
     if not np.isfinite(row).all():
         raise ValueError("step rows contain non-finite entries")
     pos = state.t + 1

@@ -7,7 +7,8 @@ the 1-based line number of whatever they choke on.
 
 Coverage images are PGM P2 (ASCII grayscale): "P2", then "cols rows",
 then the maxval 255, then one image row per line, each pixel being
-round(255 * coverage).
+round(255 * coverage). Both readers refuse a header with a count below 1
+and anything but blank lines after the last row.
 """
 
 from __future__ import annotations
@@ -34,21 +35,61 @@ def write_matrix(m, path) -> None:
         fh.write(text)
 
 
-def _parse_reals(text: str, expected: int, line_no: int) -> list[float]:
-    tokens = text.split()
-    if len(tokens) != expected:
+def _dims(line: str, line_no: int, names: str) -> tuple[int, int]:
+    """The two positive integers of a header line such as 'rows cols'."""
+    try:
+        first, second = (int(tok) for tok in line.split())
+    except ValueError:
         raise MatrixParseError(
-            f"expected {expected} values, found {len(tokens)}", line_no)
-    values = []
-    for tok in tokens:
-        try:
-            v = float(tok)
-        except ValueError:
-            raise MatrixParseError(f"not a number: {tok!r}", line_no) from None
-        if not np.isfinite(v):
-            raise MatrixParseError(f"non-finite value: {tok!r}", line_no)
-        values.append(v)
-    return values
+            f"header must be '{names}', got {line!r}", line_no) from None
+    if first < 1 or second < 1:
+        raise MatrixParseError(
+            f"header must give a non-empty '{names}', got {line!r}", line_no)
+    return first, second
+
+
+def _real(tok: str, line_no: int) -> float:
+    try:
+        v = float(tok)
+    except ValueError:
+        raise MatrixParseError(f"not a number: {tok!r}", line_no) from None
+    if not np.isfinite(v):
+        raise MatrixParseError(f"non-finite value: {tok!r}", line_no)
+    return v
+
+
+def _pixel(tok: str, line_no: int) -> int:
+    try:
+        v = int(tok)
+    except ValueError:
+        raise MatrixParseError(f"not a pixel value: {tok!r}", line_no) from None
+    if not 0 <= v <= 255:
+        raise MatrixParseError(f"pixel out of range: {v}", line_no)
+    return v
+
+
+def _rows(lines: list[str], header: int, shape: tuple[int, int], parse,
+          dtype) -> np.ndarray:
+    """The rows after the first `header` lines, each value read by parse;
+    the file must hold exactly shape[0] rows of shape[1] values, then only
+    blank lines."""
+    rows, cols = shape
+    out = np.empty(shape, dtype)
+    for r in range(rows):
+        line_no = header + r + 1
+        if line_no > len(lines):
+            raise MatrixParseError(
+                f"file ends before row {r + 1} of {rows}", line_no)
+        tokens = lines[line_no - 1].split()
+        if len(tokens) != cols:
+            raise MatrixParseError(
+                f"expected {cols} values, found {len(tokens)}", line_no)
+        out[r] = [parse(tok, line_no) for tok in tokens]
+    for extra in range(header + rows, len(lines)):
+        if lines[extra].strip():
+            raise MatrixParseError("trailing content after the last row",
+                                   extra + 1)
+    return out
 
 
 def read_matrix(path) -> np.ndarray:
@@ -56,36 +97,14 @@ def read_matrix(path) -> np.ndarray:
         lines = fh.read().splitlines()
     if not lines:
         raise MatrixParseError("empty file", 1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MatrixParseError(
-            f"header must be 'rows cols', got {lines[0]!r}", 1)
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise MatrixParseError(
-            f"header must be 'rows cols', got {lines[0]!r}", 1) from None
-    if rows < 1 or cols < 1:
-        raise MatrixParseError(f"matrix must be non-empty, got {rows}x{cols}", 1)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        line_no = r + 2
-        if line_no > len(lines):
-            raise MatrixParseError(
-                f"file ends before row {r + 1} of {rows}", line_no)
-        out[r] = _parse_reals(lines[line_no - 1], cols, line_no)
-    for extra in range(rows + 1, len(lines)):
-        if lines[extra].strip():
-            raise MatrixParseError("trailing content after matrix", extra + 1)
-    return out
+    return _rows(lines, 1, _dims(lines[0], 1, "rows cols"), _real, np.float64)
 
 
 def write_pgm(cov, path) -> None:
     """8-bit ASCII grayscale image of a coverage matrix (or plain values)."""
-    values = np.asarray(getattr(cov, "values", cov), dtype=np.float64)
-    values = require_matrix(values, "coverage values")
+    values = require_matrix(getattr(cov, "values", cov), "coverage values")
     _require_unit_values(values)
-    pixels = np.rint(values * 255.0).astype(np.int64)
+    pixels = np.rint(values * np.float64(255.0)).astype(np.int64)
     rows, cols = pixels.shape
     lines = ["P2", f"{cols} {rows}", "255"]
     for row in pixels:
@@ -102,32 +121,7 @@ def read_pgm(path) -> np.ndarray:
         raise MatrixParseError("not a P2 image", 1)
     if len(lines) < 3:
         raise MatrixParseError("truncated P2 header", len(lines) + 1)
-    dims = lines[1].split()
-    if len(dims) != 2:
-        raise MatrixParseError(f"expected 'cols rows', got {lines[1]!r}", 2)
-    try:
-        cols, rows = int(dims[0]), int(dims[1])
-    except ValueError:
-        raise MatrixParseError(f"expected 'cols rows', got {lines[1]!r}", 2) from None
+    cols, rows = _dims(lines[1], 2, "cols rows")
     if lines[2].strip() != "255":
         raise MatrixParseError(f"maxval must be 255, got {lines[2]!r}", 3)
-    pixels = np.empty((rows, cols), dtype=np.int64)
-    for r in range(rows):
-        line_no = r + 4
-        if line_no > len(lines):
-            raise MatrixParseError(
-                f"file ends before row {r + 1} of {rows}", line_no)
-        tokens = lines[line_no - 1].split()
-        if len(tokens) != cols:
-            raise MatrixParseError(
-                f"expected {cols} pixels, found {len(tokens)}", line_no)
-        for c, tok in enumerate(tokens):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise MatrixParseError(f"not a pixel value: {tok!r}",
-                                       line_no) from None
-            if not 0 <= v <= 255:
-                raise MatrixParseError(f"pixel out of range: {v}", line_no)
-            pixels[r, c] = v
-    return pixels
+    return _rows(lines, 3, (rows, cols), _pixel, np.int64)

@@ -35,6 +35,9 @@ def test_require_matrix_validation():
         require_matrix(np.zeros((0, 2)), "x")
     with pytest.raises(ValueError):
         require_matrix(np.array([[1.0, np.nan]]), "x")
+    # Refused, not cast to its real part.
+    with pytest.raises(ValueError, match="real"):
+        require_matrix((1 + 1j) * np.ones((4, 2)), "x")
     out = require_matrix([[1, 2], [3, 4]], "x")
     assert out.dtype == np.float64 and out.shape == (2, 2)
 

@@ -155,8 +155,8 @@ def test_causal_prefix_bit_identical_under_suffix_edits():
         Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
         Q2[cut:], K2[cut:], V2[cut:] = 1e6, -1e6, 42.0
         for dtype in (np.float64, np.float32):
-            # The edits stay inside the float32 path's overflow guard, so
-            # both calls scan in the storage dtype.
+            # The edits do not overflow a float32 scan, so both calls scan
+            # in the storage dtype.
             base, record = _forward(*(a.astype(dtype) for a in (Q, K, V)), config)
             edited, record2 = _forward(*(a.astype(dtype) for a in (Q2, K2, V2)),
                                        config)
@@ -249,6 +249,7 @@ def test_refused_steps_leave_the_state_unchanged(t):
         (ValueError, (nan_q, k, v, m)),
         (ValueError, (q, inf_k, v, m)),
         (ValueError, (q, k, inf_v, m)),
+        (ValueError, (q, k, (1 + 1j) * v, m)),  # not cast to its real part
         (ConfigurationError, (q, k, v, m, 0.0)),
         (ConfigurationError, (q, k, v, m, -1.0)),
         (ConfigurationError, (q, k, v, m, np.inf)),
@@ -367,8 +368,8 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     n = 3 * _BLOCK + 5
     config = _kernel_config(variant, n, causal=True)
     Q, K, V = (rng.standard_normal((n, 8)) for _ in range(3))
-    # Unguarded, float32 sums of these overflow to inf and the output to
-    # NaN; the float64 forward of the same values is finite.
+    # Float32 sums of these overflow to inf and the output to NaN; the
+    # float64 forward of the same values is finite.
     for scale in (1e13, 1e18):
         args = [(a * scale).astype(np.float32) for a in (Q, K, V)]
         out, record = _forward(*args, config)
@@ -384,3 +385,40 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     args = [a.astype(np.float32) for a in (Q, K, V)]
     out, record = _forward(*args, config)
     assert record["qf"].dtype == np.float64 and np.isfinite(out).all()
+    # Only the float32 attempt is silent: a float64 scan that overflows
+    # still warns.
+    with pytest.warns(RuntimeWarning):
+        attend(*(a * 1e200 for a in (Q, K, V)), config)
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_float32_scan_that_stays_finite_computes_in_float32(variant):
+    # At 1e12 the scanned sums stay finite in float32, though the worst
+    # case n_k * width * max phi(Q) * max phi(K) * max|V| exceeds the
+    # float32 maximum.
+    rng = np.random.default_rng(41)
+    n = 101
+    config = _kernel_config(variant, n, causal=True)
+    Q, K, V = ((rng.standard_normal((n, 8)) * 1e12).astype(np.float32)
+               for _ in range(3))
+    out, record = _forward(Q, K, V, config)
+    assert record["qf"].dtype == np.float32 and out.dtype == np.float32
+    oracle = kernel_attention_quadratic(Q, K, V, config)
+    assert _rel(out, oracle) <= GATE_BOUND[out.dtype]
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_one_overflowing_slice_moves_the_stack_to_float64(variant):
+    rng = np.random.default_rng(42)
+    n = 2 * _BLOCK + 7
+    config = _kernel_config(variant, n, causal=True)
+    Q, K, V = (rng.standard_normal((3, n, 8)) for _ in range(3))
+    for X in (Q, K, V):
+        X[1] *= 1e18
+    args = [X.astype(np.float32) for X in (Q, K, V)]
+    out, record = _forward(*args, config)
+    assert record["qf"].dtype == np.float64 and np.isfinite(out).all()
+    for idx in range(3):
+        # Each slice, the overflow-free ones too, is its float64 forward.
+        wide = attend(*(X[idx].astype(np.float64) for X in args), config)
+        assert np.array_equal(out[idx], wide.astype(np.float32)), idx

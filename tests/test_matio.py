@@ -89,6 +89,8 @@ def test_pgm_accepts_plain_arrays_and_quantizes(tmp_path):
 def test_pgm_rejects_out_of_range_values(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(np.array([[1.5, 0.0]]), tmp_path / "x.pgm")
+    with pytest.raises(ValueError, match="real"):  # not cast to its real part
+        write_pgm(np.full((2, 2), 0.5 + 0.5j), tmp_path / "x.pgm")
 
 
 @pytest.mark.parametrize("text,line", [
@@ -99,6 +101,9 @@ def test_pgm_rejects_out_of_range_values(tmp_path):
     ("P2\n2 2\n255\n0 0\n0 q\n", 5),
     ("P2\n2 2\n255\n0 0\n0 300\n", 5),
     ("P2\n2 2\n255\n0 0\n", 5),
+    ("P2\n-1 2\n255\n", 2),
+    ("P2\n0 0\n255\n", 2),
+    ("P2\n2 2\n255\n0 0\n0 0\n\n7\n", 7),
 ])
 def test_pgm_parse_errors(tmp_path, text, line):
     path = _write(tmp_path, text)

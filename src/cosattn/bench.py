@@ -19,10 +19,12 @@ Memory is reported as an analytic transient-scalar count, the number of
 temporary scalars the streaming form of each variant needs, rather than
 OS-level RSS: the count is deterministic, portable, and shows the
 asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
-variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The vectorized batch
-implementations here allocate additional O(n * d) staging buffers on top
-of these counts; the counts track the algorithmic working set, not this
-library's allocator behavior.
+variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The batch
+implementations here allocate more on top of these counts: a causal
+forward its n x (d + 1) [num | den] and fixed-size panels of feature
+rows, a non-causal forward or a backward O(n * d) staging buffers; the
+counts track the algorithmic working set, not this library's allocator
+behavior.
 
 A quadratic cell that runs out of memory is recorded with NaN timings
 rather than aborting the sweep, so large-length comparisons against the

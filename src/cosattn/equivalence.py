@@ -104,19 +104,19 @@ def _draw_case(rng, n_max: int, d_max: int):
     return Q, K, V, causal
 
 
-def _position_off_by_one(decompose, Q_feat, K_feat, m):
-    """Query rows scaled at positions 2..n+1 instead of 1..n."""
-    q, k = decompose(Q_feat, K_feat, m)
+def _position_off_by_one(decompose, Q_feat, K_feat, m, first=1):
+    """Query rows scaled one position past their own."""
+    q, k = decompose(Q_feat, K_feat, m, first)
     qc, qs = np.split(q, 2, axis=-1)
     # Each (cos, sin) pair turned on by one angle; Python floats keep q's dtype.
     c, s = float(np.cos(np.pi / (2.0 * m))), float(np.sin(np.pi / (2.0 * m)))
     return np.concatenate([qc * c - qs * s, qs * c + qc * s], axis=-1), k
 
 
-def _dropped_sin_branch(decompose, Q_feat, K_feat, m):
+def _dropped_sin_branch(decompose, Q_feat, K_feat, m, first=1):
     """Only the left (cos-scaled) d columns of each feature row."""
     d = Q_feat.shape[-1]
-    return tuple(x[..., :d] for x in decompose(Q_feat, K_feat, m))
+    return tuple(x[..., :d] for x in decompose(Q_feat, K_feat, m, first))
 
 
 def _unfloored_denominator(finalize, num, eps):
@@ -125,12 +125,16 @@ def _unfloored_denominator(finalize, num, eps):
         return num[..., :-1] / num[..., -1:]
 
 
-def _dropped_carry(scan, qf, kf, v, causal):
-    """Each causal chunk scanned on its own: no state carried between chunks."""
+def _dropped_carry(scan, x, y, v, causal, config=None, suffix=False, ones=False):
+    """Each causal chunk scanned on its own: no state carried between chunks.
+    The rows are mapped whole first, so each keeps its own position."""
     if not causal:
-        return scan(qf, kf, v, False)
-    chunks = (slice(i, i + _BLOCK) for i in range(0, qf.shape[-2], _BLOCK))
-    return np.concatenate([scan(qf[..., c, :], kf[..., c, :], v[..., c, :], True)
+        return scan(x, y, v, False, config, suffix, ones)
+    if config is not None:
+        x, y = linear._features(x, y, config, np.result_type(x, v))
+    chunks = (slice(i, i + _BLOCK) for i in range(0, x.shape[-2], _BLOCK))
+    return np.concatenate([scan(x[..., c, :], y[..., c, :], v[..., c, :], True,
+                                suffix=suffix, ones=ones)
                            for c in chunks], axis=-2)
 
 

@@ -11,7 +11,10 @@ one such caller. The kernel backward never materializes an n x n matrix:
 it is three runs of the forward's scan, because every gradient of
 kernel attention is itself a kernel numerator. The dQ scan admits keys
 j <= i as the forward does; the dK and dV scans are suffix scans, in
-which key j sees the queries i >= j. Cost stays Theta(n * d_k * d_v).
+which key j sees the queries i >= j. The dV scan maps Q and K one panel
+at a time, as the forward does; dQ and dK scan the pair (a, [V | 1]),
+position-scaled once over all rows, against phi(K) and phi(Q). Cost
+stays Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
 denominator at or below the floor eps is treated as a constant,
@@ -23,14 +26,17 @@ shared by Q, K and V, and a d_out of exactly the forward output's shape
 gradients are computed and returned in float64, shaped like Q, K and V.
 A record from a float32 kernel forward is widened to float64 once, at
 the start of the backward, so its arithmetic is the float64 backward's;
-only the forward's float32 rounding of qf, kf, out and den carries over.
+only the forward's float32 rounding of its feature rows, out and den
+carries over.
 On a query row whose only relu feature is small, dQ's error from that
 rounding grows like 1 / phi(q_i): the denominator's share, built from
 the rounded out, cancels the numerator's. In 2000 random float32 cases
 it reached 1.3e-4 of the largest float64 gradient entry.
 
 The forward checks Q, K, V and the horizon, and _backward checks d_out;
-the pair (a, [V | 1]) is then position-scaled unchecked.
+the pair (a, [V | 1]) is then position-scaled unchecked, and the dV
+scan's panels go through :func:`cosattn.reweight.decompose` as the
+forward's do.
 """
 
 from __future__ import annotations
@@ -50,10 +56,7 @@ from .core import (
 )
 from .errors import ConfigurationError, DimensionError
 from .linear import _forward, _require_cosine_config, _scan, _with_ones
-from .reweight import _position_scaled
-# Not called here; the benchmark's trace wraps this module attribute, so
-# it stays importable until the benchmark drops it.
-from .reweight import position_factors  # noqa: F401
+from .reweight import _position_scaled, position_factors
 
 
 def feature_map_derivative(x: np.ndarray, kind: FeatureMapKind) -> np.ndarray:
@@ -91,8 +94,9 @@ def _backward(record: dict, d_out):
     w = (d_out . out) / dhat, the loss's derivative by the similarity
     qf_i . kf_j is u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and
     b = [V | 1]. dV sums (qf_i . kf_j) u_i over the queries i that key j
-    reaches. dQ and dK scan the feature pair of (a, b) over the
-    feature-mapped rows Kp and Qp: the pair's inner products are
+    reaches, mapping its own panels of K and Q. dQ and dK scan the
+    feature pair of (a, b) over the feature-mapped rows Kp and Qp: the
+    pair's inner products are
     a_i . b_j times the re-weight of (i, j), the derivative by
     Qp_i . Kp_j, so both come out d columns wide. Leading axes of the
     (..., n, d) inputs ride along in every step.
@@ -113,15 +117,12 @@ def _backward(record: dict, d_out):
         return dQ, dK, dV
 
     causal, fm = config.causal, config.feature_map
-    # A float32 forward's arrays are widened once, here. Cosformer's Qp, Kp
-    # are mapped again in the forward's dtype, so they are bit-identical
-    # to the rows the forward decomposed.
-    dtype = record["qf"].dtype
-    qf, kf, out, den = (_wide(record.pop(k)) for k in ("qf", "kf", "out", "den"))
-    if config.reweight.kind == "cosine":
-        Qp, Kp = (_wide(apply_feature_map(np.asarray(X, dtype), fm)) for X in (Q, K))
-    else:
-        Qp, Kp = qf, kf
+    # A float32 forward's out and den are widened once, here. Q and K are
+    # mapped again in the forward's compute dtype, so their feature rows
+    # are bit-identical to the ones the forward scanned.
+    dtype = record["den"].dtype
+    out, den = (_wide(record.pop(k)) for k in ("out", "den"))
+    Qc, Kc = (np.asarray(X, dtype) for X in (Q, K))
     dhat = np.maximum(den, config.eps)
     # a = [u | -w], u = g / dhat. A row at or below the floor sees a
     # constant denominator, so its w, the denominator's share, is 0.
@@ -131,18 +132,23 @@ def _backward(record: dict, d_out):
                           -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
     del out, den, dhat
 
-    # Each buffer goes right after its last use (u is a view of a): at
-    # n = 4096, d = 64 a float64 call then peaks at 18.4 MiB under
-    # tracemalloc, against 32.5 MiB with every buffer kept to the end.
-    dV = _scan(kf, qf, u, causal, suffix=True)
-    del qf, kf, u
+    # The dV walk maps its own panels of K and Q. Each buffer goes right
+    # after its last use: u (a view of a) after dV, the unscaled a before
+    # b is scaled, Kp after dQ. At n = 4096, d = 64 a float64 call then
+    # peaks at 16.4 MiB under tracemalloc.
+    dV = _scan(Kc, Qc, u, causal, config, suffix=True)
+    del u
     b = _with_ones(V, np.float64)
     if config.reweight.kind == "cosine":
-        m = config.reweight.m
-        a, b = _position_scaled(a, m), _position_scaled(b, m)
+        factors = position_factors(max(a.shape[-2], b.shape[-2]),
+                                   config.reweight.m)
+        a = _position_scaled(a, factors)
+        b = _position_scaled(b, factors)
+    Kp = _wide(apply_feature_map(Kc, fm))
     dQ = _scan(a, b, Kp, causal)
-    dK = _scan(b, a, Qp, causal, suffix=True)
-    del a, b, Qp, Kp
+    del Kp
+    dK = _scan(b, a, _wide(apply_feature_map(Qc, fm)), causal, suffix=True)
+    del a, b
     dQ *= feature_map_derivative(Qw, fm)
     dK *= feature_map_derivative(Kw, fm)
     return dQ, dK, dV

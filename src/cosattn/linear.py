@@ -15,11 +15,15 @@ re-weight they are the 2d-wide cos/sin-scaled rows of
 re-weight exactly. Either way one scan over one feature pair does the
 work: it scans [V | 1], so the numerator and the denominator come out
 of one (feature width) x (d_v + 1) sum, whose ones column is the key
-total. The analytic backward in :mod:`cosattn.grad` runs the same scan,
-from the record the private _forward keeps of the forward's scan:
+total. The causal scan walks fixed panels of rows and maps each panel
+(phi, then decompose at the panel's own positions, then [V | 1]) as it
+reaches it, so no n-row feature array exists; the non-causal scan maps
+all rows at once. The analytic backward in :mod:`cosattn.grad` runs the
+same scan, from the record the private _forward keeps of the forward:
 attend is that forward with its record dropped.
-Cost is Theta(n * d_k * d_v); peak transient allocation is
-Theta(n * d + d^2) (the causal path scans in fixed-size blocks) and never
+Cost is Theta(n * d_k * d_v); beyond its n x (d_v + 1) [num | den] and
+output, a causal forward's transient allocation is Theta(_PANEL * d +
+d^2) whatever n is, a non-causal one's Theta(n * d + d^2), and never
 Theta(n^2). The kernel forward computes float32 storage in float32 under
 a non-negative feature map (relu, elu_plus_one), and everything else in
 float64; a float32 scan that overflows shows inf or NaN in its
@@ -38,12 +42,12 @@ to it; one Theta(_BLOCK * d_k * d_v) fold every _BLOCK tokens adds the
 chunk.
 
 Checks run once, at the public boundary: _forward, under attend and
-attend_backward alike, validates Q, K and V and, through
-:func:`cosattn.core._require_qkv`, their shapes; then
-:func:`cosattn.reweight.decompose` checks the horizon;
-causal_state_step checks its rows and position, and that m and eps are
-the ones its state's first step fixed, before it changes its state.
-_scan checks nothing.
+attend_backward alike, validates Q, K and V, through
+:func:`cosattn.core._require_qkv` their shapes, and a cosine config's
+horizon, all before any work; causal_state_step checks its rows and
+position, and that m and eps are the ones its state's first step fixed,
+before it changes its state. _scan checks nothing of its own;
+:func:`cosattn.reweight.decompose` still checks each panel it is given.
 """
 
 from __future__ import annotations
@@ -92,56 +96,103 @@ def _causal_drop(rows: int) -> np.ndarray:
     return drop
 
 
-def _scan(qf, kf, v, causal: bool, suffix: bool = False):
-    """Rows sum_j (qf_i . kf_j) v_j over the keys each query admits.
+# Rows per panel of the causal walk: each panel's rows are feature-mapped,
+# position-scaled and given their ones column inside the walk, so no
+# n-row feature array is ever built. At n = 4096, d = 64 (causal float32
+# cosformer, one BLAS thread) the forward peaked under tracemalloc at
+# 2.10 MiB, its [num | den] and output, against 6.13 MiB for whole-length
+# features; 512- and 1024-row panels peaked at 2.53 and 3.91 MiB. Each
+# panel pays a fixed cost of about forty NumPy calls (two feature maps,
+# decompose's checks and factors, two scalings): in the benchmark's
+# prefill_long, 1024-row panels ran as fast as whole-length features and
+# 256-row ones about 10 % slower. A whole number of chunks, and fixed
+# like _BLOCK, never a function of n: the chunks of a walk, and so its
+# sums, do not depend on the panels.
+_PANEL = 8 * _BLOCK
 
-    qf and kf are kernel feature rows: phi(Q), phi(K) for plain kernels,
-    the 2d-wide cos/sin-scaled rows for the cosine decomposition. All
-    three are (..., n, width) stacks sharing their leading axes, and
-    every slice is scanned on its own. The causal path admits keys
-    j <= i (j >= i with suffix) and walks fixed-size chunks, last to
-    first for a suffix: the triangular part inside a chunk is a masked
-    product, and the chunks already walked enter through one running
-    (feature width) x d_v key-value sum per slice, so transient buffers
-    stay constant-size in n. Scanning a ones column of v gives the
-    denominator sum_j qf_i . kf_j. The output has the operands' dtype,
-    np.result_type(qf, v): float32 for the forward's float32 path, float64
-    everywhere else.
 
-    The masked products grow with the chunk size _BLOCK and the carry
-    does not. _BLOCK is fixed, so a prefix row rounds alike at every n,
-    and >= 32, so the toy trainer's n = 32 scans as one chunk.
+def _features(x, y, config: AttentionConfig, dtype, first: int = 1):
+    """Kernel feature rows of the raw rows x and y, whose row 0 sits at
+    position first: phi(x), phi(y) for a plain kernel, and their cos/sin
+    decomposition for the cosine re-weight. Mapped in x's dtype, then
+    widened to dtype."""
+    x, y = (apply_feature_map(r, config.feature_map) for r in (x, y))
+    if config.reweight.kind == "cosine":
+        x, y = decompose(x, y, config.reweight.m, first=first)
+    return x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+
+
+def _scan(x, y, v, causal: bool, config: AttentionConfig | None = None,
+          suffix: bool = False, ones: bool = False):
+    """Rows sum_j (xf_i . yf_j) v_j over the keys each query admits.
+
+    Without a config, x and y are the feature rows xf, yf themselves; with
+    a kernel config they are raw rows, mapped by _features in x's dtype.
+    All three are (..., n, width) stacks sharing their leading axes, and
+    every slice is scanned on its own. With ones, v is scanned as [v | 1],
+    so the output's last column is the denominator sum_j xf_i . yf_j. The
+    output has dtype np.result_type(x, v): float32 for the forward's
+    float32 path, float64 everywhere else.
+
+    The non-causal path is one product over all rows. The causal path
+    admits keys j <= i (j >= i with suffix) and walks fixed-size chunks,
+    last to first for a suffix: the triangular part inside a chunk is a
+    masked product, and the chunks already walked enter through one
+    running (feature width) x width(v) sum per slice. The chunks are
+    grouped in _PANEL-row panels; with a config, each panel's rows are
+    mapped at their own positions as the walk reaches it, and [v | 1]
+    fills one reused panel buffer, so transient buffers stay constant-size
+    in n. _BLOCK is fixed, so a prefix row rounds alike at every n, and
+    >= 32, so the toy trainer's n = 32 scans as one chunk.
     """
+    dtype = np.result_type(x, v)
     if not causal:
-        return qf @ (kf.swapaxes(-1, -2) @ v)
-    n_q = qf.shape[-2]
-    out = np.empty(qf.shape[:-1] + (v.shape[-1],), np.result_type(qf, v))
+        if config is not None:
+            x, y = _features(x, y, config, dtype)
+        if ones:
+            v = _with_ones(v, dtype)
+        return x @ (y.swapaxes(-1, -2) @ v)
+    n = x.shape[-2]
+    width = v.shape[-1] + ones
+    out = np.empty(x.shape[:-1] + (width,), dtype)
+    if ones:
+        vals = np.empty(v.shape[:-2] + (min(n, _PANEL), width), dtype)
+        vals[..., -1] = 1.0
     state = None
-    walk = range(0, n_q, _BLOCK)
-    if suffix:
-        walk = walk[::-1]
-    for start in walk:
-        stop = min(start + _BLOCK, n_q)
-        qc = qf[..., start:stop, :]
-        kc = kf[..., start:stop, :]
-        vc = v[..., start:stop, :]
-        sim = qc @ kc.swapaxes(-1, -2)
-        drop = _causal_drop(stop - start)
-        # copyto broadcasts the mask over the leading axes as fast as a
-        # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
-        np.copyto(sim, 0.0, where=drop.T if suffix else drop)
-        out[..., start:stop, :] = sim @ vc
-        # The state is zero in the first chunk walked and unread after
-        # the last, so a one-chunk scan is two products, not four, and
-        # allocates no state.
-        if state is not None:
-            out[..., start:stop, :] += qc @ state
-        if start != walk[-1]:
-            kv = kc.swapaxes(-1, -2) @ vc
-            if state is None:
-                state = kv
-            else:
-                state += kv
+    last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
+    panels = range(0, n, _PANEL)
+    for p0 in panels[::-1] if suffix else panels:
+        p1 = min(p0 + _PANEL, n)
+        xp, yp, vp = x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :]
+        if config is not None:
+            xp, yp = _features(xp, yp, config, dtype, first=p0 + 1)
+        if ones:
+            vals[..., :p1 - p0, :-1] = vp
+            vp = vals[..., :p1 - p0, :]
+        chunks = range(0, p1 - p0, _BLOCK)
+        for start in chunks[::-1] if suffix else chunks:
+            stop = min(start + _BLOCK, p1 - p0)
+            qc = xp[..., start:stop, :]
+            kc = yp[..., start:stop, :]
+            vc = vp[..., start:stop, :]
+            rows = out[..., p0 + start:p0 + stop, :]
+            sim = qc @ kc.swapaxes(-1, -2)
+            drop = _causal_drop(stop - start)
+            # copyto broadcasts the mask over the leading axes as fast as a
+            # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
+            np.copyto(sim, 0.0, where=drop.T if suffix else drop)
+            np.matmul(sim, vc, out=rows)
+            # The state is zero in the first chunk walked and unread after
+            # the last, so a one-chunk scan is two products, not four, and
+            # allocates no state.
+            if state is not None:
+                rows += qc @ state
+            if p0 + start != last:
+                kv = kc.swapaxes(-1, -2) @ vc
+                if state is None:
+                    state = kv
+                else:
+                    state += kv
     return out
 
 
@@ -165,13 +216,10 @@ _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _map_and_scan(Q, K, V, config: AttentionConfig, dtype):
-    """The feature pair (qf, kf) and the scanned [num | den], in dtype."""
-    qf, kf = (apply_feature_map(np.asarray(X, dtype), config.feature_map)
-              for X in (Q, K))
-    if config.reweight.kind == "cosine":
-        qf, kf = decompose(qf, kf, config.reweight.m)
-    return qf, kf, _scan(qf, kf, _with_ones(V, dtype), config.causal)
+def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
+    """The scanned [num | den] of a kernel config, computed in dtype."""
+    return _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V, config.causal,
+                 config, ones=True)
 
 
 def _forward(Q, K, V, config: AttentionConfig):
@@ -180,14 +228,13 @@ def _forward(Q, K, V, config: AttentionConfig):
     The record is a dict for :func:`cosattn.grad._backward`, which takes
     its arrays out as it goes, so one record serves one backward. It has
     one shape per config: the config and the validated Q, K and V, then
-    for softmax the weight matrix W, and for a kernel the feature pair
-    (qf, kf), the output ``out`` and the unfloored denominator ``den``,
-    all in the compute dtype. den is a view of the scanned [num | den]
-    buffer; out is a fresh array, and when the compute dtype is the
-    storage dtype the returned out is the record's out, so it must not be
-    edited in place while the record lives. Neither [V | 1] nor
-    cosformer's feature-mapped rows phi(Q), phi(K) are kept: the backward
-    rebuilds both, bit-identically.
+    for softmax the weight matrix W, and for a kernel the output ``out``
+    and the unfloored denominator ``den`` (n scalars per slice, a copy, so
+    the scanned [num | den] dies here), both in the compute dtype. out is
+    a fresh array, and when the compute dtype is the storage dtype the
+    returned out is the record's out, so it must not be edited in place
+    while the record lives. No feature rows and no [V | 1] are kept: the
+    backward maps Q and K again in the compute dtype, bit-identically.
 
     A kernel forward scans float32 storage in float32 under a non-negative
     map (relu, elu_plus_one) with eps a normal float32 (else eps rounds to
@@ -210,15 +257,17 @@ def _forward(Q, K, V, config: AttentionConfig):
         record["W"] = _softmax_weights(Q, K, config.causal)
         out = record["W"] @ _wide(V)
     else:
+        if config.reweight.kind == "cosine":
+            _require_horizon(max(Q.shape[-2], K.shape[-2]), config.reweight.m)
         num = None
         if _storage_dtype(Q, K, V) == np.float32 and config.feature_map.nonnegative \
                 and _F32_TINY <= config.eps <= _F32_MAX:
             with np.errstate(over="ignore", invalid="ignore"):  # num shows overflow
-                qf, kf, num = _map_and_scan(Q, K, V, config, np.float32)
+                num = _kernel_scan(Q, K, V, config, np.float32)
         if num is None or not np.isfinite(num).all():
-            qf, kf, num = _map_and_scan(Q, K, V, config, np.float64)
+            num = _kernel_scan(Q, K, V, config, np.float64)
         out = _finalize(num, config.eps)
-        record.update(qf=qf, kf=kf, out=out, den=num[..., -1])
+        record.update(out=out, den=num[..., -1].copy())
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
 
 

@@ -12,10 +12,10 @@ Angles and their cos/sin factors are computed per position as
 (pi * pos) / (2 * m) in float64; float32 feature rows are scaled by the
 factors rounded once to float32.
 
-The horizon rule m >= longest sequence has one owner, _require_horizon,
-run by build_reweight_matrix, decompose (which also validates its rows;
-every kernel forward, and so every backward, goes through it) and
-causal_state_step. _position_scaled checks nothing.
+The horizon rule m >= last position has one owner, _require_horizon, run
+by build_reweight_matrix, decompose (which also validates its rows and
+first position), causal_state_step and, before any work, every cosine
+kernel forward. _position_scaled checks nothing.
 """
 
 from __future__ import annotations
@@ -30,28 +30,30 @@ def cos_weight(i: int, j: int, m: int) -> float:
     return float(np.cos((np.pi * (i - j)) / (2.0 * m)))
 
 
-def position_angles(n: int, m: int) -> np.ndarray:
-    """Angles (pi * pos) / (2m) for 1-based positions 1..n, float64."""
-    pos = np.arange(1, n + 1, dtype=np.float64)
+def position_angles(n: int, m: int, first: int = 1) -> np.ndarray:
+    """Angles (pi * pos) / (2m) for the n 1-based positions from first,
+    float64."""
+    pos = np.arange(first, first + n, dtype=np.float64)
     return (np.pi * pos) / (2.0 * m)
 
 
-def position_factors(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the position angles for 1-based positions 1..n.
+def position_factors(n: int, m: int,
+                     first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the position angles for the n 1-based positions
+    from first.
 
     For positions within the horizon both vectors lie in [0, 1], which keeps
     the decomposed factors non-negative whenever the features are.
     """
-    angles = position_angles(n, m)
+    angles = position_angles(n, m, first)
     return np.cos(angles), np.sin(angles)
 
 
-def _require_horizon(longest: int, m: int) -> None:
-    """m must cover the longest sequence, or some re-weights turn negative."""
-    if m < longest:
+def _require_horizon(last: int, m: int) -> None:
+    """m must cover the last position, or some re-weights turn negative."""
+    if m < last:
         raise ConfigurationError(
-            f"cosine horizon m={m} is smaller than the longest sequence "
-            f"({longest})")
+            f"cosine horizon m={m} is smaller than the last position ({last})")
 
 
 def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
@@ -68,33 +70,39 @@ def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
     return np.cos((np.pi * (i - j)) / (2.0 * m))
 
 
-def _position_scaled(F: np.ndarray, m: int) -> np.ndarray:
+def _position_scaled(F: np.ndarray, factors) -> np.ndarray:
     """[F cos | F sin] with each row scaled by its own position's factors.
 
-    F is (..., n, d); positions run along axis -2 of every slice. The
+    F is (..., n, d); factors is the (cos, sin) pair of position_factors
+    for at least n positions, row i of every slice taking entry i. The
     result has F's dtype: for float32 F the float64 factors are rounded
     once to float32, and float64 F is scaled in float64. No check is made:
-    callers have checked F and m >= n.
+    callers have checked F and the positions against the horizon.
     """
-    d = F.shape[-1]
-    cos, sin = (c.astype(F.dtype, copy=False)
-                for c in position_factors(F.shape[-2], m))
+    n, d = F.shape[-2:]
+    cos, sin = (c[:n].astype(F.dtype, copy=False) for c in factors)
     out = np.empty(F.shape[:-1] + (2 * d,), F.dtype)
     np.multiply(F, cos[:, None], out=out[..., :d])
     np.multiply(F, sin[:, None], out=out[..., d:])
     return out
 
 
-def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
+def decompose(Q_feat, K_feat, m: int,
+              first: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Position-scaled 2d-wide feature rows (q, k) of the cosine decomposition.
 
-    Q_feat and K_feat are (..., n, d) feature rows. Row i of every slice
-    of q is [Q_feat_i cos(pi i / (2m)) | Q_feat_i sin(pi i / (2m))] and
-    likewise for k, so that, slice by slice,
+    Q_feat and K_feat are (..., n, d) feature rows, whose row 0 sits at
+    the 1-based position first. The row at position i of every slice of
+    q is [Q_feat_i cos(pi i / (2m)) | Q_feat_i sin(pi i / (2m))] and
+    likewise for k, so that, slice by slice and for first = 1,
 
         q @ k.T == (Q_feat @ K_feat.T) * reweight matrix
 
-    holds exactly in real arithmetic.
+    holds exactly in real arithmetic. Each factor depends on its own
+    position alone, so rows decomposed from a later first (the causal
+    forward decomposes one panel at a time) equal the matching rows of a
+    whole decomposition bit for bit. Refuses first < 1 and a last
+    position first - 1 + rows beyond m.
     """
     from .core import require_matrix  # core imports this module
     Qf = require_matrix(Q_feat, "Q_feat", stack=True)
@@ -102,5 +110,9 @@ def decompose(Q_feat, K_feat, m: int) -> tuple[np.ndarray, np.ndarray]:
     if Qf.shape[-1] != Kf.shape[-1]:
         raise DimensionError(
             f"feature widths differ: {Qf.shape[-1]} vs {Kf.shape[-1]}")
-    _require_horizon(max(Qf.shape[-2], Kf.shape[-2]), m)
-    return _position_scaled(Qf, m), _position_scaled(Kf, m)
+    if first < 1:
+        raise ConfigurationError(f"first position must be >= 1, got {first}")
+    rows = max(Qf.shape[-2], Kf.shape[-2])
+    _require_horizon(first - 1 + rows, m)
+    factors = position_factors(rows, m, first)
+    return _position_scaled(Qf, factors), _position_scaled(Kf, factors)

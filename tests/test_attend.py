@@ -32,7 +32,7 @@ from cosattn.train import (
 
 # The record has one shape per config: what the backward reads, no more.
 _SOFTMAX_RECORD = {"config", "Q", "K", "V", "W"}
-_KERNEL_RECORD = {"config", "Q", "K", "V", "qf", "kf", "out", "den"}
+_KERNEL_RECORD = {"config", "Q", "K", "V", "out", "den"}
 
 
 def _public_pairs(Q, K, V, g, causal, m):

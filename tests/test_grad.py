@@ -154,7 +154,7 @@ def test_float32_record_gradients_match_float64(feature_map, cosine, causal):
                                                feature_map=feature_map)
         else:
             config = AttentionConfig.linear(feature_map, causal=causal)
-        assert _forward(Q, K, V, config)[1]["qf"].dtype == np.float32
+        assert _forward(Q, K, V, config)[1]["den"].dtype == np.float32
         got = attend_backward(Q, K, V, config, g)
         want = attend_backward(*(X.astype(np.float64) for X in (Q, K, V)),
                                config, g)

@@ -14,7 +14,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cosattn"
 ALLOWED = {
     ("train", "cosformer_attention"),
     ("train", "cosformer_backward"),
-    ("grad", "position_factors"),
 }
 
 

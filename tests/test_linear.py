@@ -1,10 +1,12 @@
 """Linear-time paths against the quadratic oracles, plus streaming."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cosattn import linear
 from cosattn.core import (
     DEFAULT_EPS,
     ELU_PLUS_ONE,
@@ -17,6 +19,7 @@ from cosattn.core import (
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.linear import (
     _BLOCK,
+    _PANEL,
     _forward,
     attend,
     causal_state_init,
@@ -160,7 +163,7 @@ def test_causal_prefix_bit_identical_under_suffix_edits():
             base, record = _forward(*(a.astype(dtype) for a in (Q, K, V)), config)
             edited, record2 = _forward(*(a.astype(dtype) for a in (Q2, K2, V2)),
                                        config)
-            assert record["qf"].dtype == record2["qf"].dtype == dtype
+            assert record["den"].dtype == record2["den"].dtype == dtype
             assert np.array_equal(base[:cut], edited[:cut]), (n, dtype)
 
 
@@ -339,7 +342,7 @@ def test_nonnegative_float32_forward_computes_in_float32(variant, lead):
         # sit on the eps floor.
         Q[..., ::9, :] = 0.0
         out, record = _forward(Q, K, V, config)
-        assert record["qf"].dtype == record["out"].dtype == np.float32
+        assert record["den"].dtype == record["out"].dtype == np.float32
         assert out.dtype == np.float32
         for idx in np.ndindex(*lead):
             oracle = kernel_attention_quadratic(Q[idx], K[idx], V[idx], config)
@@ -357,7 +360,7 @@ def test_sign_indefinite_float32_forward_is_the_float64_forward(feature_map, lea
         Q, K, V = (rng.standard_normal(lead + (n, 4)).astype(np.float32)
                    for _ in range(3))
         out, record = _forward(Q, K, V, config)
-        assert record["qf"].dtype == np.float64 and out.dtype == np.float32
+        assert record["den"].dtype == np.float64 and out.dtype == np.float32
         wide = attend(*(a.astype(np.float64) for a in (Q, K, V)), config)
         assert np.array_equal(out, wide.astype(np.float32))
 
@@ -373,7 +376,7 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     for scale in (1e13, 1e18):
         args = [(a * scale).astype(np.float32) for a in (Q, K, V)]
         out, record = _forward(*args, config)
-        assert record["qf"].dtype == np.float64 and out.dtype == np.float32
+        assert record["den"].dtype == np.float64 and out.dtype == np.float32
         assert np.isfinite(out).all()
         wide = attend(*(a.astype(np.float64) for a in args), config)
         assert _rel(out, wide) <= GATE_BOUND[out.dtype], scale
@@ -384,7 +387,7 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
                              reweight=config.reweight, causal=True, eps=1e-300)
     args = [a.astype(np.float32) for a in (Q, K, V)]
     out, record = _forward(*args, config)
-    assert record["qf"].dtype == np.float64 and np.isfinite(out).all()
+    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
     # Only the float32 attempt is silent: a float64 scan that overflows
     # still warns.
     with pytest.warns(RuntimeWarning):
@@ -402,7 +405,7 @@ def test_float32_scan_that_stays_finite_computes_in_float32(variant):
     Q, K, V = ((rng.standard_normal((n, 8)) * 1e12).astype(np.float32)
                for _ in range(3))
     out, record = _forward(Q, K, V, config)
-    assert record["qf"].dtype == np.float32 and out.dtype == np.float32
+    assert record["den"].dtype == np.float32 and out.dtype == np.float32
     oracle = kernel_attention_quadratic(Q, K, V, config)
     assert _rel(out, oracle) <= GATE_BOUND[out.dtype]
 
@@ -417,8 +420,115 @@ def test_one_overflowing_slice_moves_the_stack_to_float64(variant):
         X[1] *= 1e18
     args = [X.astype(np.float32) for X in (Q, K, V)]
     out, record = _forward(*args, config)
-    assert record["qf"].dtype == np.float64 and np.isfinite(out).all()
+    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
     for idx in range(3):
         # Each slice, the overflow-free ones too, is its float64 forward.
         wide = attend(*(X[idx].astype(np.float64) for X in args), config)
         assert np.array_equal(out[idx], wide.astype(np.float32)), idx
+
+
+# The equivalence suite draws n <= 256 = _PANEL, so its cases never leave
+# the first panel; these lengths cross two and three panel boundaries.
+PANEL_LENGTHS = (2 * _PANEL + 17, 3 * _PANEL + 17)
+
+
+def _panel_case(rng, lead, n, dtype):
+    Q, K, V = (rng.standard_normal(lead + (n, 4)) for _ in range(3))
+    Q[..., ::7, :] = -np.abs(Q[..., ::7, :])  # relu rows on the eps floor
+    return [X.astype(dtype) for X in (Q, K, V)]
+
+
+def _panel_config(cosine, feature_map, n):
+    if cosine:
+        return AttentionConfig.cosformer(m=n, causal=True, feature_map=feature_map)
+    return AttentionConfig.linear(feature_map, causal=True)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=str)
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE], ids=lambda f: f.name)
+@pytest.mark.parametrize("cosine", [True, False], ids=["cosformer", "linear"])
+def test_causal_walk_across_panels_matches_the_oracle(cosine, feature_map, lead):
+    rng = np.random.default_rng(43)
+    for n in PANEL_LENGTHS:
+        config = _panel_config(cosine, feature_map, n)
+        for dtype in (np.float32, np.float64):
+            Q, K, V = _panel_case(rng, lead, n, dtype)
+            got = attend(Q, K, V, config)
+            for idx in np.ndindex(*lead):
+                oracle = kernel_attention_quadratic(Q[idx], K[idx], V[idx], config)
+                assert _rel(got[idx], oracle) <= GATE_BOUND[got.dtype], (n, dtype, idx)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=str)
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE], ids=lambda f: f.name)
+def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead):
+    rng = np.random.default_rng(44)
+    for n in PANEL_LENGTHS:
+        config = AttentionConfig.cosformer(m=n, causal=True, feature_map=feature_map)
+        for dtype in (np.float32, np.float64):
+            Q, K, V = _panel_case(rng, lead, n, dtype)
+            base, record = _forward(Q, K, V, config)
+            for cut in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL + 1):
+                Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
+                Q2[..., cut:, :], K2[..., cut:, :], V2[..., cut:, :] = 1e6, -1e6, 42.0
+                edited, record2 = _forward(Q2, K2, V2, config)
+                # The edits do not overflow a float32 scan.
+                assert record["den"].dtype == record2["den"].dtype == dtype
+                assert np.array_equal(base[..., :cut, :], edited[..., :cut, :]), \
+                    (n, dtype, cut)
+
+
+def _carry_reset_at_panels(scan, x, y, v, causal, config=None, suffix=False,
+                           ones=False):
+    """Each panel scanned on its own, its rows mapped at their own
+    positions: the carry restarts at every panel boundary."""
+    x, y = linear._features(x, y, config, np.result_type(x, v))
+    panels = (slice(p, p + _PANEL) for p in range(0, x.shape[-2], _PANEL))
+    return np.concatenate([scan(x[..., p, :], y[..., p, :], v[..., p, :], causal,
+                                suffix=suffix, ones=ones) for p in panels], axis=-2)
+
+
+def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
+    """Every panel decomposed from position 1."""
+    return decompose(Q_feat, K_feat, m)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("name, defect", [("_scan", _carry_reset_at_panels),
+                                          ("decompose", _first_ignored)],
+                         ids=["carry_reset", "first_ignored"])
+def test_oracle_catches_panel_defects(name, defect, dtype, monkeypatch):
+    rng = np.random.default_rng(45)
+    Q, K, V = _panel_case(rng, (), _PANEL, dtype)
+    config = AttentionConfig.cosformer(m=_PANEL, causal=True)
+    shipped = attend(Q, K, V, config)
+    monkeypatch.setattr(linear, name, functools.partial(defect, getattr(linear, name)))
+    # Within one panel the defect changes nothing, so a suite that never
+    # crosses a panel boundary cannot see it...
+    assert np.array_equal(attend(Q, K, V, config), shipped)
+    # ...and past one the oracle comparison fails.
+    for n in PANEL_LENGTHS:
+        Q, K, V = _panel_case(rng, (), n, dtype)
+        config = AttentionConfig.cosformer(m=n, causal=True)
+        oracle = kernel_attention_quadratic(Q, K, V, config)
+        assert _rel(attend(Q, K, V, config), oracle) > GATE_BOUND[np.dtype(dtype)], n
+
+
+def test_causal_forward_holds_no_whole_length_feature_rows():
+    # Peak over the call, inputs excluded: [num | den] and the output are
+    # unavoidable, and one n x 2d float32 array more than the panel walk's
+    # transients would break the bound.
+    rng = np.random.default_rng(46)
+    n, d = 8 * _PANEL, 32
+    Q, K, V = (rng.standard_normal((n, d)).astype(np.float32) for _ in range(3))
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    attend(Q, K, V, config)  # warm the mask cache
+    outputs = n * (2 * d + 1) * 4
+    tracemalloc.start()
+    try:
+        out = attend(Q, K, V, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float32
+    assert peak < outputs + n * 2 * d * 4, peak

@@ -89,3 +89,30 @@ def test_decompose_validation():
         decompose(np.ones((5, 3)), np.ones((2, 3)), 4)
     with pytest.raises(ValueError):
         decompose(np.array([[np.inf]]), np.ones((1, 1)), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_decompose_from_a_later_first_position_is_a_slice(dtype):
+    # The causal walk decomposes one panel at a time from its own first
+    # position; its rows must be the whole decomposition's, bit for bit.
+    rng = np.random.default_rng(22)
+    Qf, Kf = (apply_feature_map(rng.standard_normal((2, 600, 5)), RELU).astype(dtype)
+              for _ in range(2))
+    m = 601
+    q, k = decompose(Qf, Kf, m)
+    for a, b in ((0, 600), (3, 17), (256, 512), (511, 600), (599, 600)):
+        qa, ka = decompose(Qf[..., a:b, :], Kf[..., a:b, :], m, first=a + 1)
+        assert qa.dtype == ka.dtype == dtype
+        assert np.array_equal(qa, q[..., a:b, :]), (a, b)
+        assert np.array_equal(ka, k[..., a:b, :]), (a, b)
+
+
+def test_decompose_refuses_positions_outside_the_horizon():
+    F = np.ones((10, 3))
+    decompose(F, F, 50, first=41)  # last position 50 = m
+    with pytest.raises(ConfigurationError):
+        decompose(F, F, 50, first=42)
+    with pytest.raises(ConfigurationError):
+        decompose(F, F, 50, first=0)
+    with pytest.raises(ConfigurationError):
+        decompose(F[:1], F[:1], 1, first=-1)

@@ -193,7 +193,7 @@ def test_evaluation_keeps_at_most_one_attention_record(monkeypatch):
     def spy(*args):
         assert all(ref() is None for ref in records), len(records)
         out, record = forward(*args)
-        records.append(weakref.ref(record["qf"]))
+        records.append(weakref.ref(record["den"]))
         return out, record
 
     monkeypatch.setattr(train, "_forward", spy)

@@ -125,16 +125,17 @@ def _unfloored_denominator(finalize, num, eps):
         return num[..., :-1] / num[..., -1:]
 
 
-def _dropped_carry(scan, x, y, v, causal, config=None, suffix=False, ones=False):
+def _dropped_carry(scan, x, y, v, causal, config=None, suffix=False):
     """Each causal chunk scanned on its own: no state carried between chunks.
-    The rows are mapped whole first, so each keeps its own position."""
+    A forward's rows are mapped whole first, so each keeps its own position."""
     if not causal:
-        return scan(x, y, v, False, config, suffix, ones)
+        return scan(x, y, v, False, config, suffix)
     if config is not None:
-        x, y = linear._features(x, y, config, np.result_type(x, v))
+        x, y = linear._features(x, y, config)
+        v = linear._with_ones(v, np.result_type(x, v))
     chunks = (slice(i, i + _BLOCK) for i in range(0, x.shape[-2], _BLOCK))
     return np.concatenate([scan(x[..., c, :], y[..., c, :], v[..., c, :], True,
-                                suffix=suffix, ones=ones)
+                                suffix=suffix)
                            for c in chunks], axis=-2)
 
 

@@ -11,10 +11,10 @@ one such caller. The kernel backward never materializes an n x n matrix:
 it is three runs of the forward's scan, because every gradient of
 kernel attention is itself a kernel numerator. The dQ scan admits keys
 j <= i as the forward does; the dK and dV scans are suffix scans, in
-which key j sees the queries i >= j. The dV scan maps Q and K one panel
-at a time, as the forward does; dQ and dK scan the pair (a, [V | 1]),
-position-scaled once over all rows, against phi(K) and phi(Q). Cost
-stays Theta(n * d_k * d_v).
+which key j sees the queries i >= j. phi(Q) and phi(K) are mapped over
+all rows; a cosine config scales them and the pair (a, [V | 1]) with one
+pair of cos/sin factors. dV scans those feature rows, and dQ and dK the
+pair against phi(K) and phi(Q). Cost stays Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
 denominator at or below the floor eps is treated as a constant,
@@ -33,10 +33,8 @@ rounding grows like 1 / phi(q_i): the denominator's share, built from
 the rounded out, cancels the numerator's. In 2000 random float32 cases
 it reached 1.3e-4 of the largest float64 gradient entry.
 
-The forward checks Q, K, V and the horizon, and _backward checks d_out;
-the pair (a, [V | 1]) is then position-scaled unchecked, and the dV
-scan's panels go through :func:`cosattn.reweight.decompose` as the
-forward's do.
+The forward checks Q, K, V and the horizon; _backward checks d_out and
+nothing else, so its scaling and scans run unchecked.
 """
 
 from __future__ import annotations
@@ -94,12 +92,12 @@ def _backward(record: dict, d_out):
     w = (d_out . out) / dhat, the loss's derivative by the similarity
     qf_i . kf_j is u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and
     b = [V | 1]. dV sums (qf_i . kf_j) u_i over the queries i that key j
-    reaches, mapping its own panels of K and Q. dQ and dK scan the
-    feature pair of (a, b) over the feature-mapped rows Kp and Qp: the
-    pair's inner products are
-    a_i . b_j times the re-weight of (i, j), the derivative by
-    Qp_i . Kp_j, so both come out d columns wide. Leading axes of the
-    (..., n, d) inputs ride along in every step.
+    reaches, on the forward's feature rows qf and kf. dQ and dK scan the
+    position-scaled pair of (a, b) over the feature-mapped rows Kp and
+    Qp: the pair's inner products are a_i . b_j times the re-weight of
+    (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
+    wide. Leading axes of the (..., n, d) inputs ride along in every
+    step.
     """
     config = record.pop("config")
     Q, K, V = (record.pop(k) for k in "QKV")
@@ -117,6 +115,7 @@ def _backward(record: dict, d_out):
         return dQ, dK, dV
 
     causal, fm = config.causal, config.feature_map
+    cosine = config.reweight.kind == "cosine"
     # A float32 forward's out and den are widened once, here. Q and K are
     # mapped again in the forward's compute dtype, so their feature rows
     # are bit-identical to the ones the forward scanned.
@@ -132,19 +131,25 @@ def _backward(record: dict, d_out):
                           -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
     del out, den, dhat
 
-    # The dV walk maps its own panels of K and Q. Each buffer goes right
-    # after its last use: u (a view of a) after dV, the unscaled a before
-    # b is scaled, Kp after dQ. At n = 4096, d = 64 a float64 call then
+    # The forward's feature rows, scaled in the compute dtype and widened
+    # one by one. Each buffer goes after its last use: kf, qf and u (a
+    # view of a) after dV, the unscaled a before b is scaled, Kp after dQ;
+    # phi(Q) is mapped again for dK. At n = 4096, d = 64 a float64 call
     # peaks at 16.4 MiB under tracemalloc.
-    dV = _scan(Kc, Qc, u, causal, config, suffix=True)
-    del u
-    b = _with_ones(V, np.float64)
-    if config.reweight.kind == "cosine":
-        factors = position_factors(max(a.shape[-2], b.shape[-2]),
+    kf, qf = (apply_feature_map(X, fm) for X in (Kc, Qc))
+    Kp = _wide(kf)  # phi(K), dQ's values
+    if cosine:
+        factors = position_factors(max(Qc.shape[-2], Kc.shape[-2]),
                                    config.reweight.m)
+        kf, qf = _position_scaled(kf, factors), _position_scaled(qf, factors)
+    kf = _wide(kf) if cosine else Kp  # unscaled kf is phi(K): Kp
+    qf = _wide(qf)
+    dV = _scan(kf, qf, u, causal, suffix=True)
+    del kf, qf, u
+    b = _with_ones(V, np.float64)
+    if cosine:
         a = _position_scaled(a, factors)
         b = _position_scaled(b, factors)
-    Kp = _wide(apply_feature_map(Kc, fm))
     dQ = _scan(a, b, Kp, causal)
     del Kp
     dK = _scan(b, a, _wide(apply_feature_map(Qc, fm)), causal, suffix=True)

@@ -18,9 +18,9 @@ of one (feature width) x (d_v + 1) sum, whose ones column is the key
 total. The causal scan walks fixed panels of rows and maps each panel
 (phi, then decompose at the panel's own positions, then [V | 1]) as it
 reaches it, so no n-row feature array exists; the non-causal scan maps
-all rows at once. The analytic backward in :mod:`cosattn.grad` runs the
-same scan, from the record the private _forward keeps of the forward:
-attend is that forward with its record dropped.
+all rows at once. The analytic backward in :mod:`cosattn.grad` scans
+rows it maps itself, from the record the private _forward keeps of the
+forward: attend is that forward with its record dropped.
 Cost is Theta(n * d_k * d_v); beyond its n x (d_v + 1) [num | den] and
 output, a causal forward's transient allocation is Theta(_PANEL * d +
 d^2) whatever n is, a non-causal one's Theta(n * d + d^2), and never
@@ -46,8 +46,8 @@ attend_backward alike, validates Q, K and V, through
 :func:`cosattn.core._require_qkv` their shapes, and a cosine config's
 horizon, all before any work; causal_state_step checks its rows and
 position, and that m and eps are the ones its state's first step fixed,
-before it changes its state. _scan checks nothing of its own;
-:func:`cosattn.reweight.decompose` still checks each panel it is given.
+before it changes its state. _scan checks nothing, but the forward
+walk's :func:`cosattn.reweight.decompose` checks each panel again.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ from .reweight import _require_horizon, decompose
 # state about 2 * n * w * d_v whatever C is. At cosformer's w = 128,
 # d_v + 1 = 65 (d = 64) and n = 4096, on one BLAS thread, C = 128 made
 # the masked products about as costly as the carry; C = 32 took a third
-# off the causal forward and backward, and beat 16, 24, 48 and 64 there. It stays one fixed value: C never
-# depends on n, because fixed boundaries keep causal prefix rows
-# bit-identical under suffix edits, and it stays >= 32 so the toy
-# trainer's n = 32 is one chunk. Other widths have other optima (C = 48
-# to 64 at d = 16, C = 16 to 24 at d = 128); no benchmark workload runs
-# them, so no width-dependent choice is made.
+# off the causal forward and backward, and beat 16, 24, 48 and 64 there.
+# It stays one fixed value: C never depends on n, because fixed
+# boundaries keep causal prefix rows bit-identical under suffix edits,
+# and it stays >= 32 so the toy trainer's n = 32 is one chunk. Other
+# widths have other optima (C = 48 to 64 at d = 16, C = 16 to 24 at
+# d = 128); no benchmark workload runs them, so no width-dependent
+# choice is made.
 _BLOCK = 32
 
 
@@ -111,28 +112,28 @@ def _causal_drop(rows: int) -> np.ndarray:
 _PANEL = 8 * _BLOCK
 
 
-def _features(x, y, config: AttentionConfig, dtype, first: int = 1):
+def _features(x, y, config: AttentionConfig, first: int = 1):
     """Kernel feature rows of the raw rows x and y, whose row 0 sits at
     position first: phi(x), phi(y) for a plain kernel, and their cos/sin
-    decomposition for the cosine re-weight. Mapped in x's dtype, then
-    widened to dtype."""
+    decomposition for the cosine re-weight, in the rows' own dtype."""
     x, y = (apply_feature_map(r, config.feature_map) for r in (x, y))
     if config.reweight.kind == "cosine":
         x, y = decompose(x, y, config.reweight.m, first=first)
-    return x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    return x, y
 
 
 def _scan(x, y, v, causal: bool, config: AttentionConfig | None = None,
-          suffix: bool = False, ones: bool = False):
+          suffix: bool = False):
     """Rows sum_j (xf_i . yf_j) v_j over the keys each query admits.
 
-    Without a config, x and y are the feature rows xf, yf themselves; with
-    a kernel config they are raw rows, mapped by _features in x's dtype.
-    All three are (..., n, width) stacks sharing their leading axes, and
-    every slice is scanned on its own. With ones, v is scanned as [v | 1],
-    so the output's last column is the denominator sum_j xf_i . yf_j. The
-    output has dtype np.result_type(x, v): float32 for the forward's
-    float32 path, float64 everywhere else.
+    Without a config, x and y are the feature rows xf, yf themselves and
+    v is scanned as given. With a kernel config the call is a forward's:
+    x and y are raw rows, mapped by _features in x's dtype, and v is
+    scanned as [v | 1], so the output's last column is the denominator
+    sum_j xf_i . yf_j. All three are (..., n, width) stacks sharing their
+    leading axes, and every slice is scanned on its own. The output has
+    dtype np.result_type(x, v): float32 for the forward's float32 path,
+    float64 everywhere else.
 
     The non-causal path is one product over all rows. The causal path
     admits keys j <= i (j >= i with suffix) and walks fixed-size chunks,
@@ -140,24 +141,19 @@ def _scan(x, y, v, causal: bool, config: AttentionConfig | None = None,
     masked product, and the chunks already walked enter through one
     running (feature width) x width(v) sum per slice. The chunks are
     grouped in _PANEL-row panels; with a config, each panel's rows are
-    mapped at their own positions as the walk reaches it, and [v | 1]
-    fills one reused panel buffer, so transient buffers stay constant-size
-    in n. _BLOCK is fixed, so a prefix row rounds alike at every n, and
-    >= 32, so the toy trainer's n = 32 scans as one chunk.
+    mapped at their own positions, and its [v | 1] built, as the walk
+    reaches it, so transient buffers stay constant-size in n. _BLOCK is
+    fixed, so a prefix row rounds alike at every n, and >= 32, so the toy
+    trainer's n = 32 scans as one chunk.
     """
     dtype = np.result_type(x, v)
     if not causal:
         if config is not None:
-            x, y = _features(x, y, config, dtype)
-        if ones:
+            x, y = _features(x, y, config)
             v = _with_ones(v, dtype)
         return x @ (y.swapaxes(-1, -2) @ v)
     n = x.shape[-2]
-    width = v.shape[-1] + ones
-    out = np.empty(x.shape[:-1] + (width,), dtype)
-    if ones:
-        vals = np.empty(v.shape[:-2] + (min(n, _PANEL), width), dtype)
-        vals[..., -1] = 1.0
+    out = np.empty(x.shape[:-1] + (v.shape[-1] + (config is not None),), dtype)
     state = None
     last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
     panels = range(0, n, _PANEL)
@@ -165,10 +161,8 @@ def _scan(x, y, v, causal: bool, config: AttentionConfig | None = None,
         p1 = min(p0 + _PANEL, n)
         xp, yp, vp = x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :]
         if config is not None:
-            xp, yp = _features(xp, yp, config, dtype, first=p0 + 1)
-        if ones:
-            vals[..., :p1 - p0, :-1] = vp
-            vp = vals[..., :p1 - p0, :]
+            xp, yp = _features(xp, yp, config, first=p0 + 1)
+            vp = _with_ones(vp, dtype)
         chunks = range(0, p1 - p0, _BLOCK)
         for start in chunks[::-1] if suffix else chunks:
             stop = min(start + _BLOCK, p1 - p0)
@@ -219,7 +213,7 @@ _F32_MAX = float(np.finfo(np.float32).max)
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     """The scanned [num | den] of a kernel config, computed in dtype."""
     return _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V, config.causal,
-                 config, ones=True)
+                 config)
 
 
 def _forward(Q, K, V, config: AttentionConfig):

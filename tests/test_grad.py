@@ -1,8 +1,11 @@
 """Analytic backwards against central finite differences."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from cosattn import core, grad
 from cosattn.core import (
     ELU_PLUS_ONE,
     IDENTITY,
@@ -10,6 +13,7 @@ from cosattn.core import (
     AttentionConfig,
     leaky_relu,
 )
+from cosattn.equivalence import _dropped_carry
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.grad import (
     attend_backward,
@@ -21,6 +25,7 @@ from cosattn.grad import (
 )
 from cosattn.linear import (
     _BLOCK,
+    _PANEL,
     _forward,
     cosformer_attention,
     linear_attention,
@@ -94,14 +99,9 @@ def test_cosformer_backward_matches_fd():
             _check_grads(f, (Q, K, V), grads)
 
 
-@pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
-@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE],
-                         ids=lambda fm: fm.name)
-def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
-                                                              cosine):
-    # Three chunks, the last one partial: the prefix and suffix scans carry
-    # state across two chunk boundaries in each direction.
-    n = 2 * _BLOCK + 17
+def _directional_errors(feature_map, cosine, n):
+    """Relative error of each analytic gradient along a random direction
+    against a central difference of the causal loss, by gradient name."""
     rng = np.random.default_rng(46)
     Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
     if cosine:
@@ -117,6 +117,7 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
         grads = linear_attention_backward(Q, K, V, g, feature_map=feature_map,
                                           causal=True)
     h = 1e-5
+    errors = {}
     for idx, name in enumerate(("dQ", "dK", "dV")):
         args = [Q, K, V]
         direction = rng.standard_normal(args[idx].shape)
@@ -128,7 +129,52 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
         moved[idx] = args[idx] - h * direction
         slope = (plus - loss(*moved)) / (2.0 * h)
         dot = float(np.sum(grads[idx] * direction))
-        assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-6), (name, dot, slope)
+        errors[name] = abs(dot - slope) / max(abs(slope), 1e-6)
+    return errors
+
+
+# Three chunks, the last one partial, so the prefix and suffix scans carry
+# state across two chunk boundaries in each direction; and three panels,
+# so the suffix scans also walk panels last to first.
+ACROSS_LENGTHS = ((2 * _BLOCK + 17, ""), (2 * _PANEL + 17, "-panels"))
+
+
+@pytest.mark.parametrize("feature_map, cosine, n", [
+    pytest.param(fm, cosine, n, id=f"{fm.name}-{kind}{suffix}")
+    for n, suffix in ACROSS_LENGTHS
+    for cosine, kind in ((False, "plain"), (True, "cosine"))
+    for fm in (RELU, ELU_PLUS_ONE)])
+def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
+                                                              cosine, n):
+    errors = _directional_errors(feature_map, cosine, n)
+    assert max(errors.values()) <= 1e-6, errors
+
+
+def test_directional_fd_catches_a_backward_scan_that_drops_its_carry(
+        monkeypatch):
+    # The backward's own scans, each chunk scanned with no carry from the
+    # chunks before it: the check above must see it past a panel.
+    monkeypatch.setattr(grad, "_scan",
+                        functools.partial(_dropped_carry, grad._scan))
+    errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
+    assert max(errors.values()) > 1e-6, errors
+
+
+def test_backward_checks_only_d_out(monkeypatch):
+    # The forward checked Q, K, V and the horizon; the backward maps and
+    # scales their feature rows unchecked, so one check runs: d_out's.
+    n = 2 * _PANEL + 17
+    rng = np.random.default_rng(47)
+    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    record = _forward(Q, K, V, AttentionConfig.cosformer(m=n, causal=True))[1]
+    checked = []
+    for module in (core, grad):
+        def counting(x, name="matrix", stack=False, check=module.require_matrix):
+            checked.append(name)
+            return check(x, name, stack)
+        monkeypatch.setattr(module, "require_matrix", counting)
+    grad._backward(record, g)
+    assert checked == ["d_out"]
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])

@@ -17,6 +17,7 @@ from cosattn.core import (
     leaky_relu,
 )
 from cosattn.errors import ConfigurationError, DimensionError
+from cosattn.grad import _backward
 from cosattn.linear import (
     _BLOCK,
     _PANEL,
@@ -478,14 +479,14 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
                     (n, dtype, cut)
 
 
-def _carry_reset_at_panels(scan, x, y, v, causal, config=None, suffix=False,
-                           ones=False):
+def _carry_reset_at_panels(scan, x, y, v, causal, config=None, suffix=False):
     """Each panel scanned on its own, its rows mapped at their own
     positions: the carry restarts at every panel boundary."""
-    x, y = linear._features(x, y, config, np.result_type(x, v))
+    x, y = linear._features(x, y, config)
+    v = linear._with_ones(v, np.result_type(x, v))
     panels = (slice(p, p + _PANEL) for p in range(0, x.shape[-2], _PANEL))
     return np.concatenate([scan(x[..., p, :], y[..., p, :], v[..., p, :], causal,
-                                suffix=suffix, ones=ones) for p in panels], axis=-2)
+                                suffix=suffix) for p in panels], axis=-2)
 
 
 def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
@@ -532,3 +533,25 @@ def test_causal_forward_holds_no_whole_length_feature_rows():
         tracemalloc.stop()
     assert out.dtype == np.float32
     assert peak < outputs + n * 2 * d * 4, peak
+
+
+def test_causal_backward_holds_no_feature_rows_past_their_scan():
+    # Peak over the call, inputs and record excluded: the three gradients,
+    # the position-scaled (a, [V | 1]) pair of the dQ and dK scans, and
+    # two n x d float64 maps. Holding dV's 2d-wide feature rows past their
+    # own scan would break the bound.
+    rng = np.random.default_rng(48)
+    n, d = 8 * _PANEL, 32
+    Q, K, V, g = (rng.standard_normal((n, d)) for _ in range(4))
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    _backward(_forward(Q, K, V, config)[1], g)  # warm the mask cache
+    record = _forward(Q, K, V, config)[1]
+    grads = 3 * n * d * 8
+    scaled = 2 * n * 2 * (d + 1) * 8
+    tracemalloc.start()
+    try:
+        _backward(record, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grads + scaled + 2 * n * d * 8, peak

@@ -22,9 +22,9 @@ asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
 variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The batch
 implementations here allocate more on top of these counts: a causal
 forward its n x (d + 1) [num | den] and fixed-size panels of feature
-rows, a non-causal forward or a backward O(n * d) staging buffers; the
-counts track the algorithmic working set, not this library's allocator
-behavior.
+rows, a causal backward its gradients, four n-row vectors and such
+panels, a non-causal call O(n * d) staging buffers; the counts track the
+algorithmic working set, not this library's allocator behavior.
 
 A quadratic cell that runs out of memory is recorded with NaN timings
 rather than aborting the sweep, so large-length comparisons against the

@@ -125,17 +125,15 @@ def _unfloored_denominator(finalize, num, eps):
         return num[..., :-1] / num[..., -1:]
 
 
-def _dropped_carry(scan, x, y, v, causal, config=None, suffix=False):
+def _dropped_carry(scan, x, y, v, causal, rows, suffix=False):
     """Each causal chunk scanned on its own: no state carried between chunks.
-    A forward's rows are mapped whole first, so each keeps its own position."""
+    The rows are mapped whole first, so each keeps its own position."""
     if not causal:
-        return scan(x, y, v, False, config, suffix)
-    if config is not None:
-        x, y = linear._features(x, y, config)
-        v = linear._with_ones(v, np.result_type(x, v))
+        return scan(x, y, v, False, rows, suffix)
+    x, y, v = rows(x, y, v, 1)
     chunks = (slice(i, i + _BLOCK) for i in range(0, x.shape[-2], _BLOCK))
     return np.concatenate([scan(x[..., c, :], y[..., c, :], v[..., c, :], True,
-                                suffix=suffix)
+                                lambda *mapped: mapped[:3], suffix=suffix)
                            for c in chunks], axis=-2)
 
 

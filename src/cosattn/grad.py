@@ -11,10 +11,11 @@ one such caller. The kernel backward never materializes an n x n matrix:
 it is three runs of the forward's scan, because every gradient of
 kernel attention is itself a kernel numerator. The dQ scan admits keys
 j <= i as the forward does; the dK and dV scans are suffix scans, in
-which key j sees the queries i >= j. phi(Q) and phi(K) are mapped over
-all rows; a cosine config scales them and the pair (a, [V | 1]) with one
-pair of cos/sin factors. dV scans those feature rows, and dQ and dK the
-pair against phi(K) and phi(Q). Cost stays Theta(n * d_k * d_v).
+which key j sees the queries i >= j. Each scan maps its rows panel by
+panel as its causal walk reaches them: phi(Q) and phi(K), and the pair
+(a, [V | 1]), which a cosine config scales with slices of one pair of
+cos/sin factors. dV scans the feature rows, and dQ and dK the pair
+against phi(K) and phi(Q). Cost stays Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
 denominator at or below the floor eps is treated as a constant,
@@ -24,10 +25,10 @@ Every backward takes the forward's (..., n, d) stacks, leading axes
 shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
-A record from a float32 kernel forward is widened to float64 once, at
-the start of the backward, so its arithmetic is the float64 backward's;
-only the forward's float32 rounding of its feature rows, out and den
-carries over.
+A float32 kernel forward's record is widened to float64 as the backward
+reads it, so its arithmetic is the float64 backward's; only the
+forward's float32 rounding of its feature rows, out and den carries
+over.
 On a query row whose only relu feature is small, dQ's error from that
 rounding grows like 1 / phi(q_i): the denominator's share, built from
 the rounded out, cancels the numerator's. In 2000 random float32 cases
@@ -53,7 +54,7 @@ from .core import (
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .linear import _forward, _require_cosine_config, _scan, _with_ones
+from .linear import _PANEL, _forward, _require_cosine_config, _scan, _with_ones
 from .reweight import _position_scaled, position_factors
 
 
@@ -96,16 +97,18 @@ def _backward(record: dict, d_out):
     position-scaled pair of (a, b) over the feature-mapped rows Kp and
     Qp: the pair's inner products are a_i . b_j times the re-weight of
     (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
-    wide. Leading axes of the (..., n, d) inputs ride along in every
-    step.
+    wide. Each walk maps its rows panel by panel (see _scan), so past the
+    gradients, the n-row dhat and -w and the cos/sin factors, a causal
+    backward's buffers are constant-size in n. Leading axes of the
+    (..., n, d) inputs ride along in every step.
     """
     config = record.pop("config")
     Q, K, V = (record.pop(k) for k in "QKV")
-    Qw, Kw = _wide(Q), _wide(K)
-    g = _wide(_check_d_out(d_out, Qw.shape[:-1] + V.shape[-1:]))
+    g = _wide(_check_d_out(d_out, Q.shape[:-1] + V.shape[-1:]))
 
     if config.use_softmax:
-        W, Vw = record.pop("W"), _wide(V)
+        W = record.pop("W")
+        Qw, Kw, Vw = (_wide(X) for X in (Q, K, V))
         alpha = 1.0 / math.sqrt(Qw.shape[-1])
         dV = W.swapaxes(-1, -2) @ g
         dW = g @ Vw.swapaxes(-1, -2)
@@ -117,45 +120,60 @@ def _backward(record: dict, d_out):
     causal, fm = config.causal, config.feature_map
     cosine = config.reweight.kind == "cosine"
     # A float32 forward's out and den are widened once, here. Q and K are
-    # mapped again in the forward's compute dtype, so their feature rows
-    # are bit-identical to the ones the forward scanned.
+    # mapped again, panel by panel, in the forward's compute dtype, so
+    # their feature rows are bit-identical to the ones the forward scanned.
     dtype = record["den"].dtype
     out, den = (_wide(record.pop(k)) for k in ("out", "den"))
-    Qc, Kc = (np.asarray(X, dtype) for X in (Q, K))
     dhat = np.maximum(den, config.eps)
-    # a = [u | -w], u = g / dhat. A row at or below the floor sees a
-    # constant denominator, so its w, the denominator's share, is 0.
-    a = np.empty(g.shape[:-1] + (g.shape[-1] + 1,))
-    u = np.divide(g, dhat[..., None], out=a[..., :-1])
-    a[..., -1] = np.where(den > config.eps,
-                          -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
-    del out, den, dhat
-
-    # The forward's feature rows, scaled in the compute dtype and widened
-    # one by one. Each buffer goes after its last use: kf, qf and u (a
-    # view of a) after dV, the unscaled a before b is scaled, Kp after dQ;
-    # phi(Q) is mapped again for dK. At n = 4096, d = 64 a float64 call
-    # peaks at 16.4 MiB under tracemalloc.
-    kf, qf = (apply_feature_map(X, fm) for X in (Kc, Qc))
-    Kp = _wide(kf)  # phi(K), dQ's values
+    # -w, the last column of a = [u | -w]. A row at or below the floor
+    # sees a constant denominator, so its w, the denominator's share, is 0.
+    neg_w = np.where(den > config.eps,
+                     -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
+    del out, den
     if cosine:
-        factors = position_factors(max(Qc.shape[-2], Kc.shape[-2]),
+        factors = position_factors(max(Q.shape[-2], K.shape[-2]),
                                    config.reweight.m)
-        kf, qf = _position_scaled(kf, factors), _position_scaled(qf, factors)
-    kf = _wide(kf) if cosine else Kp  # unscaled kf is phi(K): Kp
-    qf = _wide(qf)
-    dV = _scan(kf, qf, u, causal, suffix=True)
-    del kf, qf, u
-    b = _with_ones(V, np.float64)
-    if cosine:
-        a = _position_scaled(a, factors)
-        b = _position_scaled(b, factors)
-    dQ = _scan(a, b, Kp, causal)
-    del Kp
-    dK = _scan(b, a, _wide(apply_feature_map(Qc, fm)), causal, suffix=True)
-    del a, b
-    dQ *= feature_map_derivative(Qw, fm)
-    dK *= feature_map_derivative(Kw, fm)
+
+    # At n = 4096, d = 64 a float64 call peaks at 7.7 MiB under
+    # tracemalloc, its gradients 6 MiB of that, whatever the record's dtype.
+    def scaled(F, first):
+        return _position_scaled(F, factors, first - 1) if cosine else F
+
+    def phi(X):  # the forward's feature rows, in its compute dtype
+        return apply_feature_map(np.asarray(X, dtype), fm)
+
+    def a_rows(g_p, first):  # a = [u | -w] on g_p's rows
+        i = slice(first - 1, first - 1 + g_p.shape[-2])
+        a = np.empty(g_p.shape[:-1] + (g_p.shape[-1] + 1,))
+        np.divide(g_p, dhat[..., i, None], out=a[..., :-1])
+        a[..., -1] = neg_w[..., i]
+        return a
+
+    kept = {}  # the last scaled (a, b) pair, by the position of its row 0
+
+    def pair(g_p, V_p, first):
+        if first not in kept:
+            kept.clear()
+            kept[first] = (scaled(a_rows(g_p, first), first),
+                           scaled(_with_ones(V_p, np.float64), first))
+        return kept[first]
+
+    # dV scans u as a view of a: at d_v = 1 a contiguous u column rounds
+    # differently.
+    dV = _scan(K, Q, g, causal, lambda k, q, g_p, first: (
+        _wide(scaled(phi(k), first)), _wide(scaled(phi(q), first)),
+        a_rows(g_p, first)[..., :-1]), suffix=True)
+    dQ = _scan(g, V, K, causal, lambda g_p, V_p, k, first: (
+        *pair(g_p, V_p, first), _wide(phi(k))))
+    # The suffix walk starts at the panel where dQ's walk ended, so it
+    # takes that panel's pair as kept: one panel is scaled once, not twice.
+    dK = _scan(V, g, Q, causal, lambda V_p, g_p, q, first: (
+        *pair(g_p, V_p, first)[::-1], _wide(phi(q))), suffix=True)
+    kept.clear()
+    for dX, X in ((dQ, Q), (dK, K)):
+        for p0 in range(0, X.shape[-2], _PANEL):
+            dX[..., p0:p0 + _PANEL, :] *= feature_map_derivative(
+                X[..., p0:p0 + _PANEL, :], fm)
     return dQ, dK, dV
 
 

@@ -15,12 +15,14 @@ re-weight they are the 2d-wide cos/sin-scaled rows of
 re-weight exactly. Either way one scan over one feature pair does the
 work: it scans [V | 1], so the numerator and the denominator come out
 of one (feature width) x (d_v + 1) sum, whose ones column is the key
-total. The causal scan walks fixed panels of rows and maps each panel
-(phi, then decompose at the panel's own positions, then [V | 1]) as it
-reaches it, so no n-row feature array exists; the non-causal scan maps
-all rows at once. The analytic backward in :mod:`cosattn.grad` scans
-rows it maps itself, from the record the private _forward keeps of the
-forward: attend is that forward with its record dropped.
+total. The scan takes a mapping from raw rows to the rows it multiplies;
+the forward's is phi, then decompose at the rows' own positions, then
+[V | 1]. The causal scan walks fixed panels of rows and maps each panel
+as it reaches it, so no n-row feature array exists; the non-causal scan
+maps all rows at once. The analytic backward in :mod:`cosattn.grad` runs
+the same scan with mappings of its own, from the record the private
+_forward keeps of the forward: attend is that forward with its record
+dropped.
 Cost is Theta(n * d_k * d_v); beyond its n x (d_v + 1) [num | den] and
 output, a causal forward's transient allocation is Theta(_PANEL * d +
 d^2) whatever n is, a non-causal one's Theta(n * d + d^2), and never
@@ -112,7 +114,7 @@ def _causal_drop(rows: int) -> np.ndarray:
 _PANEL = 8 * _BLOCK
 
 
-def _features(x, y, config: AttentionConfig, first: int = 1):
+def _features(x, y, config: AttentionConfig, first: int):
     """Kernel feature rows of the raw rows x and y, whose row 0 sits at
     position first: phi(x), phi(y) for a plain kernel, and their cos/sin
     decomposition for the cosine re-weight, in the rows' own dtype."""
@@ -122,65 +124,60 @@ def _features(x, y, config: AttentionConfig, first: int = 1):
     return x, y
 
 
-def _scan(x, y, v, causal: bool, config: AttentionConfig | None = None,
-          suffix: bool = False):
-    """Rows sum_j (xf_i . yf_j) v_j over the keys each query admits.
+def _scan(x, y, v, causal: bool, rows, suffix: bool = False):
+    """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits.
 
-    Without a config, x and y are the feature rows xf, yf themselves and
-    v is scanned as given. With a kernel config the call is a forward's:
-    x and y are raw rows, mapped by _features in x's dtype, and v is
-    scanned as [v | 1], so the output's last column is the denominator
-    sum_j xf_i . yf_j. All three are (..., n, width) stacks sharing their
-    leading axes, and every slice is scanned on its own. The output has
-    dtype np.result_type(x, v): float32 for the forward's float32 path,
-    float64 everywhere else.
+    rows(x, y, v, first) maps raw rows, whose row 0 sits at the 1-based
+    position first, to the rows (xf, yf, vf) the scan multiplies. A
+    forward's maps x and y through _features and v to [v | 1], so the
+    output's last column is the denominator sum_j xf_i . yf_j; the
+    backward's build its gradients' rows (see grad._backward). All
+    three are (..., n, width) stacks sharing their leading axes, and every
+    slice is scanned on its own. The output takes its width from vf and
+    its dtype, np.result_type(xf, vf), from the first mapped panel:
+    float32 for the forward's float32 path, float64 everywhere else.
 
-    The non-causal path is one product over all rows. The causal path
-    admits keys j <= i (j >= i with suffix) and walks fixed-size chunks,
-    last to first for a suffix: the triangular part inside a chunk is a
-    masked product, and the chunks already walked enter through one
-    running (feature width) x width(v) sum per slice. The chunks are
-    grouped in _PANEL-row panels; with a config, each panel's rows are
-    mapped at their own positions, and its [v | 1] built, as the walk
+    The non-causal path maps all rows at once and is one product. The
+    causal path admits keys j <= i (j >= i with suffix) and walks
+    fixed-size chunks, last to first for a suffix: the triangular part
+    inside a chunk is a masked product, and the chunks already walked
+    enter through one running (feature width) x width(vf) sum per slice.
+    The chunks are grouped in _PANEL-row panels, each mapped as the walk
     reaches it, so transient buffers stay constant-size in n. _BLOCK is
     fixed, so a prefix row rounds alike at every n, and >= 32, so the toy
     trainer's n = 32 scans as one chunk.
     """
-    dtype = np.result_type(x, v)
     if not causal:
-        if config is not None:
-            x, y = _features(x, y, config)
-            v = _with_ones(v, dtype)
+        x, y, v = rows(x, y, v, 1)
         return x @ (y.swapaxes(-1, -2) @ v)
     n = x.shape[-2]
-    out = np.empty(x.shape[:-1] + (v.shape[-1] + (config is not None),), dtype)
-    state = None
+    out = state = None
     last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
     panels = range(0, n, _PANEL)
     for p0 in panels[::-1] if suffix else panels:
         p1 = min(p0 + _PANEL, n)
-        xp, yp, vp = x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :]
-        if config is not None:
-            xp, yp = _features(xp, yp, config, first=p0 + 1)
-            vp = _with_ones(vp, dtype)
+        xp, yp, vp = rows(x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :],
+                          p0 + 1)
+        if out is None:
+            out = np.empty(x.shape[:-1] + vp.shape[-1:], np.result_type(xp, vp))
         chunks = range(0, p1 - p0, _BLOCK)
         for start in chunks[::-1] if suffix else chunks:
             stop = min(start + _BLOCK, p1 - p0)
             qc = xp[..., start:stop, :]
             kc = yp[..., start:stop, :]
             vc = vp[..., start:stop, :]
-            rows = out[..., p0 + start:p0 + stop, :]
+            dst = out[..., p0 + start:p0 + stop, :]
             sim = qc @ kc.swapaxes(-1, -2)
             drop = _causal_drop(stop - start)
             # copyto broadcasts the mask over the leading axes as fast as a
             # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
             np.copyto(sim, 0.0, where=drop.T if suffix else drop)
-            np.matmul(sim, vc, out=rows)
+            np.matmul(sim, vc, out=dst)
             # The state is zero in the first chunk walked and unread after
             # the last, so a one-chunk scan is two products, not four, and
             # allocates no state.
             if state is not None:
-                rows += qc @ state
+                dst += qc @ state
             if p0 + start != last:
                 kv = kc.swapaxes(-1, -2) @ vc
                 if state is None:
@@ -212,8 +209,10 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     """The scanned [num | den] of a kernel config, computed in dtype."""
+    def rows(q, k, v, first):
+        return (*_features(q, k, config, first), _with_ones(v, dtype))
     return _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V, config.causal,
-                 config)
+                 rows)
 
 
 def _forward(Q, K, V, config: AttentionConfig):

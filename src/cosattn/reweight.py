@@ -70,17 +70,19 @@ def build_reweight_matrix(n_q: int, n_k: int, m: int) -> np.ndarray:
     return np.cos((np.pi * (i - j)) / (2.0 * m))
 
 
-def _position_scaled(F: np.ndarray, factors) -> np.ndarray:
+def _position_scaled(F: np.ndarray, factors, offset: int = 0) -> np.ndarray:
     """[F cos | F sin] with each row scaled by its own position's factors.
 
     F is (..., n, d); factors is the (cos, sin) pair of position_factors
-    for at least n positions, row i of every slice taking entry i. The
-    result has F's dtype: for float32 F the float64 factors are rounded
-    once to float32, and float64 F is scaled in float64. No check is made:
-    callers have checked F and the positions against the horizon.
+    for at least offset + n positions, row i of every slice taking entry
+    offset + i. The result has F's dtype: for float32 F the float64
+    factors are rounded once to float32, and float64 F is scaled in
+    float64. No check is made: callers have checked F and the positions
+    against the horizon.
     """
     n, d = F.shape[-2:]
-    cos, sin = (c[:n].astype(F.dtype, copy=False) for c in factors)
+    cos, sin = (c[offset:offset + n].astype(F.dtype, copy=False)
+                for c in factors)
     out = np.empty(F.shape[:-1] + (2 * d,), F.dtype)
     np.multiply(F, cos[:, None], out=out[..., :d])
     np.multiply(F, sin[:, None], out=out[..., d:])

@@ -134,9 +134,12 @@ def _directional_errors(feature_map, cosine, n):
 
 
 # Three chunks, the last one partial, so the prefix and suffix scans carry
-# state across two chunk boundaries in each direction; and three panels,
-# so the suffix scans also walk panels last to first.
-ACROSS_LENGTHS = ((2 * _BLOCK + 17, ""), (2 * _PANEL + 17, "-panels"))
+# state across two chunk boundaries in each direction; three panels, so
+# the suffix scans also walk panels last to first; and the two edges of
+# the last panel, whose scaled pair the dK walk takes from the dQ walk:
+# one row, and a whole panel.
+ACROSS_LENGTHS = ((2 * _BLOCK + 17, ""), (2 * _PANEL + 17, "-panels"),
+                  (_PANEL + 1, "-one-row-panel"), (2 * _PANEL, "-whole-panels"))
 
 
 @pytest.mark.parametrize("feature_map, cosine, n", [
@@ -156,6 +159,29 @@ def test_directional_fd_catches_a_backward_scan_that_drops_its_carry(
     # chunks before it: the check above must see it past a panel.
     monkeypatch.setattr(grad, "_scan",
                         functools.partial(_dropped_carry, grad._scan))
+    errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
+    assert max(errors.values()) > 1e-6, errors
+
+
+def _first_ignored(scaled, F, factors, offset=0):
+    """Every panel scaled from position 1."""
+    return scaled(F, factors)
+
+
+def test_directional_fd_catches_a_backward_that_scales_panels_from_one(
+        monkeypatch):
+    # Within one panel the defect changes nothing, so a check that never
+    # crosses a panel boundary cannot see it; past one, the check above
+    # must.
+    n = _PANEL
+    rng = np.random.default_rng(48)
+    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    config = AttentionConfig.cosformer(m=2 * n, causal=True)
+    shipped = cosformer_backward(Q, K, V, config, g)
+    monkeypatch.setattr(grad, "_position_scaled",
+                        functools.partial(_first_ignored, grad._position_scaled))
+    for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
+        assert np.array_equal(a, b)
     errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
     assert max(errors.values()) > 1e-6, errors
 

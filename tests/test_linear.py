@@ -479,14 +479,14 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
                     (n, dtype, cut)
 
 
-def _carry_reset_at_panels(scan, x, y, v, causal, config=None, suffix=False):
+def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False):
     """Each panel scanned on its own, its rows mapped at their own
     positions: the carry restarts at every panel boundary."""
-    x, y = linear._features(x, y, config)
-    v = linear._with_ones(v, np.result_type(x, v))
+    x, y, v = rows(x, y, v, 1)
     panels = (slice(p, p + _PANEL) for p in range(0, x.shape[-2], _PANEL))
     return np.concatenate([scan(x[..., p, :], y[..., p, :], v[..., p, :], causal,
-                                suffix=suffix) for p in panels], axis=-2)
+                                lambda *mapped: mapped[:3], suffix=suffix)
+                           for p in panels], axis=-2)
 
 
 def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
@@ -555,3 +555,27 @@ def test_causal_backward_holds_no_feature_rows_past_their_scan():
     finally:
         tracemalloc.stop()
     assert peak < grads + scaled + 2 * n * d * 8, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("n", [8 * _PANEL, 16 * _PANEL])
+def test_causal_backward_holds_no_whole_length_rows(n, dtype):
+    # Peak over the call, inputs and record excluded: the three gradients
+    # and four n-row float64 vectors (dhat, -w and the cos/sin factors),
+    # plus 1 MiB for the panel walk's transients, whatever n is. One more
+    # n x d float64 array at n = 16 * _PANEL would break the bound.
+    rng = np.random.default_rng(48)
+    d = 32
+    Q, K, V = (rng.standard_normal((n, d)).astype(dtype) for _ in range(3))
+    g = rng.standard_normal((n, d))
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    _backward(_forward(Q, K, V, config)[1], g)  # warm the mask cache
+    record = _forward(Q, K, V, config)[1]
+    assert record["den"].dtype == dtype
+    tracemalloc.start()
+    try:
+        _backward(record, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * d * 8 + 4 * n * 8 + 2 ** 20, peak

@@ -21,10 +21,11 @@ OS-level RSS: the count is deterministic, portable, and shows the
 asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
 variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The batch
 implementations here allocate more on top of these counts: a causal
-forward its n x (d + 1) [num | den] and fixed-size panels of feature
-rows, a causal backward its gradients, four n-row vectors and such
-panels, a non-causal call O(n * d) staging buffers; the counts track the
-algorithmic working set, not this library's allocator behavior.
+forward its n-row denominators and fixed-size panels of feature rows
+and of the scanned sums, a causal backward its gradients, four n-row
+vectors and such panels, a non-causal call O(n * d) staging buffers; the
+counts track the algorithmic working set, not this library's allocator
+behavior.
 
 A quadratic cell that runs out of memory is recorded with NaN timings
 rather than aborting the sweep, so large-length comparisons against the

@@ -33,7 +33,7 @@ from .core import (
     leaky_relu,
 )
 from .errors import ConfigurationError
-from .linear import _BLOCK, attend, causal_state_init, causal_state_step
+from .linear import _BLOCK, _PANEL, attend, causal_state_init, causal_state_step
 
 VARIANTS = (
     "linear_identity",
@@ -125,16 +125,25 @@ def _unfloored_denominator(finalize, num, eps):
         return num[..., :-1] / num[..., -1:]
 
 
-def _dropped_carry(scan, x, y, v, causal, rows, suffix=False):
+def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None):
     """Each causal chunk scanned on its own: no state carried between chunks.
-    The rows are mapped whole first, so each keeps its own position."""
+    The rows are mapped whole first, so each keeps its own position, and
+    the sums are handed back a panel at a time, as the scan's are."""
     if not causal:
-        return scan(x, y, v, False, rows, suffix)
+        yield from scan(x, y, v, False, rows, suffix=suffix, out=out)
+        return
     x, y, v = rows(x, y, v, 1)
-    chunks = (slice(i, i + _BLOCK) for i in range(0, x.shape[-2], _BLOCK))
-    return np.concatenate([scan(x[..., c, :], y[..., c, :], v[..., c, :], True,
-                                lambda *mapped: mapped[:3], suffix=suffix)
-                           for c in chunks], axis=-2)
+    n = x.shape[-2]
+    if out is None:
+        out = np.empty(x.shape[:-1] + v.shape[-1:], np.result_type(x, v))
+    for c in range(0, n, _BLOCK):
+        chunk = slice(c, c + _BLOCK)
+        for _ in scan(x[..., chunk, :], y[..., chunk, :], v[..., chunk, :], True,
+                      lambda *mapped: mapped[:3], suffix=suffix,
+                      out=out[..., chunk, :]):
+            pass
+    for p0 in range(0, n, _PANEL):
+        yield p0, min(p0 + _PANEL, n), out[..., p0:p0 + _PANEL, :]
 
 
 # Mutation -> (linear attribute replaced, defect called with the original).

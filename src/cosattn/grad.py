@@ -134,7 +134,7 @@ def _backward(record: dict, d_out):
         factors = position_factors(max(Q.shape[-2], K.shape[-2]),
                                    config.reweight.m)
 
-    # At n = 4096, d = 64 a float64 call peaks at 7.7 MiB under
+    # At n = 4096, d = 64 a causal call peaks at 7.0 MiB under
     # tracemalloc, its gradients 6 MiB of that, whatever the record's dtype.
     def scaled(F, first):
         return _position_scaled(F, factors, first - 1) if cosine else F
@@ -149,31 +149,45 @@ def _backward(record: dict, d_out):
         a[..., -1] = neg_w[..., i]
         return a
 
-    kept = {}  # the last scaled (a, b) pair, by the position of its row 0
+    kept = {}  # dQ's last scaled (a, b) pair, by the position of its row 0
 
-    def pair(g_p, V_p, first):
-        if first not in kept:
-            kept.clear()
-            kept[first] = (scaled(a_rows(g_p, first), first),
-                           scaled(_with_ones(V_p, np.float64), first))
-        return kept[first]
+    def pair(g_p, V_p, first, keep):
+        ab = kept.pop(first, None) or (scaled(a_rows(g_p, first), first),
+                                       scaled(_with_ones(V_p, np.float64), first))
+        kept.clear()
+        if keep:
+            kept[first] = ab
+        return ab
+
+    def gradient(X, x, y, v, rows, suffix=False, derivative=True):
+        """One walk's gradient, shaped like X. A walk of several panels
+        writes it in place; a walk of one block (non-causal, or at most
+        _PANEL rows) returns that block, allocated after the rows are
+        mapped, so no gradient adds to the mapping's peak. dQ and dK are
+        derivatives by phi(Q) and phi(K) until each block, as the walk
+        leaves it, is multiplied by phi', _PANEL rows at a time, so a
+        non-causal block takes no n-row phi'."""
+        dX = np.empty(X.shape) if causal and X.shape[-2] > _PANEL else None
+        for p0, p1, block in _scan(x, y, v, causal, rows, suffix=suffix, out=dX):
+            if derivative:
+                X_b = X[..., p0:p1, :]
+                for r in range(0, p1 - p0, _PANEL):
+                    block[..., r:r + _PANEL, :] *= feature_map_derivative(
+                        X_b[..., r:r + _PANEL, :], fm)
+        return block if dX is None else dX
 
     # dV scans u as a view of a: at d_v = 1 a contiguous u column rounds
     # differently.
-    dV = _scan(K, Q, g, causal, lambda k, q, g_p, first: (
+    dV = gradient(V, K, Q, g, lambda k, q, g_p, first: (
         _wide(scaled(phi(k), first)), _wide(scaled(phi(q), first)),
-        a_rows(g_p, first)[..., :-1]), suffix=True)
-    dQ = _scan(g, V, K, causal, lambda g_p, V_p, k, first: (
-        *pair(g_p, V_p, first), _wide(phi(k))))
+        a_rows(g_p, first)[..., :-1]), suffix=True, derivative=False)
+    dQ = gradient(Q, g, V, K, lambda g_p, V_p, k, first: (
+        *pair(g_p, V_p, first, True), _wide(phi(k))))
     # The suffix walk starts at the panel where dQ's walk ended, so it
-    # takes that panel's pair as kept: one panel is scaled once, not twice.
-    dK = _scan(V, g, Q, causal, lambda V_p, g_p, q, first: (
-        *pair(g_p, V_p, first)[::-1], _wide(phi(q))), suffix=True)
-    kept.clear()
-    for dX, X in ((dQ, Q), (dK, K)):
-        for p0 in range(0, X.shape[-2], _PANEL):
-            dX[..., p0:p0 + _PANEL, :] *= feature_map_derivative(
-                X[..., p0:p0 + _PANEL, :], fm)
+    # takes that panel's pair out of kept: one panel is scaled once, not
+    # twice, and no pair is held while dK's blocks are multiplied by phi'.
+    dK = gradient(K, V, g, Q, lambda V_p, g_p, q, first: (
+        *pair(g_p, V_p, first, False)[::-1], _wide(phi(q))), suffix=True)
     return dQ, dK, dV
 
 

@@ -23,14 +23,16 @@ maps all rows at once. The analytic backward in :mod:`cosattn.grad` runs
 the same scan with mappings of its own, from the record the private
 _forward keeps of the forward: attend is that forward with its record
 dropped.
-Cost is Theta(n * d_k * d_v); beyond its n x (d_v + 1) [num | den] and
-output, a causal forward's transient allocation is Theta(_PANEL * d +
-d^2) whatever n is, a non-causal one's Theta(n * d + d^2), and never
-Theta(n^2). The kernel forward computes float32 storage in float32 under
-a non-negative feature map (relu, elu_plus_one), and everything else in
-float64; a float32 scan that overflows shows inf or NaN in its
-[num | den] and is redone once in float64 (see _forward). The softmax
-reference and every backward compute in float64.
+Cost is Theta(n * d_k * d_v). The scan hands its [num | den] back panel
+by panel, and the forward divides each into the output and an n-vector
+of denominators as the walk leaves it, so beyond those a causal
+forward's transient allocation is Theta(_PANEL * d + d^2) whatever n
+is, a non-causal one's Theta(n * d + d^2), and never Theta(n^2). The
+kernel forward computes float32 storage in float32 under a non-negative
+feature map (relu, elu_plus_one), and everything else in float64; a
+float32 scan that overflows shows inf or NaN in a panel of its
+[num | den], and the call is redone once in float64 (see _forward). The
+softmax reference and every backward compute in float64.
 
 Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
@@ -102,9 +104,9 @@ def _causal_drop(rows: int) -> np.ndarray:
 # Rows per panel of the causal walk: each panel's rows are feature-mapped,
 # position-scaled and given their ones column inside the walk, so no
 # n-row feature array is ever built. At n = 4096, d = 64 (causal float32
-# cosformer, one BLAS thread) the forward peaked under tracemalloc at
-# 2.10 MiB, its [num | den] and output, against 6.13 MiB for whole-length
-# features; 512- and 1024-row panels peaked at 2.53 and 3.91 MiB. Each
+# cosformer, one BLAS thread) the forward peaks under tracemalloc at
+# 1.60 MiB, 1 MiB of it the output, against 6.13 MiB for whole-length
+# features; 512- and 1024-row panels peak at 2.04 and 2.93 MiB. Each
 # panel pays a fixed cost of about forty NumPy calls (two feature maps,
 # decompose's checks and factors, two scalings): in the benchmark's
 # prefill_long, 1024-row panels ran as fast as whole-length features and
@@ -124,49 +126,61 @@ def _features(x, y, config: AttentionConfig, first: int):
     return x, y
 
 
-def _scan(x, y, v, causal: bool, rows, suffix: bool = False):
-    """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits.
+def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None):
+    """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits,
+    yielded panel by panel as (p0, p1, block), block being rows p0:p1.
 
     rows(x, y, v, first) maps raw rows, whose row 0 sits at the 1-based
     position first, to the rows (xf, yf, vf) the scan multiplies. A
-    forward's maps x and y through _features and v to [v | 1], so the
-    output's last column is the denominator sum_j xf_i . yf_j; the
+    forward's maps x and y through _features and v to [v | 1], so a
+    block's last column is the denominator sum_j xf_i . yf_j; the
     backward's build its gradients' rows (see grad._backward). All
     three are (..., n, width) stacks sharing their leading axes, and every
-    slice is scanned on its own. The output takes its width from vf and
-    its dtype, np.result_type(xf, vf), from the first mapped panel:
+    slice is scanned on its own. The sums take their width from vf and
+    their dtype, np.result_type(xf, vf), from the first mapped panel:
     float32 for the forward's float32 path, float64 everywhere else.
+    With out, a (..., n, width(vf)) array of that dtype, each block is
+    out[..., p0:p1, :] and the scan fills out; without it, each causal
+    block is a view of one panel-sized buffer that the next panel
+    overwrites, so the caller reads a block before it asks for the next.
 
-    The non-causal path maps all rows at once and is one product. The
-    causal path admits keys j <= i (j >= i with suffix) and walks
-    fixed-size chunks, last to first for a suffix: the triangular part
-    inside a chunk is a masked product, and the chunks already walked
-    enter through one running (feature width) x width(vf) sum per slice.
-    The chunks are grouped in _PANEL-row panels, each mapped as the walk
-    reaches it, so transient buffers stay constant-size in n. _BLOCK is
-    fixed, so a prefix row rounds alike at every n, and >= 32, so the toy
-    trainer's n = 32 scans as one chunk.
+    The non-causal path maps all rows at once and is one product, yielded
+    as one block. The causal path admits keys j <= i (j >= i with suffix)
+    and walks fixed-size chunks, last to first for a suffix: the
+    triangular part inside a chunk is a masked product, and the chunks
+    already walked enter through one running (feature width) x width(vf)
+    sum per slice. The chunks are grouped in _PANEL-row panels, each
+    mapped as the walk reaches it and yielded, its mapped rows dropped,
+    as the walk leaves it, so transient buffers stay constant-size in n;
+    a walk over at most _PANEL rows yields one block. _BLOCK is fixed, so
+    a prefix row rounds alike at every n, and >= 32, so the toy trainer's
+    n = 32 scans as one chunk.
     """
     if not causal:
-        x, y, v = rows(x, y, v, 1)
-        return x @ (y.swapaxes(-1, -2) @ v)
+        xf, yf, vf = rows(x, y, v, 1)
+        block = np.matmul(xf, yf.swapaxes(-1, -2) @ vf, out=out)
+        del xf, yf, vf
+        yield 0, x.shape[-2], block
+        return
     n = x.shape[-2]
-    out = state = None
+    buf = state = None
     last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
     panels = range(0, n, _PANEL)
     for p0 in panels[::-1] if suffix else panels:
         p1 = min(p0 + _PANEL, n)
         xp, yp, vp = rows(x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :],
                           p0 + 1)
-        if out is None:
-            out = np.empty(x.shape[:-1] + vp.shape[-1:], np.result_type(xp, vp))
+        if out is None and buf is None:
+            buf = np.empty(x.shape[:-2] + (min(n, _PANEL),) + vp.shape[-1:],
+                           np.result_type(xp, vp))
+        block = buf[..., :p1 - p0, :] if out is None else out[..., p0:p1, :]
         chunks = range(0, p1 - p0, _BLOCK)
         for start in chunks[::-1] if suffix else chunks:
             stop = min(start + _BLOCK, p1 - p0)
             qc = xp[..., start:stop, :]
             kc = yp[..., start:stop, :]
             vc = vp[..., start:stop, :]
-            dst = out[..., p0 + start:p0 + stop, :]
+            dst = block[..., start:stop, :]
             sim = qc @ kc.swapaxes(-1, -2)
             drop = _causal_drop(stop - start)
             # copyto broadcasts the mask over the leading axes as fast as a
@@ -184,7 +198,10 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False):
                     state = kv
                 else:
                     state += kv
-    return out
+        # The chunk views hold the mapped rows too: all of them go before
+        # the caller reads the block and before the next panel is mapped.
+        del xp, yp, vp, qc, kc, vc
+        yield p0, p1, block
 
 
 def _with_ones(V, dtype) -> np.ndarray:
@@ -197,9 +214,8 @@ def _with_ones(V, dtype) -> np.ndarray:
 
 
 def _finalize(num: np.ndarray, eps: float) -> np.ndarray:
-    """The scanned [num | den] divided by the floored den, in a fresh
-    C-contiguous (..., n, d_v) array of num's dtype, so the output keeps
-    no view of the den column."""
+    """A scanned block of [num | den] divided by its floored den, in a
+    fresh C-contiguous (..., rows, d_v) array of num's dtype."""
     return np.divide(num[..., :-1], np.maximum(num[..., -1], eps)[..., None])
 
 
@@ -208,11 +224,25 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
-    """The scanned [num | den] of a kernel config, computed in dtype."""
+    """(out, den) of a kernel config, computed in dtype: each scanned
+    block of [num | den] is divided into out, and its den column copied
+    into den, as the walk leaves it. None from a float32 scan once a
+    block is not finite, before the rest is scanned."""
     def rows(q, k, v, first):
         return (*_features(q, k, config, first), _with_ones(v, dtype))
-    return _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V, config.causal,
-                 rows)
+    out = den = None
+    for p0, p1, block in _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V,
+                               config.causal, rows):
+        if dtype == np.float32 and not np.isfinite(block).all():
+            return None
+        part = _finalize(block, config.eps)
+        if out is None:  # after the first panel's mapping and divide
+            out = np.empty(Q.shape[:-1] + V.shape[-1:], dtype)
+            den = np.empty(Q.shape[:-1], dtype)
+        out[..., p0:p1, :] = part
+        den[..., p0:p1] = block[..., -1]
+        del part  # before the walk maps its next panel
+    return out, den
 
 
 def _forward(Q, K, V, config: AttentionConfig):
@@ -222,24 +252,26 @@ def _forward(Q, K, V, config: AttentionConfig):
     its arrays out as it goes, so one record serves one backward. It has
     one shape per config: the config and the validated Q, K and V, then
     for softmax the weight matrix W, and for a kernel the output ``out``
-    and the unfloored denominator ``den`` (n scalars per slice, a copy, so
-    the scanned [num | den] dies here), both in the compute dtype. out is
-    a fresh array, and when the compute dtype is the storage dtype the
-    returned out is the record's out, so it must not be edited in place
-    while the record lives. No feature rows and no [V | 1] are kept: the
-    backward maps Q and K again in the compute dtype, bit-identically.
+    and the unfloored denominator ``den`` (n scalars per slice), both in
+    the compute dtype. No n-row [num | den] exists: the scan hands each
+    panel's over as it leaves it (see _kernel_scan). out is a fresh
+    array, and when the compute dtype is the storage dtype the returned
+    out is the record's out, so it must not be edited in place while the
+    record lives. No feature rows and no [V | 1] are kept: the backward
+    maps Q and K again in the compute dtype, bit-identically.
 
     A kernel forward scans float32 storage in float32 under a non-negative
     map (relu, elu_plus_one) with eps a normal float32 (else eps rounds to
     0 or inf), and all else in float64, since a sign-indefinite map may
     cancel in its denominators. With finite inputs and non-negative finite
-    features a float32 scan fails only by overflowing, and [num | den]
-    shows it: an inf in an unmasked similarity, in the carry or in a
-    product arrives there as inf or NaN (0 * inf is NaN); one in a masked
-    similarity is zeroed and affects nothing. The call is then scanned
-    again in float64; num is checked, not out, as an overflowed den over a
-    finite num divides to a finite 0. So a suffix edit that overflows, or
-    one such slice of a stack, moves the whole call to float64.
+    features a float32 scan fails only by overflowing, and the scanned
+    [num | den] shows it: an inf in an unmasked similarity, in the carry
+    or in a product arrives there as inf or NaN (0 * inf is NaN); one in a
+    masked similarity is zeroed and affects nothing. At the first panel
+    that shows it the whole call is scanned again in float64; num is
+    checked, not out, as an overflowed den over a finite num divides to a
+    finite 0. So a suffix edit that overflows, or one such slice of a
+    stack, moves the whole call to float64.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
@@ -252,15 +284,15 @@ def _forward(Q, K, V, config: AttentionConfig):
     else:
         if config.reweight.kind == "cosine":
             _require_horizon(max(Q.shape[-2], K.shape[-2]), config.reweight.m)
-        num = None
+        scanned = None
         if _storage_dtype(Q, K, V) == np.float32 and config.feature_map.nonnegative \
                 and _F32_TINY <= config.eps <= _F32_MAX:
             with np.errstate(over="ignore", invalid="ignore"):  # num shows overflow
-                num = _kernel_scan(Q, K, V, config, np.float32)
-        if num is None or not np.isfinite(num).all():
-            num = _kernel_scan(Q, K, V, config, np.float64)
-        out = _finalize(num, config.eps)
-        record.update(out=out, den=num[..., -1].copy())
+                scanned = _kernel_scan(Q, K, V, config, np.float32)
+        if scanned is None:
+            scanned = _kernel_scan(Q, K, V, config, np.float64)
+        out, den = scanned
+        record.update(out=out, den=den)
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
 
 

@@ -428,6 +428,24 @@ def test_one_overflowing_slice_moves_the_stack_to_float64(variant):
         assert np.array_equal(out[idx], wide.astype(np.float32)), idx
 
 
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_overflow_past_the_first_panel_moves_the_call_to_float64(variant):
+    # The float32 scan is checked panel by panel as the walk leaves each:
+    # an overflow in slice 1's third panel alone must still send the
+    # whole call to float64.
+    rng = np.random.default_rng(49)
+    n = 2 * _PANEL + 17
+    config = _kernel_config(variant, n, causal=True)
+    Q, K, V = (rng.standard_normal((2, n, 8)) for _ in range(3))
+    for X in (Q, K, V):
+        X[1, 2 * _PANEL:] *= 1e18
+    args = [X.astype(np.float32) for X in (Q, K, V)]
+    out, record = _forward(*args, config)
+    assert record["den"].dtype == np.float64
+    wide = attend(*(X.astype(np.float64) for X in args), config)
+    assert np.array_equal(out, wide.astype(np.float32))
+
+
 # The equivalence suite draws n <= 256 = _PANEL, so its cases never leave
 # the first panel; these lengths cross two and three panel boundaries.
 PANEL_LENGTHS = (2 * _PANEL + 17, 3 * _PANEL + 17)
@@ -483,10 +501,12 @@ def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False):
     """Each panel scanned on its own, its rows mapped at their own
     positions: the carry restarts at every panel boundary."""
     x, y, v = rows(x, y, v, 1)
-    panels = (slice(p, p + _PANEL) for p in range(0, x.shape[-2], _PANEL))
-    return np.concatenate([scan(x[..., p, :], y[..., p, :], v[..., p, :], causal,
-                                lambda *mapped: mapped[:3], suffix=suffix)
-                           for p in panels], axis=-2)
+    for p0 in range(0, x.shape[-2], _PANEL):
+        panel = slice(p0, p0 + _PANEL)
+        for _, _, block in scan(x[..., panel, :], y[..., panel, :],
+                                v[..., panel, :], causal,
+                                lambda *mapped: mapped[:3], suffix=suffix):
+            yield p0, p0 + block.shape[-2], block
 
 
 def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
@@ -533,6 +553,28 @@ def test_causal_forward_holds_no_whole_length_feature_rows():
         tracemalloc.stop()
     assert out.dtype == np.float32
     assert peak < outputs + n * 2 * d * 4, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("n", [8 * _PANEL, 16 * _PANEL])
+def test_causal_forward_holds_no_whole_length_scanned_sums(n, dtype):
+    # Peak over the call, inputs excluded, beyond the output: the n
+    # denominators and one panel's feature rows and scanned [num | den],
+    # whatever n is. An n-row [num | den] beside the output would break
+    # the bound at both lengths.
+    rng = np.random.default_rng(47)
+    d = 32
+    Q, K, V = (rng.standard_normal((n, d)).astype(dtype) for _ in range(3))
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    attend(Q, K, V, config)  # warm the mask cache
+    tracemalloc.start()
+    try:
+        out = attend(Q, K, V, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == dtype
+    assert peak - out.nbytes < 100 * 1024 * out.itemsize, peak - out.nbytes
 
 
 def test_causal_backward_holds_no_feature_rows_past_their_scan():

@@ -71,6 +71,8 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
     [cos | sin]-scaled rows.
     """
     _require_variant(variant)
+    if seq_len < 1 or d_model < 1:
+        raise ConfigurationError(f"need seq_len, d_model >= 1, got {seq_len}, {d_model}")
     if variant == "softmax":
         return seq_len * seq_len + seq_len * d_model
     if variant == "cosformer":

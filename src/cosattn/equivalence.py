@@ -119,10 +119,10 @@ def _dropped_sin_branch(decompose, Q_feat, K_feat, m, first=1):
     return tuple(x[..., :d] for x in decompose(Q_feat, K_feat, m, first))
 
 
-def _unfloored_denominator(finalize, num, eps):
-    """num / den with no eps floor: the 0/0 on floored rows is the point."""
+def _unfloored_denominator(finalize, num, eps, out):
+    """num / den into out with no eps floor: the 0/0 on floored rows is the point."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return num[..., :-1] / num[..., -1:]
+        np.divide(num[..., :-1], num[..., -1:], out=out)
 
 
 def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None):

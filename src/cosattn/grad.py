@@ -241,8 +241,8 @@ def finite_diff_grad(f, X, h: float = 1e-5) -> np.ndarray:
     callable must not retain the array it is handed; it is reused.
     """
     X = np.array(X, dtype=np.float64)
-    if not (h > 0.0):
-        raise ConfigurationError(f"h must be > 0, got {h!r}")
+    if not 0.0 < h < math.inf:
+        raise ConfigurationError(f"h must be finite and > 0, got {h!r}")
     grad = np.zeros_like(X)
     it = np.nditer(X, flags=["multi_index"])
     for _ in it:

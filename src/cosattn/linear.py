@@ -116,24 +116,14 @@ def _causal_drop(rows: int) -> np.ndarray:
 _PANEL = 8 * _BLOCK
 
 
-def _features(x, y, config: AttentionConfig, first: int):
-    """Kernel feature rows of the raw rows x and y, whose row 0 sits at
-    position first: phi(x), phi(y) for a plain kernel, and their cos/sin
-    decomposition for the cosine re-weight, in the rows' own dtype."""
-    x, y = (apply_feature_map(r, config.feature_map) for r in (x, y))
-    if config.reweight.kind == "cosine":
-        x, y = decompose(x, y, config.reweight.m, first=first)
-    return x, y
-
-
 def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None):
     """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits,
     yielded panel by panel as (p0, p1, block), block being rows p0:p1.
 
     rows(x, y, v, first) maps raw rows, whose row 0 sits at the 1-based
     position first, to the rows (xf, yf, vf) the scan multiplies. A
-    forward's maps x and y through _features and v to [v | 1], so a
-    block's last column is the denominator sum_j xf_i . yf_j; the
+    forward's maps x, y to feature rows and v to [v | 1] (_kernel_scan),
+    so a block's last column is the denominator sum_j xf_i . yf_j; the
     backward's build its gradients' rows (see grad._backward). All
     three are (..., n, width) stacks sharing their leading axes, and every
     slice is scanned on its own. The sums take their width from vf and
@@ -213,10 +203,10 @@ def _with_ones(V, dtype) -> np.ndarray:
     return out
 
 
-def _finalize(num: np.ndarray, eps: float) -> np.ndarray:
-    """A scanned block of [num | den] divided by its floored den, in a
-    fresh C-contiguous (..., rows, d_v) array of num's dtype."""
-    return np.divide(num[..., :-1], np.maximum(num[..., -1], eps)[..., None])
+def _finalize(num: np.ndarray, eps: float, out: np.ndarray) -> None:
+    """Divide a scanned block of [num | den] by its floored den into out,
+    a (..., rows, d_v) array of num's dtype."""
+    np.divide(num[..., :-1], np.maximum(num[..., -1], eps)[..., None], out=out)
 
 
 _F32_TINY = float(np.finfo(np.float32).tiny)
@@ -224,24 +214,26 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
-    """(out, den) of a kernel config, computed in dtype: each scanned
-    block of [num | den] is divided into out, and its den column copied
-    into den, as the walk leaves it. None from a float32 scan once a
+    """(out, den) of a kernel config, computed in dtype: each panel maps to
+    phi(q), phi(k) (decomposed for a cosine config) and [v | 1], and each
+    scanned [num | den] block is divided into out, and its den column
+    copied into den, as the walk leaves it. None from a float32 scan once a
     block is not finite, before the rest is scanned."""
     def rows(q, k, v, first):
-        return (*_features(q, k, config, first), _with_ones(v, dtype))
+        q, k = (apply_feature_map(r, config.feature_map) for r in (q, k))
+        if config.reweight.kind == "cosine":
+            q, k = decompose(q, k, config.reweight.m, first=first)
+        return q, k, _with_ones(v, dtype)
     out = den = None
     for p0, p1, block in _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V,
                                config.causal, rows):
         if dtype == np.float32 and not np.isfinite(block).all():
             return None
-        part = _finalize(block, config.eps)
-        if out is None:  # after the first panel's mapping and divide
+        if out is None:  # after the first panel is mapped
             out = np.empty(Q.shape[:-1] + V.shape[-1:], dtype)
             den = np.empty(Q.shape[:-1], dtype)
-        out[..., p0:p1, :] = part
+        _finalize(block, config.eps, out[..., p0:p1, :])
         den[..., p0:p1] = block[..., -1]
-        del part  # before the walk maps its next panel
     return out, den
 
 

@@ -103,8 +103,8 @@ def decompose(Q_feat, K_feat, m: int,
     holds exactly in real arithmetic. Each factor depends on its own
     position alone, so rows decomposed from a later first (the causal
     forward decomposes one panel at a time) equal the matching rows of a
-    whole decomposition bit for bit. Refuses first < 1 and a last
-    position first - 1 + rows beyond m.
+    whole decomposition bit for bit. Refuses a first that is not an
+    integer >= 1, and a last position first - 1 + rows beyond m.
     """
     from .core import require_matrix  # core imports this module
     Qf = require_matrix(Q_feat, "Q_feat", stack=True)
@@ -112,8 +112,8 @@ def decompose(Q_feat, K_feat, m: int,
     if Qf.shape[-1] != Kf.shape[-1]:
         raise DimensionError(
             f"feature widths differ: {Qf.shape[-1]} vs {Kf.shape[-1]}")
-    if first < 1:
-        raise ConfigurationError(f"first position must be >= 1, got {first}")
+    if not isinstance(first, (int, np.integer)) or first < 1:
+        raise ConfigurationError(f"first must be an integer >= 1, got {first!r}")
     rows = max(Qf.shape[-2], Kf.shape[-2])
     _require_horizon(first - 1 + rows, m)
     factors = position_factors(rows, m, first)

@@ -323,6 +323,9 @@ def _pin_heap():
 def init_toy_params(rng, n_symbols: int = 16, d_model: int = 32,
                     d_ff: int = 64) -> BlockParams:
     """Seeded toy-model initialization; delimiter gets the extra embedding row."""
+    if min(n_symbols, d_model, d_ff) < 1:
+        raise ConfigurationError(
+            f"need n_symbols, d_model, d_ff >= 1, got {n_symbols}, {d_model}, {d_ff}")
     scale = 1.0 / np.sqrt(d_model)
     return BlockParams(
         embedding=rng.standard_normal((n_symbols + 1, d_model)),

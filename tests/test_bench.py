@@ -32,6 +32,10 @@ def test_transient_scalar_counts():
     assert ratio > 10.0
     with pytest.raises(ConfigurationError):
         transient_scalars("flash", n, d)
+    for variant, seq_len, d_model in (("cosformer", 0, 4), ("softmax", -5, 4),
+                                      ("linear", 8, 0)):
+        with pytest.raises(ConfigurationError, match="seq_len, d_model"):
+            transient_scalars(variant, seq_len, d_model)
 
 
 def test_run_benchmark_small_sweep():

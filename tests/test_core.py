@@ -110,6 +110,11 @@ def test_feature_map_values():
         apply_feature_map(x, ELU_PLUS_ONE),
         [[np.exp(-2.0), np.exp(-0.5), 1.0, 1.5, 3.0]])
     assert (apply_feature_map(x, ELU_PLUS_ONE) > 0.0).all()
+    # integer rows are mapped in float64
+    for kind in (IDENTITY, RELU, leaky_relu(0.1), ELU_PLUS_ONE):
+        ints = apply_feature_map(np.array([[-2, 0, 2]]), kind)
+        assert ints.dtype == np.float64
+        np.testing.assert_array_equal(ints, apply_feature_map(x[:, ::2], kind))
 
 
 def test_identity_map_returns_a_copy():

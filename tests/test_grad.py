@@ -362,6 +362,13 @@ def test_finite_diff_grad_on_quadratic_form():
     np.testing.assert_allclose(fd, 2.0 * X, atol=1e-9)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+def test_finite_diff_grad_refuses_a_bad_step(h):
+    # inf passes a bare h > 0 check and would give all-NaN gradients
+    with pytest.raises(ConfigurationError, match="h must"):
+        finite_diff_grad(lambda A: float(A.sum()), np.ones((2, 2)), h=h)
+
+
 def test_finite_diff_does_not_mutate_input():
     X = np.ones((2, 2))
     finite_diff_grad(lambda A: float(A.sum()), X)

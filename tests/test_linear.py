@@ -186,6 +186,12 @@ def test_linear_attention_validation():
         linear_attention(Q, np.ones((2, 3)), Q)
 
 
+def test_causal_state_init_validation():
+    for d_k, d_v in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(DimensionError):
+            causal_state_init(d_k, d_v)
+
+
 def test_output_dtype_follows_storage():
     rng = np.random.default_rng(35)
     Q = rng.standard_normal((5, 3)).astype(np.float32)

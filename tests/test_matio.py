@@ -104,6 +104,7 @@ def test_pgm_rejects_out_of_range_values(tmp_path):
     ("P2\n-1 2\n255\n", 2),
     ("P2\n0 0\n255\n", 2),
     ("P2\n2 2\n255\n0 0\n0 0\n\n7\n", 7),
+    ("P2\n2 2\n", 3),
 ])
 def test_pgm_parse_errors(tmp_path, text, line):
     path = _write(tmp_path, text)

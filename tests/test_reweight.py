@@ -89,6 +89,15 @@ def test_decompose_validation():
         decompose(np.ones((5, 3)), np.ones((2, 3)), 4)
     with pytest.raises(ValueError):
         decompose(np.array([[np.inf]]), np.ones((1, 1)), 2)
+    # a fractional first would scale rows at positions 1.5, 2.5, ...
+    for first in (0, 1.5, np.float64(2.0)):
+        with pytest.raises(ConfigurationError, match="first must"):
+            decompose(np.ones((2, 3)), np.ones((2, 3)), 8, first=first)
+    whole = decompose(np.ones((2, 3)), np.ones((2, 3)), 8, first=2)
+    for first in (np.int32(2), np.int64(2)):
+        for got, want in zip(decompose(np.ones((2, 3)), np.ones((2, 3)), 8,
+                                       first=first), whole):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])

@@ -1,5 +1,6 @@
 """Toy block plumbing and the copy-task trainer's contracts."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -50,6 +51,19 @@ def test_block_params_validation():
     )
     with pytest.raises(DimensionError):
         bad.validate()
+    for field, value, message in (
+            ("w_k", np.zeros((32, 16)), "w_q and w_k"),
+            ("w_ff2", np.zeros((32, 32)), "feedforward"),  # w_ff1 is 32 x 64
+            ("output_proj", np.zeros((16, 16)), "output_proj")):
+        with pytest.raises(DimensionError, match=message):
+            dataclasses.replace(params, **{field: value}).validate()
+    with pytest.raises(DimensionError, match="x width"):
+        transformer_block_forward(np.zeros((4, 16)), params,
+                                  AttentionConfig.softmax(causal=True))
+    # d_model = 0 would divide by zero and build empty matrices
+    for size in ("n_symbols", "d_model", "d_ff"):
+        with pytest.raises(ConfigurationError, match="n_symbols, d_model, d_ff"):
+            init_toy_params(rng, **{size: 0})
 
 
 def test_block_forward_identity_at_zero_params():
@@ -237,6 +251,17 @@ def test_train_report_csv(tmp_path):
     assert lines[-1].startswith("#")
     first_step, first_loss = lines[1].split(",")
     assert int(first_step) == 1 and float(first_loss) > 0.0
+
+
+@pytest.mark.parametrize("name,value", [
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("MALLOC_MMAP_THRESHOLD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+])
+def test_glibc_mallopt_defers_to_the_environment(name, value, monkeypatch):
+    # the caller's own thresholds win: no mallopt is looked up, none called
+    monkeypatch.setenv(name, value)
+    assert _glibc_mallopt() is None
 
 
 def test_train_steps_reuse_freed_heap_pages():

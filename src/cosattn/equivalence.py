@@ -125,10 +125,12 @@ def _unfloored_denominator(finalize, num, eps, out):
         np.divide(num[..., :-1], num[..., -1:], out=out)
 
 
-def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None):
+def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None,
+                  weight=None):
     """Each causal chunk scanned on its own: no state carried between chunks.
     The rows are mapped whole first, so each keeps its own position, and
-    the sums are handed back a panel at a time, as the scan's are."""
+    the sums are handed back a panel at a time, as the scan's are. Only a
+    walk of one chunk, which has no carry to drop, is given a weight."""
     if not causal:
         yield from scan(x, y, v, False, rows, suffix=suffix, out=out)
         return
@@ -140,10 +142,15 @@ def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None):
         chunk = slice(c, c + _BLOCK)
         for _ in scan(x[..., chunk, :], y[..., chunk, :], v[..., chunk, :], True,
                       lambda *mapped: mapped[:3], suffix=suffix,
-                      out=out[..., chunk, :]):
+                      out=out[..., chunk, :], weight=weight):
             pass
     for p0 in range(0, n, _PANEL):
         yield p0, min(p0 + _PANEL, n), out[..., p0:p0 + _PANEL, :]
+
+
+def _unweighted_chunk(reweight_chunk, m, dtype):
+    """All-ones weights: a causal walk of one chunk loses its re-weight."""
+    return np.ones_like(reweight_chunk(m, dtype))
 
 
 # Mutation -> (linear attribute replaced, defect called with the original).
@@ -152,6 +159,7 @@ _DEFECTS = {
     "dropped_sin_branch": ("decompose", _dropped_sin_branch),
     "unfloored_denominator": ("_finalize", _unfloored_denominator),
     "dropped_carry": ("_scan", _dropped_carry),
+    "unweighted_chunk": ("_reweight_chunk", _unweighted_chunk),
 }
 MUTATIONS = tuple(_DEFECTS)
 

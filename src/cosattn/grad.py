@@ -15,7 +15,11 @@ which key j sees the queries i >= j. Each scan maps its rows panel by
 panel as its causal walk reaches them: phi(Q) and phi(K), and the pair
 (a, [V | 1]), which a cosine config scales with slices of one pair of
 cos/sin factors. dV scans the feature rows, and dQ and dK the pair
-against phi(K) and phi(Q). Cost stays Theta(n * d_k * d_v).
+against phi(K) and phi(Q). A causal cosine call of one chunk (at most
+linear._BLOCK rows) scales nothing: each walk scans the unscaled rows and
+multiplies the forward's re-weight matrix into its one masked product,
+which the matrix's symmetry lets the suffix walks share. Cost stays
+Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
 denominator at or below the floor eps is treated as a constant,
@@ -25,6 +29,8 @@ Every backward takes the forward's (..., n, d) stacks, leading axes
 shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
+d_out is read at its own dtype, each use widening it where it reads it,
+so a float32 d_out costs no whole-length float64 copy.
 A float32 kernel forward's record is widened to float64 as the backward
 reads it, so its arithmetic is the float64 backward's; only the
 forward's float32 rounding of its feature rows, out and den carries
@@ -54,7 +60,14 @@ from .core import (
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .linear import _PANEL, _forward, _require_cosine_config, _scan, _with_ones
+from .linear import (
+    _PANEL,
+    _forward,
+    _one_chunk_weight,
+    _require_cosine_config,
+    _scan,
+    _with_ones,
+)
 from .reweight import _position_scaled, position_factors
 
 
@@ -97,14 +110,18 @@ def _backward(record: dict, d_out):
     position-scaled pair of (a, b) over the feature-mapped rows Kp and
     Qp: the pair's inner products are a_i . b_j times the re-weight of
     (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
-    wide. Each walk maps its rows panel by panel (see _scan), so past the
+    wide. A causal cosine call of one chunk scans the pair, and dV's
+    feature rows, unscaled, and its walks multiply the re-weight matrix
+    into their masked products instead (see linear._one_chunk_weight).
+    Each walk maps its rows panel by panel (see _scan), so past the
     gradients, the n-row dhat and -w and the cos/sin factors, a causal
     backward's buffers are constant-size in n. Leading axes of the
     (..., n, d) inputs ride along in every step.
     """
     config = record.pop("config")
     Q, K, V = (record.pop(k) for k in "QKV")
-    g = _wide(_check_d_out(d_out, Q.shape[:-1] + V.shape[-1:]))
+    # d_out stays in its own dtype: every reader of g computes in float64.
+    g = _check_d_out(d_out, Q.shape[:-1] + V.shape[-1:])
 
     if config.use_softmax:
         W = record.pop("W")
@@ -118,7 +135,8 @@ def _backward(record: dict, d_out):
         return dQ, dK, dV
 
     causal, fm = config.causal, config.feature_map
-    cosine = config.reweight.kind == "cosine"
+    weight = _one_chunk_weight(config, Q.shape[-2], np.float64)
+    decomposed = config.reweight.kind == "cosine" and weight is None
     # A float32 forward's out and den are widened once, here. Q and K are
     # mapped again, panel by panel, in the forward's compute dtype, so
     # their feature rows are bit-identical to the ones the forward scanned.
@@ -130,14 +148,15 @@ def _backward(record: dict, d_out):
     neg_w = np.where(den > config.eps,
                      -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
     del out, den
-    if cosine:
+    if decomposed:
         factors = position_factors(max(Q.shape[-2], K.shape[-2]),
                                    config.reweight.m)
 
-    # At n = 4096, d = 64 a causal call peaks at 7.0 MiB under
-    # tracemalloc, its gradients 6 MiB of that, whatever the record's dtype.
+    # At n = 4096, d = 64 a causal call peaks at 6.95 MiB under
+    # tracemalloc, its gradients 6 MiB of that, whatever the dtypes of the
+    # record and of d_out.
     def scaled(F, first):
-        return _position_scaled(F, factors, first - 1) if cosine else F
+        return _position_scaled(F, factors, first - 1) if decomposed else F
 
     def phi(X):  # the forward's feature rows, in its compute dtype
         return apply_feature_map(np.asarray(X, dtype), fm)
@@ -168,7 +187,8 @@ def _backward(record: dict, d_out):
         leaves it, is multiplied by phi', _PANEL rows at a time, so a
         non-causal block takes no n-row phi'."""
         dX = np.empty(X.shape) if causal and X.shape[-2] > _PANEL else None
-        for p0, p1, block in _scan(x, y, v, causal, rows, suffix=suffix, out=dX):
+        for p0, p1, block in _scan(x, y, v, causal, rows, suffix=suffix, out=dX,
+                                   weight=weight):
             if derivative:
                 X_b = X[..., p0:p1, :]
                 for r in range(0, p1 - p0, _PANEL):

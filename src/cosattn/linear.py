@@ -12,14 +12,19 @@ is evaluated through a key-value sum instead of an n_q x n_k weight
 matrix. For plain kernels qf, kf are phi(Q), phi(K); for the cosine
 re-weight they are the 2d-wide cos/sin-scaled rows of
 :func:`cosattn.reweight.decompose`, whose inner products carry the
-re-weight exactly. Either way one scan over one feature pair does the
-work: it scans [V | 1], so the numerator and the denominator come out
-of one (feature width) x (d_v + 1) sum, whose ones column is the key
-total. The scan takes a mapping from raw rows to the rows it multiplies;
-the forward's is phi, then decompose at the rows' own positions, then
-[V | 1]. The causal scan walks fixed panels of rows and maps each panel
-as it reaches it, so no n-row feature array exists; the non-causal scan
-maps all rows at once. The analytic backward in :mod:`cosattn.grad` runs
+re-weight exactly. The decomposition exists only so that the re-weight
+can ride the carry between chunks: a causal cosine call of at most
+_BLOCK rows is one chunk with no carry, so it scans phi(Q), phi(K) d
+wide and multiplies cos(pi (i - j) / 2m) into its one masked product,
+as RetNet's chunkwise form does inside a chunk. Either way one scan over
+one feature pair does the work: it scans [V | 1], so the numerator and
+the denominator come out of one (feature width) x (d_v + 1) sum, whose
+ones column is the key total. The scan takes a mapping from raw rows to
+the rows it multiplies; the forward's is phi, then (past one causal
+chunk) decompose at the rows' own positions, then [V | 1]. The causal
+scan walks fixed panels of rows and maps each panel as it reaches it,
+so no n-row feature array exists; the non-causal scan maps all rows at
+once. The analytic backward in :mod:`cosattn.grad` runs
 the same scan with mappings of its own, from the record the private
 _forward keeps of the forward: attend is that forward with its record
 dropped.
@@ -51,7 +56,8 @@ attend_backward alike, validates Q, K and V, through
 horizon, all before any work; causal_state_step checks its rows and
 position, and that m and eps are the ones its state's first step fixed,
 before it changes its state. _scan checks nothing, but the forward
-walk's :func:`cosattn.reweight.decompose` checks each panel again.
+walk's :func:`cosattn.reweight.decompose` checks each panel again
+(every walk but a causal cosine one of one chunk decomposes).
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .core import (
     require_matrix,
 )
 from .errors import ConfigurationError, DimensionError
-from .reweight import _require_horizon, decompose
+from .reweight import _require_horizon, build_reweight_matrix, decompose
 
 # Causal chunk size C. Per scan the in-chunk masked products cost about
 # n * C * (w + d_v) multiply-adds for feature width w, and the carried
@@ -86,10 +92,11 @@ from .reweight import _require_horizon, decompose
 # off the causal forward and backward, and beat 16, 24, 48 and 64 there.
 # It stays one fixed value: C never depends on n, because fixed
 # boundaries keep causal prefix rows bit-identical under suffix edits,
-# and it stays >= 32 so the toy trainer's n = 32 is one chunk. Other
-# widths have other optima (C = 48 to 64 at d = 16, C = 16 to 24 at
-# d = 128); no benchmark workload runs them, so no width-dependent
-# choice is made.
+# and it stays >= 32 so the toy trainer's n = 32 is one chunk, which
+# skips the cos/sin decomposition (see _one_chunk_weight): about 40 % off
+# one forward+backward on the toy's (32, 32, 32) stack. Other widths
+# have other optima (C = 48 to 64 at d = 16, C = 16 to 24 at d = 128);
+# no benchmark workload runs them, so no width-dependent choice is made.
 _BLOCK = 32
 
 
@@ -99,6 +106,29 @@ def _causal_drop(rows: int) -> np.ndarray:
     drop = np.triu(np.ones((rows, rows), dtype=bool), 1)
     drop.setflags(write=False)
     return drop
+
+
+@lru_cache(maxsize=None)
+def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
+    """cos(pi (i - j) / 2m) over the first min(m, _BLOCK) positions, in
+    dtype (rounded once from float64). It depends on i - j alone, so its
+    leading n x n block serves any one-chunk walk at horizon m, and it is
+    symmetric, so a suffix walk reads it as it is."""
+    rows = min(m, _BLOCK)
+    weight = build_reweight_matrix(rows, rows, m).astype(dtype)
+    weight.setflags(write=False)
+    return weight
+
+
+def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
+    """The (n, n) re-weight a walk of n rows under config multiplies into
+    its masked product, or None. Only a causal cosine walk of one chunk
+    takes it: with no carry to ride, the re-weight needs no cos/sin
+    decomposition, so the walk scans d-wide phi rows. Every other cosine
+    walk gets None and decomposes."""
+    if config.causal and config.reweight.kind == "cosine" and n <= _BLOCK:
+        return _reweight_chunk(config.reweight.m, np.dtype(dtype))[:n, :n]
+    return None
 
 
 # Rows per panel of the causal walk: each panel's rows are feature-mapped,
@@ -116,7 +146,8 @@ def _causal_drop(rows: int) -> np.ndarray:
 _PANEL = 8 * _BLOCK
 
 
-def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None):
+def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
+          weight=None):
     """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits,
     yielded panel by panel as (p0, p1, block), block being rows p0:p1.
 
@@ -145,6 +176,12 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None):
     a walk over at most _PANEL rows yields one block. _BLOCK is fixed, so
     a prefix row rounds alike at every n, and >= 32, so the toy trainer's
     n = 32 scans as one chunk.
+
+    weight, an (n, n) array of the scan's dtype, is multiplied into the
+    masked product of a causal walk of one chunk (n <= _BLOCK) after the
+    mask: a walk with no carry takes the re-weight this way, on unscaled
+    feature rows (see _one_chunk_weight). It is symmetric, so a suffix
+    walk reads it unchanged. Every other walk passes None.
     """
     if not causal:
         xf, yf, vf = rows(x, y, v, 1)
@@ -176,21 +213,26 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None):
             # copyto broadcasts the mask over the leading axes as fast as a
             # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
             np.copyto(sim, 0.0, where=drop.T if suffix else drop)
+            if weight is not None:
+                # After the mask, and every weight is positive: an overflow
+                # the mask drops stays 0, not 0 * inf = NaN; one it keeps, inf.
+                sim *= weight
             np.matmul(sim, vc, out=dst)
             # The state is zero in the first chunk walked and unread after
             # the last, so a one-chunk scan is two products, not four, and
             # allocates no state.
             if state is not None:
                 dst += qc @ state
+            # The update product is never named, so it is freed at once.
             if p0 + start != last:
-                kv = kc.swapaxes(-1, -2) @ vc
                 if state is None:
-                    state = kv
+                    state = kc.swapaxes(-1, -2) @ vc
                 else:
-                    state += kv
-        # The chunk views hold the mapped rows too: all of them go before
-        # the caller reads the block and before the next panel is mapped.
-        del xp, yp, vp, qc, kc, vc
+                    state += kc.swapaxes(-1, -2) @ vc
+        # The chunk views hold the mapped rows too: all of them, and the
+        # last chunk's similarities, go before the caller reads the block
+        # and before the next panel is mapped.
+        del xp, yp, vp, qc, kc, vc, sim
         yield p0, p1, block
 
 
@@ -215,18 +257,22 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     """(out, den) of a kernel config, computed in dtype: each panel maps to
-    phi(q), phi(k) (decomposed for a cosine config) and [v | 1], and each
+    phi(q), phi(k) (decomposed for a cosine config, unless a causal walk of
+    one chunk takes the re-weight matrix instead) and [v | 1], and each
     scanned [num | den] block is divided into out, and its den column
     copied into den, as the walk leaves it. None from a float32 scan once a
     block is not finite, before the rest is scanned."""
+    weight = _one_chunk_weight(config, Q.shape[-2], dtype)
+    decomposed = config.reweight.kind == "cosine" and weight is None
+
     def rows(q, k, v, first):
         q, k = (apply_feature_map(r, config.feature_map) for r in (q, k))
-        if config.reweight.kind == "cosine":
+        if decomposed:
             q, k = decompose(q, k, config.reweight.m, first=first)
         return q, k, _with_ones(v, dtype)
     out = den = None
     for p0, p1, block in _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V,
-                               config.causal, rows):
+                               config.causal, rows, weight=weight):
         if dtype == np.float32 and not np.isfinite(block).all():
             return None
         if out is None:  # after the first panel is mapped

@@ -6,7 +6,10 @@ the longest sequence in play. Because cos(a - b) = cos a cos b + sin a sin b,
 the weighted similarity phi(Q_i) phi(K_j)^T * w(i, j) is exactly one plain
 inner product of 2d-wide feature rows [phi(x) cos | phi(x) sin], so the
 re-weighted kernel is ordinary linear attention on those rows, which is
-what the linear-time path exploits.
+what the linear-time path exploits. The split is needed only where the
+re-weight must ride a carried sum: a causal call of one chunk
+(cosattn.linear._BLOCK rows or fewer) multiplies build_reweight_matrix's
+values into its one masked product instead, and never decomposes.
 
 Angles and their cos/sin factors are computed per position as
 (pi * pos) / (2 * m) in float64; float32 feature rows are scaled by the

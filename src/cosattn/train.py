@@ -18,10 +18,14 @@ whole (32, n, d) batch stack, so the config alone picks softmax, plain
 linear or cosformer attention. Its forward (cosattn.linear._forward)
 keeps a record of the scan, or of softmax's weights, and its backward
 (cosattn.grad._backward) starts from that record instead of running the
-forward again. Held-out accuracy on 256 sequences is evaluated one
-batch per forward call; each batch's record dies before the next runs. On
-glibc, training pins the allocator's trim and mmap thresholds (see
-_pin_heap), so each step reuses the heap pages the step before it freed.
+forward again. The block is causal and n = 32 is one scan chunk, so a
+cosformer step never decomposes into cos/sin rows: its four scans run on
+d-wide feature rows and multiply the re-weight matrix into their masked
+products (see cosattn.linear._one_chunk_weight). Held-out accuracy on
+256 sequences is evaluated one batch per forward call; each batch's
+record dies before the next runs. On glibc, training pins the
+allocator's trim and mmap thresholds (see _pin_heap), so each step
+reuses the heap pages the step before it freed.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from cosattn.core import AttentionConfig
 from cosattn.equivalence import (
     MUTATIONS,
     VARIANTS,
+    _DEFECTS,
     _draw_case,
     _injected,
     equivalence_trial,
@@ -25,7 +26,8 @@ def test_variant_roster():
         "streaming"}
     # The CLI's --mutation choices and the gate's output order follow it.
     assert MUTATIONS == ("position_off_by_one", "dropped_sin_branch",
-                         "unfloored_denominator", "dropped_carry")
+                         "unfloored_denominator", "dropped_carry",
+                         "unweighted_chunk")
 
 
 def test_thresholds():
@@ -91,7 +93,10 @@ def test_parallel_matches_serial(mutation):
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_mutations_are_caught(mutation):
-    report = run_equivalence_suite(seed=0, trials=40, mutation=mutation)
+    # As many trials as the acceptance gate runs: only about one draw in
+    # eight is a causal walk of one chunk, the only case unweighted_chunk
+    # breaks, and seed 0's first 40 trials catch it in none.
+    report = run_equivalence_suite(seed=0, trials=100, mutation=mutation)
     assert not report.ok
     assert [r.variant for r in report.results] == ["cosformer_relu"]
     assert report.results[0].failures >= 1
@@ -99,26 +104,30 @@ def test_mutations_are_caught(mutation):
 
 
 def test_defects_never_outlive_their_trial():
-    originals = (linear.decompose, linear._finalize, linear._scan)
+    originals = {name: getattr(linear, name) for name, _ in _DEFECTS.values()}
     rng = np.random.default_rng(5)
-    n = 2 * _BLOCK + 5
-    Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
-    Q[3] = 0.0  # a floored row, which only the unfloored defect turns NaN
-    config = AttentionConfig.cosformer(m=n, causal=True)
-    before = attend(Q, K, V, config)
+    # Past one chunk, where the walk decomposes and carries, and within
+    # one, where it takes the re-weight matrix instead.
+    cases = []
+    for n in (2 * _BLOCK + 5, _BLOCK):
+        Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
+        Q[3] = 0.0  # a floored row, which only the unfloored defect turns NaN
+        config = AttentionConfig.cosformer(m=n, causal=True)
+        cases.append((Q, K, V, config, attend(Q, K, V, config)))
     for mutation in MUTATIONS:
         # Inside the swap the shipped attend itself is broken...
         with _injected(mutation):
-            assert not np.array_equal(attend(Q, K, V, config), before)
+            assert any(not np.array_equal(attend(Q, K, V, config), before)
+                       for Q, K, V, config, before in cases), mutation
         # ...and after a trial, or an exception inside the swap, it is not.
         equivalence_trial("cosformer_relu", seed=0, trial=1, mutation=mutation)
         with pytest.raises(RuntimeError, match="inside"):
             with _injected(mutation):
                 raise RuntimeError("inside the swap")
-        for now, original in zip(
-                (linear.decompose, linear._finalize, linear._scan), originals):
-            assert now is original, mutation
-        assert np.array_equal(attend(Q, K, V, config), before), mutation
+        for name, original in originals.items():
+            assert getattr(linear, name) is original, mutation
+        for Q, K, V, config, before in cases:
+            assert np.array_equal(attend(Q, K, V, config), before), mutation
 
 
 def test_streaming_trial_catches_a_skipped_fold(monkeypatch):

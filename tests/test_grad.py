@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from cosattn import core, grad
+from cosattn import core, grad, linear
 from cosattn.core import (
     ELU_PLUS_ONE,
     IDENTITY,
@@ -99,11 +99,11 @@ def test_cosformer_backward_matches_fd():
             _check_grads(f, (Q, K, V), grads)
 
 
-def _directional_errors(feature_map, cosine, n):
+def _directional_errors(feature_map, cosine, n, lead=()):
     """Relative error of each analytic gradient along a random direction
     against a central difference of the causal loss, by gradient name."""
     rng = np.random.default_rng(46)
-    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    Q, K, V, g = (rng.standard_normal(lead + (n, 4)) for _ in range(4))
     if cosine:
         config = AttentionConfig.cosformer(m=2 * n, causal=True,
                                            feature_map=feature_map)
@@ -161,6 +161,59 @@ def test_directional_fd_catches_a_backward_scan_that_drops_its_carry(
                         functools.partial(_dropped_carry, grad._scan))
     errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
     assert max(errors.values()) > 1e-6, errors
+
+
+# A causal cosine call of one chunk scans unscaled rows and takes the
+# re-weight matrix in its one masked product, in every walk.
+ONE_CHUNK_LENGTHS = (2, 17, _BLOCK)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE], ids=lambda fm: fm.name)
+@pytest.mark.parametrize("n", ONE_CHUNK_LENGTHS)
+def test_causal_cosine_backward_of_one_chunk_matches_directional_fd(
+        n, feature_map, lead):
+    errors = _directional_errors(feature_map, True, n, lead)
+    assert max(errors.values()) <= 1e-6, errors
+
+
+def test_one_chunk_causal_cosine_call_never_decomposes(monkeypatch):
+    calls = []
+    for module, name in ((linear, "decompose"), (grad, "_position_scaled"),
+                         (grad, "position_factors")):
+        def counting(*args, f=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(50)
+    for n, decomposes in ((_BLOCK, False), (_BLOCK + 1, True)):
+        Q, K, V, g = (rng.standard_normal((2, n, 4)) for _ in range(4))
+        cosformer_backward(Q, K, V, AttentionConfig.cosformer(m=n, causal=True), g)
+        assert set(calls) == ({"decompose", "_position_scaled", "position_factors"}
+                              if decomposes else set()), n
+        calls.clear()
+
+
+def _unweighted(scan, *args, weight=None, **kwargs):
+    """The backward's scans with the one-chunk re-weight dropped."""
+    return scan(*args, **kwargs)
+
+
+def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight(
+        monkeypatch):
+    # Past one chunk no walk takes the matrix, so the defect changes
+    # nothing there; within one, the check above must see it.
+    n = _BLOCK + 1
+    rng = np.random.default_rng(51)
+    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    config = AttentionConfig.cosformer(m=2 * n, causal=True)
+    shipped = cosformer_backward(Q, K, V, config, g)
+    monkeypatch.setattr(grad, "_scan", functools.partial(_unweighted, grad._scan))
+    for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
+        assert np.array_equal(a, b)
+    for n in (17, _BLOCK):
+        errors = _directional_errors(RELU, True, n)
+        assert max(errors.values()) > 1e-6, (n, errors)
 
 
 def _first_ignored(scaled, F, factors, offset=0):

@@ -401,6 +401,39 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
         attend(*(a * 1e200 for a in (Q, K, V)), config)
 
 
+@pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE], ids=lambda fm: fm.name)
+@pytest.mark.parametrize("n", [1, 17, _BLOCK])
+def test_float32_one_chunk_cosine_overflow_returns_the_float64_forward(
+        n, feature_map):
+    # A causal cosine walk of one chunk weights its masked product instead
+    # of decomposing; an overflow there must still reach the check.
+    rng = np.random.default_rng(52)
+    config = AttentionConfig.cosformer(m=2 * n, causal=True, feature_map=feature_map)
+    args = [(rng.standard_normal((2, n, 8)) * 1e18).astype(np.float32)
+            for _ in range(3)]
+    out, record = _forward(*args, config)
+    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
+    wide = attend(*(a.astype(np.float64) for a in args), config)
+    assert np.array_equal(out, wide.astype(np.float32))
+
+
+def test_float32_one_chunk_overflow_the_mask_drops_stays_float32():
+    # q_0 . k_{n-1} overflows float32, but the causal mask drops it before
+    # the weight is applied, so the scan stays finite and in float32.
+    rng = np.random.default_rng(53)
+    n = _BLOCK
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    Q, K, V = (np.abs(rng.standard_normal((n, 8))) for _ in range(3))
+    Q[0] *= 1e30
+    K[-1] *= 1e30
+    Q, K, V = (X.astype(np.float32) for X in (Q, K, V))
+    assert Q[0].astype(np.float64) @ K[-1] > np.finfo(np.float32).max
+    out, record = _forward(Q, K, V, config)
+    assert record["den"].dtype == np.float32
+    assert _rel(out, kernel_attention_quadratic(Q, K, V, config)) \
+        <= GATE_BOUND[out.dtype]
+
+
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
 def test_float32_scan_that_stays_finite_computes_in_float32(variant):
     # At 1e12 the scanned sums stay finite in float32, though the worst
@@ -503,7 +536,8 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
                     (n, dtype, cut)
 
 
-def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False):
+def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False,
+                           weight=None):
     """Each panel scanned on its own, its rows mapped at their own
     positions: the carry restarts at every panel boundary."""
     x, y, v = rows(x, y, v, 1)
@@ -511,7 +545,8 @@ def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False):
         panel = slice(p0, p0 + _PANEL)
         for _, _, block in scan(x[..., panel, :], y[..., panel, :],
                                 v[..., panel, :], causal,
-                                lambda *mapped: mapped[:3], suffix=suffix):
+                                lambda *mapped: mapped[:3], suffix=suffix,
+                                weight=weight):
             yield p0, p0 + block.shape[-2], block
 
 
@@ -627,3 +662,26 @@ def test_causal_backward_holds_no_whole_length_rows(n, dtype):
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * d * 8 + 4 * n * 8 + 2 ** 20, peak
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+def test_float32_d_out_peaks_no_higher_than_float64(causal):
+    # The backward reads d_out at its own dtype, a panel at a time: a
+    # float32 d_out must not cost a whole-length float64 copy of it.
+    rng = np.random.default_rng(54)
+    n, d = 8 * _PANEL, 32
+    Q, K, V = (rng.standard_normal((n, d)).astype(np.float32) for _ in range(3))
+    g = rng.standard_normal((n, d))
+    config = AttentionConfig.cosformer(m=n, causal=causal)
+    peaks = {}
+    for d_out in (g, g.astype(np.float32)):
+        # Warm the mask cache and NumPy's per-dtype loop caches.
+        _backward(_forward(Q, K, V, config)[1], d_out)
+        record = _forward(Q, K, V, config)[1]
+        tracemalloc.start()
+        try:
+            _backward(record, d_out)
+            peaks[d_out.dtype.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["float32"] <= peaks["float64"], peaks

@@ -30,7 +30,8 @@ shared by Q, K and V, and a d_out of exactly the forward output's shape
 (..., n_q, d_v); a d_out that would only broadcast is refused. All
 gradients are computed and returned in float64, shaped like Q, K and V.
 d_out is read at its own dtype, each use widening it where it reads it,
-so a float32 d_out costs no whole-length float64 copy.
+so a float32 d_out costs no whole-length float64 copy; only a d_out
+wider than float64 (longdouble) is narrowed to it first.
 A float32 kernel forward's record is widened to float64 as the backward
 reads it, so its arithmetic is the float64 backward's; only the
 forward's float32 rounding of its feature rows, out and den carries
@@ -120,8 +121,13 @@ def _backward(record: dict, d_out):
     """
     config = record.pop("config")
     Q, K, V = (record.pop(k) for k in "QKV")
-    # d_out stays in its own dtype: every reader of g computes in float64.
+    # A d_out no wider than float64 stays in its own dtype: every reader of
+    # g meets a float64 operand and so computes in float64. A longdouble
+    # one is narrowed once, or the products would run, and the softmax
+    # gradients come out, in longdouble.
     g = _check_d_out(d_out, Q.shape[:-1] + V.shape[-1:])
+    if g.dtype.itemsize > 8:
+        g = _wide(g)
 
     if config.use_softmax:
         W = record.pop("W")
@@ -135,8 +141,7 @@ def _backward(record: dict, d_out):
         return dQ, dK, dV
 
     causal, fm = config.causal, config.feature_map
-    weight = _one_chunk_weight(config, Q.shape[-2], np.float64)
-    decomposed = config.reweight.kind == "cosine" and weight is None
+    weight, decomposed = _one_chunk_weight(config, Q.shape[-2], np.float64)
     # A float32 forward's out and den are widened once, here. Q and K are
     # mapped again, panel by panel, in the forward's compute dtype, so
     # their feature rows are bit-identical to the ones the forward scanned.

@@ -108,12 +108,15 @@ def _causal_drop(rows: int) -> np.ndarray:
     return drop
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
     """cos(pi (i - j) / 2m) over the first min(m, _BLOCK) positions, in
     dtype (rounded once from float64). It depends on i - j alone, so its
     leading n x n block serves any one-chunk walk at horizon m, and it is
-    symmetric, so a suffix walk reads it as it is."""
+    symmetric, so a suffix walk reads it as it is. Cached: building the
+    32 x 32 matrix takes about 19 us against 1 us for a hit (one BLAS
+    thread), and a toy forward+backward of about 2.1 ms asks for it twice;
+    a training run uses one horizon, so a few entries suffice."""
     rows = min(m, _BLOCK)
     weight = build_reweight_matrix(rows, rows, m).astype(dtype)
     weight.setflags(write=False)
@@ -121,14 +124,19 @@ def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
-    """The (n, n) re-weight a walk of n rows under config multiplies into
-    its masked product, or None. Only a causal cosine walk of one chunk
-    takes it: with no carry to ride, the re-weight needs no cos/sin
-    decomposition, so the walk scans d-wide phi rows. Every other cosine
-    walk gets None and decomposes."""
-    if config.causal and config.reweight.kind == "cosine" and n <= _BLOCK:
-        return _reweight_chunk(config.reweight.m, np.dtype(dtype))[:n, :n]
-    return None
+    """(weight, decomposed) for a walk of n rows under config, weight the
+    (n, n) re-weight it multiplies into its masked product or None, and
+    decomposed whether it maps its feature rows through decompose. Only a
+    causal cosine walk of one chunk takes the weight: with no carry to
+    ride, the re-weight needs no cos/sin decomposition, so the walk scans
+    d-wide phi rows. Every other cosine walk decomposes, and a plain
+    kernel does neither. The forward and every backward walk ask here, so
+    they all take the same path."""
+    if config.reweight.kind != "cosine":
+        return None, False
+    if config.causal and n <= _BLOCK:
+        return _reweight_chunk(config.reweight.m, np.dtype(dtype))[:n, :n], False
+    return None, True
 
 
 # Rows per panel of the causal walk: each panel's rows are feature-mapped,
@@ -174,7 +182,10 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
     mapped as the walk reaches it and yielded, its mapped rows dropped,
     as the walk leaves it, so transient buffers stay constant-size in n;
     a walk over at most _PANEL rows yields one block. _BLOCK is fixed, so
-    a prefix row rounds alike at every n, and >= 32, so the toy trainer's
+    a suffix edit at fixed n leaves every prefix row bit-identical, and a
+    prefix row rounds alike at every n on the same side of _BLOCK (a
+    causal cosine call weights one chunk at n <= _BLOCK and decomposes
+    past it, which rounds differently); it is >= 32, so the toy trainer's
     n = 32 scans as one chunk.
 
     weight, an (n, n) array of the scan's dtype, is multiplied into the
@@ -262,8 +273,7 @@ def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     scanned [num | den] block is divided into out, and its den column
     copied into den, as the walk leaves it. None from a float32 scan once a
     block is not finite, before the rest is scanned."""
-    weight = _one_chunk_weight(config, Q.shape[-2], dtype)
-    decomposed = config.reweight.kind == "cosine" and weight is None
+    weight, decomposed = _one_chunk_weight(config, Q.shape[-2], dtype)
 
     def rows(q, k, v, first):
         q, k = (apply_feature_map(r, config.feature_map) for r in (q, k))

@@ -108,17 +108,20 @@ def test_defects_never_outlive_their_trial():
     rng = np.random.default_rng(5)
     # Past one chunk, where the walk decomposes and carries, and within
     # one, where it takes the re-weight matrix instead.
-    cases = []
+    cases = {}
     for n in (2 * _BLOCK + 5, _BLOCK):
         Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
         Q[3] = 0.0  # a floored row, which only the unfloored defect turns NaN
         config = AttentionConfig.cosformer(m=n, causal=True)
-        cases.append((Q, K, V, config, attend(Q, K, V, config)))
+        cases[n] = (Q, K, V, config, attend(Q, K, V, config))
     for mutation in MUTATIONS:
-        # Inside the swap the shipped attend itself is broken...
+        # Inside the swap the shipped attend itself is broken: the long
+        # walk for every defect but unweighted_chunk, whose matrix only a
+        # walk of one chunk reads, and that walk for unweighted_chunk...
+        n = _BLOCK if mutation == "unweighted_chunk" else 2 * _BLOCK + 5
+        Q, K, V, config, before = cases[n]
         with _injected(mutation):
-            assert any(not np.array_equal(attend(Q, K, V, config), before)
-                       for Q, K, V, config, before in cases), mutation
+            assert not np.array_equal(attend(Q, K, V, config), before), mutation
         # ...and after a trial, or an exception inside the swap, it is not.
         equivalence_trial("cosformer_relu", seed=0, trial=1, mutation=mutation)
         with pytest.raises(RuntimeError, match="inside"):
@@ -126,7 +129,7 @@ def test_defects_never_outlive_their_trial():
                 raise RuntimeError("inside the swap")
         for name, original in originals.items():
             assert getattr(linear, name) is original, mutation
-        for Q, K, V, config, before in cases:
+        for Q, K, V, config, before in cases.values():
             assert np.array_equal(attend(Q, K, V, config), before), mutation
 
 

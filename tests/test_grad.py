@@ -319,9 +319,15 @@ def test_stacked_backward_matches_per_slice_calls(variant, lead):
                 V = rng.standard_normal(lead + (n_k, 3)).astype(dtype)
                 g = rng.standard_normal(lead + (n, 3))
                 got = attend_backward(Q, K, V, config, g)
-                for name, grad, arg in zip(("dQ", "dK", "dV"), got, (Q, K, V)):
+                # A wider d_out holding the same values changes nothing:
+                # the gradients are computed and returned in float64.
+                wide = attend_backward(Q, K, V, config, g.astype(np.longdouble))
+                for name, grad, arg, w in zip(("dQ", "dK", "dV"), got,
+                                              (Q, K, V), wide):
                     assert grad.shape == arg.shape, name
                     assert grad.dtype == np.float64, name
+                    assert w.dtype == np.float64, name
+                    assert np.array_equal(w, grad), name
                 for idx in np.ndindex(*lead):
                     want = attend_backward(Q[idx], K[idx], V[idx], config,
                                            g[idx])

@@ -15,27 +15,29 @@ last `repeats` rounds are timed with a monotonic clock.
 Mean, std, and median of the repeats are all reported; ratio arguments
 should use the median, which is robust to a stray slow run.
 
-Memory is reported as an analytic transient-scalar count, the number of
-temporary scalars the streaming form of each variant needs, rather than
-OS-level RSS: the count is deterministic, portable, and shows the
-asymptotic gap (quadratic keeps an n x n weight block alive, the kernel
-variants a d x (d + 1) sum, 2d x (d + 1) for cosformer). The batch
-implementations here allocate more on top of these counts: a causal
-forward its n-row denominators and fixed-size panels of feature rows
-and of the scanned sums, a causal backward its gradients, four n-row
-vectors and such panels, a non-causal call O(n * d) staging buffers; the
-counts track the algorithmic working set, not this library's allocator
-behavior.
+Memory is reported twice. The analytic transient-scalar count is the
+number of temporary scalars the streaming form of each variant needs:
+it is deterministic, portable, and shows the asymptotic gap (quadratic
+keeps an n x n weight block alive, the kernel variants a d x (d + 1)
+sum, 2d x (d + 1) for cosformer). Next to it, peak_mib is what this
+library allocates: the tracemalloc peak of one untimed call per cell,
+made before the warm-up, inputs excluded and the output included. The
+batch implementations allocate more than the count: a causal forward its
+n-row denominators and fixed-size panels of feature rows and of the
+scanned sums, a causal backward its gradients, four n-row vectors and
+such panels, a non-causal call O(n * d) staging buffers.
 
 A quadratic cell that runs out of memory is recorded with NaN timings
-rather than aborting the sweep, so large-length comparisons against the
-linear variants still come out.
+and peak rather than aborting the sweep, so large-length comparisons
+against the linear variants still come out.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,8 +86,9 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
 class BenchmarkRecord:
     """One timed (variant, length) cell of the sweep.
 
-    NaN timings mark a cell whose run failed (out of memory); the analytic
-    transient count is still meaningful for such cells.
+    NaN timings and peak_mib mark a cell whose run failed (out of
+    memory); the analytic transient count is still meaningful for such
+    cells. peak_mib is the measured tracemalloc peak of one call, in MiB.
     """
 
     variant: str
@@ -96,6 +99,7 @@ class BenchmarkRecord:
     std_s: float
     median_s: float
     transient_scalars: int
+    peak_mib: float
     mode: str
 
     @property
@@ -110,8 +114,9 @@ class BenchmarkRecord:
         if self.transient_scalars <= 0:
             raise ConfigurationError("transient_scalars must be positive")
         if not self.failed and (self.mean_s <= 0.0 or self.std_s < 0.0
-                                or self.median_s <= 0.0):
-            raise ConfigurationError("timings of a successful cell must be positive")
+                                or self.median_s <= 0.0 or not self.peak_mib > 0.0):
+            raise ConfigurationError(
+                "timings and peak of a successful cell must be positive")
 
     def csv_row(self) -> str:
         return ",".join(
@@ -147,6 +152,18 @@ def _make_call(variant: str, mode: str, Q, K, V):
         return lambda: attend(Q, K, V, config)
     d_out = np.ones_like(V)
     return lambda: attend_backward(Q, K, V, config, d_out)
+
+
+def _peak_mib(call) -> float:
+    """tracemalloc peak of one call in MiB, NaN if it runs out of memory."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    except MemoryError:
+        return math.nan
+    finally:
+        tracemalloc.stop()
 
 
 def _round(calls, times) -> None:
@@ -189,7 +206,10 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
             K = rng.standard_normal((n, d_model))
             V = rng.standard_normal((n, d_model))
             calls[n] = _make_call(variant, mode, Q, K, V)
-        times = {n: [] for n in lengths}
+        # The untimed peak call comes first; a length it finds out of
+        # memory is not timed.
+        peaks = {n: _peak_mib(call) for n, call in calls.items()}
+        times = {n: None if math.isnan(peaks[n]) else [] for n in lengths}
         start = time.perf_counter()
         _round(calls, times)
         warmup_s = min(_WARMUP_S, repeats * (time.perf_counter() - start))
@@ -213,6 +233,7 @@ def run_benchmark(variants, lengths, d_model: int, repeats: int,
                 std_s=std_s,
                 median_s=median_s,
                 transient_scalars=transient_scalars(variant, n, d_model),
+                peak_mib=peaks[n] if times[n] is not None else math.nan,
                 mode=mode,
             )
             record.validate()

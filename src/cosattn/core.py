@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .reweight import build_reweight_matrix
 
 _FEATURE_MAP_NAMES = ("identity", "relu", "leaky_relu", "elu_plus_one")
 
@@ -59,7 +58,7 @@ def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
-    if not np.issubdtype(arr.dtype, np.floating):
+    if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -123,7 +122,7 @@ def leaky_relu(slope: float = 0.01) -> FeatureMapKind:
 def apply_feature_map(x: np.ndarray, kind: FeatureMapKind) -> np.ndarray:
     """Apply the feature map elementwise; shape and dtype are preserved."""
     x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
+    if x.dtype.kind != "f":
         x = x.astype(np.float64)
     if kind.name == "identity":
         return x.copy()
@@ -242,9 +241,10 @@ def _weights_quadratic_wide(Q: np.ndarray, K: np.ndarray,
     S = apply_feature_map(_wide(Q), config.feature_map) \
         @ apply_feature_map(_wide(K), config.feature_map).T
     if config.reweight.kind == "cosine":
+        from .reweight import build_reweight_matrix  # reweight imports this module
         S *= build_reweight_matrix(Q.shape[0], K.shape[0], config.reweight.m)
     if config.causal:
-        S *= np.tril(np.ones(S.shape))
+        S *= np.tri(*S.shape)
     den = S.sum(axis=1)
     return S / np.maximum(den, config.eps)[:, None]
 

@@ -83,8 +83,15 @@ def _require_variant(variant: str) -> None:
         raise ConfigurationError(f"unknown variant {variant!r}")
 
 
-def _draw_case(rng, n_max: int, d_max: int):
+def _draw_case(rng, n_max: int, d_max: int, walks: bool = False):
     """Random Q, K, V plus causal flag, with degenerate rows mixed in.
+
+    n is uniform in 1..n_max. With walks, a causal draw is redrawn a
+    quarter of the time to one chunk (n <= _BLOCK), where a cosine walk
+    takes the re-weight matrix instead of decomposing, and an eighth of
+    the time to a walk across two panel boundaries
+    (2 _PANEL < n <= 3 _PANEL) at widths <= 4, which keeps its quadratic
+    oracle cheap.
 
     A zeroed query row drives the relu feature row to zero and the
     denominator onto its floor; an all-nonpositive key matrix does the
@@ -92,6 +99,13 @@ def _draw_case(rng, n_max: int, d_max: int):
     """
     n = int(rng.integers(1, n_max + 1))
     causal = bool(rng.integers(0, 2))
+    if walks and causal:
+        share = rng.random()
+        if share < 0.25:
+            n = int(rng.integers(1, _BLOCK + 1))
+        elif share < 0.375:
+            n = int(rng.integers(2 * _PANEL + 1, 3 * _PANEL + 1))
+            d_max = min(d_max, 4)
     d_k = int(rng.integers(1, d_max + 1))
     d_v = int(rng.integers(1, d_max + 1))
     Q = rng.standard_normal((n, d_k))
@@ -218,7 +232,7 @@ def equivalence_trial(variant: str, seed: int, trial: int,
     if variant == "streaming":
         return _streaming_error(rng)
 
-    Q, K, V, causal = _draw_case(rng, n_max=128, d_max=32)
+    Q, K, V, causal = _draw_case(rng, n_max=128, d_max=32, walks=True)
     if precision == "standard":
         Q, K, V = (a.astype(np.float32) for a in (Q, K, V))
     feature_map = _FEATURE_MAPS[variant]

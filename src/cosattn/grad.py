@@ -13,12 +13,13 @@ kernel attention is itself a kernel numerator. The dQ scan admits keys
 j <= i as the forward does; the dK and dV scans are suffix scans, in
 which key j sees the queries i >= j. Each scan maps its rows panel by
 panel as its causal walk reaches them: phi(Q) and phi(K), and the pair
-(a, [V | 1]), which a cosine config scales with slices of one pair of
-cos/sin factors. dV scans the feature rows, and dQ and dK the pair
-against phi(K) and phi(Q). A causal cosine call of one chunk (at most
-linear._BLOCK rows) scales nothing: each walk scans the unscaled rows and
-multiplies the forward's re-weight matrix into its one masked product,
-which the matrix's symmetry lets the suffix walks share. Cost stays
+(a, [V | 1]), which a cosine config scales with slices of one (n, 2)
+cos/sin table, through the forward's one-call scaling. dV scans the
+feature rows, and dQ and dK the pair against phi(K) and phi(Q). A
+causal cosine call of one chunk (at most linear._BLOCK rows) scales
+nothing: each walk scans the unscaled rows and multiplies the forward's
+re-weight matrix into its one masked product, which the matrix's
+symmetry lets the suffix walks share. Cost stays
 Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
@@ -115,7 +116,7 @@ def _backward(record: dict, d_out):
     feature rows, unscaled, and its walks multiply the re-weight matrix
     into their masked products instead (see linear._one_chunk_weight).
     Each walk maps its rows panel by panel (see _scan), so past the
-    gradients, the n-row dhat and -w and the cos/sin factors, a causal
+    gradients, the n-row dhat and -w and the cos/sin table, a causal
     backward's buffers are constant-size in n. Leading axes of the
     (..., n, d) inputs ride along in every step.
     """
@@ -154,14 +155,17 @@ def _backward(record: dict, d_out):
                      -np.einsum("...ij,...ij->...i", g, out) / dhat, 0.0)
     del out, den
     if decomposed:
-        factors = position_factors(max(Q.shape[-2], K.shape[-2]),
-                                   config.reweight.m)
+        # The (n, 2) cos/sin table, once in float64 for the pair and once
+        # in the forward's compute dtype for its feature rows.
+        table = position_factors(max(Q.shape[-2], K.shape[-2]),
+                                 config.reweight.m).T
+        tables = {table.dtype: table, dtype: table.astype(dtype, copy=False)}
 
-    # At n = 4096, d = 64 a causal call peaks at 6.95 MiB under
-    # tracemalloc, its gradients 6 MiB of that, whatever the dtypes of the
-    # record and of d_out.
+    # At n = 4096, d = 64 a causal call peaks at 6.58 MiB under
+    # tracemalloc from a float64 record and at 6.61 MiB from a float32 one,
+    # its gradients 6 MiB of that, whatever the dtype of d_out.
     def scaled(F, first):
-        return _position_scaled(F, factors, first - 1) if decomposed else F
+        return _position_scaled(F, tables[F.dtype], first - 1) if decomposed else F
 
     def phi(X):  # the forward's feature rows, in its compute dtype
         return apply_feature_map(np.asarray(X, dtype), fm)

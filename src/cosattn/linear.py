@@ -22,9 +22,11 @@ the denominator come out of one (feature width) x (d_v + 1) sum, whose
 ones column is the key total. The scan takes a mapping from raw rows to
 the rows it multiplies; the forward's is phi, then (past one causal
 chunk) decompose at the rows' own positions, then [V | 1]. The causal
-scan walks fixed panels of rows and maps each panel as it reaches it,
+scan walks fixed 128-row panels and maps each panel as it reaches it,
 so no n-row feature array exists; the non-causal scan maps all rows at
-once. The analytic backward in :mod:`cosattn.grad` runs
+once. A panel's mapping is a fixed cost of a few dozen NumPy calls, so
+decompose keeps it small: one cos/sin table per panel and one scaling
+call per operand. The analytic backward in :mod:`cosattn.grad` runs
 the same scan with mappings of its own, from the record the private
 _forward keeps of the forward: attend is that forward with its record
 dropped.
@@ -143,15 +145,18 @@ def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
 # position-scaled and given their ones column inside the walk, so no
 # n-row feature array is ever built. At n = 4096, d = 64 (causal float32
 # cosformer, one BLAS thread) the forward peaks under tracemalloc at
-# 1.60 MiB, 1 MiB of it the output, against 6.13 MiB for whole-length
-# features; 512- and 1024-row panels peak at 2.04 and 2.93 MiB. Each
-# panel pays a fixed cost of about forty NumPy calls (two feature maps,
-# decompose's checks and factors, two scalings): in the benchmark's
-# prefill_long, 1024-row panels ran as fast as whole-length features and
-# 256-row ones about 10 % slower. A whole number of chunks, and fixed
-# like _BLOCK, never a function of n: the chunks of a walk, and so its
-# sums, do not depend on the panels.
-_PANEL = 8 * _BLOCK
+# 1.28 MiB, 1 MiB of it the output, against 6.13 MiB for whole-length
+# features; 64-, 256-, 512- and 1024-row panels peak at 1.18, 1.50, 1.94
+# and 2.83 MiB. Each panel pays a fixed cost of about thirty NumPy calls
+# (two feature maps, decompose's checks, its cos/sin table and its two
+# one-call scalings, [V | 1], the overflow check and the divide), about
+# 30 us on a 2-vCPU shared host: in one process, 128-row panels ran about
+# 10 % slower than 256-row ones, and 64-row ones about 20 % slower again. Against the
+# two-multiply scaling at 256 rows they ran no slower in the benchmark's
+# prefill_long (paired fresh-process runs). A whole number of chunks, and
+# fixed like _BLOCK, never a function of n: the chunks of a walk, and so
+# its sums, do not depend on the panels.
+_PANEL = 4 * _BLOCK
 
 
 def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
@@ -276,7 +281,8 @@ def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     weight, decomposed = _one_chunk_weight(config, Q.shape[-2], dtype)
 
     def rows(q, k, v, first):
-        q, k = (apply_feature_map(r, config.feature_map) for r in (q, k))
+        q = apply_feature_map(q, config.feature_map)
+        k = apply_feature_map(k, config.feature_map)
         if decomposed:
             q, k = decompose(q, k, config.reweight.m, first=first)
         return q, k, _with_ones(v, dtype)

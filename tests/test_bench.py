@@ -19,7 +19,7 @@ from cosattn.errors import ConfigurationError
 
 def test_csv_header_fields():
     assert CSV_HEADER == ("variant,seq_len,d_model,repeats,mean_s,std_s,"
-                          "median_s,transient_scalars,mode")
+                          "median_s,transient_scalars,peak_mib,mode")
 
 
 def test_transient_scalar_counts():
@@ -51,6 +51,18 @@ def test_run_benchmark_small_sweep():
         assert r.median_s > 0.0 and r.mean_s > 0.0 and r.std_s >= 0.0
         assert r.mode == "inference" and r.d_model == 4 and r.repeats == 3
         assert r.transient_scalars == transient_scalars(r.variant, r.seq_len, 4)
+        assert 0.0 < r.peak_mib < 1.0
+
+
+def test_measured_peak_sits_next_to_the_analytic_count():
+    # One untimed call per cell is traced: softmax's n x n weights show
+    # in its peak, and a causal-free kernel call peaks far below them.
+    n, d = 512, 8
+    records = {r.variant: r for r in run_benchmark(["softmax", "cosformer"], [n],
+                                                   d_model=d, repeats=3)}
+    weights_mib = n * n * 8 / 2**20
+    assert records["softmax"].peak_mib > weights_mib
+    assert records["cosformer"].peak_mib < weights_mib / 4
 
 
 def test_run_benchmark_train_mode():
@@ -74,6 +86,7 @@ def test_memory_error_becomes_failed_cell(monkeypatch):
     assert math.isnan(failed.std_s) and math.isnan(failed.median_s)
     failed.validate()  # NaN cells are still well-formed records
     assert failed.transient_scalars == transient_scalars("softmax", 8, 4)
+    assert math.isnan(failed.peak_mib)
     assert not fine.failed  # the sweep continues past the failure
 
 
@@ -101,7 +114,7 @@ def test_run_benchmark_usage_errors():
 def test_record_validation_rejects_bad_cells():
     good = dict(variant="linear", seq_len=8, d_model=4, repeats=3,
                 mean_s=1e-4, std_s=1e-6, median_s=1e-4,
-                transient_scalars=52, mode="inference")
+                transient_scalars=52, peak_mib=0.01, mode="inference")
     BenchmarkRecord(**good).validate()
     with pytest.raises(ConfigurationError):
         BenchmarkRecord(**{**good, "variant": "flash"}).validate()
@@ -113,6 +126,9 @@ def test_record_validation_rejects_bad_cells():
         BenchmarkRecord(**{**good, "mean_s": -1.0}).validate()
     with pytest.raises(ConfigurationError):
         BenchmarkRecord(**{**good, "transient_scalars": 0}).validate()
+    for peak in (0.0, math.nan):
+        with pytest.raises(ConfigurationError):
+            BenchmarkRecord(**{**good, "peak_mib": peak}).validate()
 
 
 def test_write_benchmark_csv(tmp_path):
@@ -123,8 +139,9 @@ def test_write_benchmark_csv(tmp_path):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(records)
     fields = lines[1].split(",")
-    assert len(fields) == 9
+    assert len(fields) == 10
     assert fields[0] == "linear" and fields[-1] == "inference"
     assert int(fields[1]) == 8 and int(fields[3]) == 3
     assert float(fields[4]) > 0.0  # mean_s round-trips through the text
     assert int(fields[7]) == transient_scalars("linear", 8, 4)
+    assert float(fields[8]) == pytest.approx(records[0].peak_mib, rel=1e-8)

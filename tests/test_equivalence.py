@@ -16,7 +16,7 @@ from cosattn.equivalence import (
     threshold_for,
 )
 from cosattn.errors import ConfigurationError
-from cosattn.linear import _BLOCK, attend
+from cosattn.linear import _BLOCK, _PANEL, attend
 
 
 def test_variant_roster():
@@ -151,6 +151,22 @@ def test_streaming_trial_catches_a_skipped_fold(monkeypatch):
         long += shows
         floored += not (K > 0.0).any()
     assert 0 < long < 24 and floored
+
+
+def test_oracle_draws_reach_one_chunk_and_two_panel_boundaries():
+    # A share of the causal oracle cases is one chunk, where a cosine walk
+    # takes the re-weight matrix, and a share crosses two panel
+    # boundaries at small widths; the streaming draws keep n <= 256.
+    draws = [_draw_case(np.random.default_rng([0, t]), 128, 32, walks=True)
+             for t in range(200)]
+    one_chunk = [Q for Q, _, _, causal in draws if causal and Q.shape[0] <= _BLOCK]
+    panels = [(Q, V) for Q, _, V, causal in draws if causal and Q.shape[0] > 128]
+    assert len(one_chunk) >= 200 // 8
+    assert panels and all(2 * _PANEL < Q.shape[0] <= 3 * _PANEL
+                          and Q.shape[1] <= 4 and V.shape[1] <= 4 for Q, V in panels)
+    assert all(Q.shape[0] <= 128 for Q, _, _, causal in draws if not causal)
+    assert max(_draw_case(np.random.default_rng([0, t]), 256, 16)[0].shape[0]
+               for t in range(200)) <= 256
 
 
 def test_unfloored_denominator_fails_on_nan():

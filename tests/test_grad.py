@@ -216,9 +216,9 @@ def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight(
         assert max(errors.values()) > 1e-6, (n, errors)
 
 
-def _first_ignored(scaled, F, factors, offset=0):
+def _first_ignored(scaled, F, table, offset=0):
     """Every panel scaled from position 1."""
-    return scaled(F, factors)
+    return scaled(F, table)
 
 
 def test_directional_fd_catches_a_backward_that_scales_panels_from_one(

@@ -485,8 +485,9 @@ def test_overflow_past_the_first_panel_moves_the_call_to_float64(variant):
     assert np.array_equal(out, wide.astype(np.float32))
 
 
-# The equivalence suite draws n <= 256 = _PANEL, so its cases never leave
-# the first panel; these lengths cross two and three panel boundaries.
+# These lengths cross two and three panel boundaries, at every variant and
+# dtype; the equivalence suite reaches two boundaries in a share of its
+# causal draws only.
 PANEL_LENGTHS = (2 * _PANEL + 17, 3 * _PANEL + 17)
 
 
@@ -596,8 +597,31 @@ def test_causal_forward_holds_no_whole_length_feature_rows():
     assert peak < outputs + n * 2 * d * 4, peak
 
 
+def test_prefill_forward_peaks_at_most_1_30_mib():
+    # The benchmark's prefill: a causal float32 cosformer forward at
+    # n = 4096, d = 64. 1 MiB of the peak is the output; 128-row panels,
+    # each scaled by one call with no scratch, keep the rest under 0.3 MiB.
+    rng = np.random.default_rng(55)
+    n, d = 4096, 64
+    Q, K, V = (rng.standard_normal((n, d)).astype(np.float32) for _ in range(3))
+    config = AttentionConfig.cosformer(m=n, causal=True)
+    attend(Q, K, V, config)  # warm the mask cache
+    tracemalloc.start()
+    try:
+        attend(Q, K, V, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.30 * 2**20, peak / 2**20
+
+
+# Lengths of many panels whose n-row arrays outgrow the panel transients;
+# the bounds below are absolute, so they stay fixed, not multiples of _PANEL.
+WALK_LENGTHS = (2048, 4096)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("n", [8 * _PANEL, 16 * _PANEL])
+@pytest.mark.parametrize("n", WALK_LENGTHS)
 def test_causal_forward_holds_no_whole_length_scanned_sums(n, dtype):
     # Peak over the call, inputs excluded, beyond the output: the n
     # denominators and one panel's feature rows and scanned [num | den],
@@ -641,12 +665,12 @@ def test_causal_backward_holds_no_feature_rows_past_their_scan():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("n", [8 * _PANEL, 16 * _PANEL])
+@pytest.mark.parametrize("n", WALK_LENGTHS)
 def test_causal_backward_holds_no_whole_length_rows(n, dtype):
     # Peak over the call, inputs and record excluded: the three gradients
-    # and four n-row float64 vectors (dhat, -w and the cos/sin factors),
+    # and four n-row float64 vectors (dhat, -w and the cos/sin table),
     # plus 1 MiB for the panel walk's transients, whatever n is. One more
-    # n x d float64 array at n = 16 * _PANEL would break the bound.
+    # n x d float64 array at n = 4096 would break the bound.
     rng = np.random.default_rng(48)
     d = 32
     Q, K, V = (rng.standard_normal((n, d)).astype(dtype) for _ in range(3))

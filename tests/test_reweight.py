@@ -6,6 +6,7 @@ import pytest
 from cosattn.core import RELU, apply_feature_map
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.reweight import (
+    _position_scaled,
     build_reweight_matrix,
     cos_weight,
     decompose,
@@ -27,10 +28,12 @@ def test_cos_weight_scalar_values():
 
 
 def test_matrix_agrees_with_scalar():
-    W = build_reweight_matrix(5, 7, 12)
-    for i in range(5):
-        for j in range(7):
-            assert W[i, j] == cos_weight(i + 1, j + 1, 12)
+    for n_q, n_k in ((5, 7), (9, 4), (1, 6), (6, 1)):
+        W = build_reweight_matrix(n_q, n_k, 12)
+        assert W.shape == (n_q, n_k) and W.flags.c_contiguous
+        for i in range(n_q):
+            for j in range(n_k):
+                assert W[i, j] == cos_weight(i + 1, j + 1, 12)
 
 
 def test_reweight_entries_positive_within_horizon():
@@ -125,3 +128,72 @@ def test_decompose_refuses_positions_outside_the_horizon():
         decompose(F, F, 50, first=0)
     with pytest.raises(ConfigurationError):
         decompose(F[:1], F[:1], 1, first=-1)
+
+
+def _two_multiply_scaled(F, factors, offset=0):
+    """The two-half form the one-call scaling replaced: each half
+    multiplied by its factors, rounded to F's dtype per call."""
+    n, d = F.shape[-2:]
+    cos, sin = (c[offset:offset + n].astype(F.dtype, copy=False)
+                for c in factors)
+    out = np.empty(F.shape[:-1] + (2 * d,), F.dtype)
+    np.multiply(F, cos[:, None], out=out[..., :d])
+    np.multiply(F, sin[:, None], out=out[..., d:])
+    return out
+
+
+@pytest.mark.parametrize("offset", [0, 9])
+@pytest.mark.parametrize("shape", [(7, 1), (40, 5), (2, 3, 33, 4), (3, 129, 1)],
+                         ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_position_scaled_is_the_two_multiply_form_bit_for_bit(dtype, shape, offset):
+    rng = np.random.default_rng(23)
+    F = rng.standard_normal(shape).astype(dtype)
+    F[..., ::4, :] = 0.0
+    n = shape[-2]
+    factors = position_factors(offset + n + 5, 2 * (offset + n))
+    got = _position_scaled(F, factors.T.astype(dtype), offset)
+    want = _two_multiply_scaled(F, factors, offset)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_position_scaled_reads_a_negative_zero_product_as_zero():
+    # The one call accumulates each product into a zeroed output, so a
+    # -0.0 product comes out +0.0; as a value it is the same product.
+    F = np.array([[-0.0, -1.0, 2.0]])
+    table = np.array([[0.5, 0.25]])
+    got = _position_scaled(F, table)
+    assert np.array_equal(got, _two_multiply_scaled(F, table.T))
+    assert not np.signbit(got[0, 0]) and not np.signbit(got[0, 3])
+
+
+def test_position_factors_unpack_and_transpose_to_the_table():
+    factors = position_factors(5, 11, first=3)
+    assert factors.shape == (2, 5) and factors.dtype == np.float64
+    cos, sin = factors
+    angles = position_angles(5, 11, first=3)
+    assert np.array_equal(cos, np.cos(angles)) and np.array_equal(sin, np.sin(angles))
+    assert np.array_equal(factors.T, np.stack([cos, sin], axis=-1))
+
+
+@pytest.mark.parametrize("first", [1, 6])
+def test_mixed_dtype_decompose_rounds_each_operands_factors_to_its_own_dtype(first):
+    rng = np.random.default_rng(24)
+    Qf = apply_feature_map(rng.standard_normal((2, 9, 3)), RELU)
+    Kf = apply_feature_map(rng.standard_normal((2, 6, 3)), RELU)
+    m = first + 9
+    factors = position_factors(9, m, first)
+    for q_dtype, k_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+        q, k = decompose(Qf.astype(q_dtype), Kf.astype(k_dtype), m, first=first)
+        assert q.dtype == q_dtype and k.dtype == k_dtype
+        for got, F, dtype in ((q, Qf, q_dtype), (k, Kf, k_dtype)):
+            want = _two_multiply_scaled(F.astype(dtype), factors)
+            assert got.tobytes() == want.tobytes()
+    # Scaling in float64 and rounding after gives other float32 rows here,
+    # so the checks above tell the two roundings apart.
+    q32 = decompose(Qf.astype(np.float32), Kf, m, first=first)[0]
+    wide = (Qf.astype(np.float32).astype(np.float64)[..., None, :]
+            * factors.T[:, :, None]).reshape(q32.shape).astype(np.float32)
+    assert not np.array_equal(q32, wide)

@@ -10,7 +10,9 @@ Trials are keyed by (seed, trial index), so reports are deterministic and
 independent of execution order; the optional process pool changes timing
 only. Each seeded mutation swaps one internal of the shipped forward for a
 broken stand-in for one trial, which calls attend itself; the swap is
-process-local (each pool worker swaps its own) and not thread-safe.
+process-local (each pool worker swaps its own) and not thread-safe. The
+carry defects swap one of the scan's steps (see cosattn.linear._scan),
+so they break the backward and the decode as well.
 """
 
 from __future__ import annotations
@@ -139,27 +141,22 @@ def _unfloored_denominator(finalize, num, eps, out):
         np.divide(num[..., :-1], num[..., -1:], out=out)
 
 
-def _dropped_carry(scan, x, y, v, causal, rows, suffix=False, out=None,
-                  weight=None):
-    """Each causal chunk scanned on its own: no state carried between chunks.
-    The rows are mapped whole first, so each keeps its own position, and
-    the sums are handed back a panel at a time, as the scan's are. Only a
-    walk of one chunk, which has no carry to drop, is given a weight."""
-    if not causal:
-        yield from scan(x, y, v, False, rows, suffix=suffix, out=out)
-        return
-    x, y, v = rows(x, y, v, 1)
-    n = x.shape[-2]
-    if out is None:
-        out = np.empty(x.shape[:-1] + v.shape[-1:], np.result_type(x, v))
-    for c in range(0, n, _BLOCK):
-        chunk = slice(c, c + _BLOCK)
-        for _ in scan(x[..., chunk, :], y[..., chunk, :], v[..., chunk, :], True,
-                      lambda *mapped: mapped[:3], suffix=suffix,
-                      out=out[..., chunk, :], weight=weight):
-            pass
-    for p0 in range(0, n, _PANEL):
-        yield p0, min(p0 + _PANEL, n), out[..., p0:p0 + _PANEL, :]
+def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
+    """Every panel decomposed from position 1."""
+    return decompose(Q_feat, K_feat, m)
+
+
+def _dropped_carry(update, carry, kc, vc, edge):
+    """No chunk is summed into the carry: each reads only its own rows."""
+    return carry
+
+
+def _panel_carry_reset(update, carry, kc, vc, edge):
+    """The carry emptied as the walk leaves each panel."""
+    carry = update(carry, kc, vc, edge)
+    if edge % _PANEL == 0:
+        carry[...] = 0.0
+    return carry
 
 
 def _unweighted_chunk(reweight_chunk, m, dtype):
@@ -172,8 +169,10 @@ _DEFECTS = {
     "position_off_by_one": ("decompose", _position_off_by_one),
     "dropped_sin_branch": ("decompose", _dropped_sin_branch),
     "unfloored_denominator": ("_finalize", _unfloored_denominator),
-    "dropped_carry": ("_scan", _dropped_carry),
+    "dropped_carry": ("_carry_update", _dropped_carry),
     "unweighted_chunk": ("_reweight_chunk", _unweighted_chunk),
+    "panel_carry_reset": ("_carry_update", _panel_carry_reset),
+    "first_ignored": ("decompose", _first_ignored),
 }
 MUTATIONS = tuple(_DEFECTS)
 

@@ -8,19 +8,11 @@ wrappers around it. A caller that needs the forward's output as well
 runs :func:`cosattn.linear._forward` itself and passes its record to
 _backward, so the forward runs once, not twice; the toy trainer is the
 one such caller. The kernel backward never materializes an n x n matrix:
-it is three runs of the forward's scan, because every gradient of
-kernel attention is itself a kernel numerator. The dQ scan admits keys
-j <= i as the forward does; the dK and dV scans are suffix scans, in
-which key j sees the queries i >= j. Each scan maps its rows panel by
-panel as its causal walk reaches them: phi(Q) and phi(K), and the pair
-(a, [V | 1]), which a cosine config scales with slices of one (n, 2)
-cos/sin table, through the forward's one-call scaling. dV scans the
-feature rows, and dQ and dK the pair against phi(K) and phi(Q). A
-causal cosine call of one chunk (at most linear._BLOCK rows) scales
-nothing: each walk scans the unscaled rows and multiplies the forward's
-re-weight matrix into its one masked product, which the matrix's
-symmetry lets the suffix walks share. Cost stays
-Theta(n * d_k * d_v).
+it is three runs of the forward's scan, :func:`cosattn.linear._scan`,
+because every gradient of kernel attention is itself a kernel numerator
+(see _backward). Its walks take the scan's steps from linear's module,
+so a defect swapped into one of them breaks the backward as it breaks
+the forward. Cost stays Theta(n * d_k * d_v).
 Conventions at the non-smooth points: the relu gate takes subgradient 0
 at exactly 0 (leaky takes its negative-side slope there), and a
 denominator at or below the floor eps is treated as a constant,
@@ -213,8 +205,10 @@ def _backward(record: dict, d_out):
     dQ = gradient(Q, g, V, K, lambda g_p, V_p, k, first: (
         *pair(g_p, V_p, first, True), _wide(phi(k))))
     # The suffix walk starts at the panel where dQ's walk ended, so it
-    # takes that panel's pair out of kept: one panel is scaled once, not
-    # twice, and no pair is held while dK's blocks are multiplied by phi'.
+    # takes that panel's pair out of kept: one panel is mapped once, not
+    # twice (in a walk of one panel, such as the toy trainer's, that is
+    # the whole pair), and no pair is held while dK's blocks are
+    # multiplied by phi'.
     dK = gradient(K, V, g, Q, lambda V_p, g_p, q, first: (
         *pair(g_p, V_p, first, False)[::-1], _wide(phi(q))), suffix=True)
     return dQ, dK, dV

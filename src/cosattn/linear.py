@@ -12,45 +12,26 @@ is evaluated through a key-value sum instead of an n_q x n_k weight
 matrix. For plain kernels qf, kf are phi(Q), phi(K); for the cosine
 re-weight they are the 2d-wide cos/sin-scaled rows of
 :func:`cosattn.reweight.decompose`, whose inner products carry the
-re-weight exactly. The decomposition exists only so that the re-weight
-can ride the carry between chunks: a causal cosine call of at most
-_BLOCK rows is one chunk with no carry, so it scans phi(Q), phi(K) d
-wide and multiplies cos(pi (i - j) / 2m) into its one masked product,
-as RetNet's chunkwise form does inside a chunk. Either way one scan over
-one feature pair does the work: it scans [V | 1], so the numerator and
-the denominator come out of one (feature width) x (d_v + 1) sum, whose
-ones column is the key total. The scan takes a mapping from raw rows to
-the rows it multiplies; the forward's is phi, then (past one causal
-chunk) decompose at the rows' own positions, then [V | 1]. The causal
-scan walks fixed 128-row panels and maps each panel as it reaches it,
-so no n-row feature array exists; the non-causal scan maps all rows at
-once. A panel's mapping is a fixed cost of a few dozen NumPy calls, so
-decompose keeps it small: one cos/sin table per panel and one scaling
-call per operand. The analytic backward in :mod:`cosattn.grad` runs
-the same scan with mappings of its own, from the record the private
-_forward keeps of the forward: attend is that forward with its record
-dropped.
-Cost is Theta(n * d_k * d_v). The scan hands its [num | den] back panel
-by panel, and the forward divides each into the output and an n-vector
-of denominators as the walk leaves it, so beyond those a causal
-forward's transient allocation is Theta(_PANEL * d + d^2) whatever n
-is, a non-causal one's Theta(n * d + d^2), and never Theta(n^2). The
-kernel forward computes float32 storage in float32 under a non-negative
-feature map (relu, elu_plus_one), and everything else in float64; a
-float32 scan that overflows shows inf or NaN in a panel of its
-[num | den], and the call is redone once in float64 (see _forward). The
-softmax reference and every backward compute in float64.
+re-weight exactly (except in a causal walk of one chunk, see
+_one_chunk_weight). One scan of [V | 1] gives the numerator and, in its
+last column, the denominator. :func:`_scan` owns the walk: its chunks,
+its panels, the carry between chunks and the three steps that build
+it. The analytic backward in :mod:`cosattn.grad` runs the same scan
+with mappings of its own, from the record the private _forward keeps
+of the forward: attend is that forward with its record dropped, and
+_forward owns the compute-dtype rule. The streaming :class:`CausalState`
+decodes one 2-D sequence with the scan's carry and its update step.
+
+Cost is Theta(n * d_k * d_v). The forward divides each panel the scan
+hands back into the output as the walk leaves it, so beyond the output
+and an n-vector of denominators a causal forward's transient allocation
+is Theta(_PANEL * d + d^2) whatever n is, a non-causal one's
+Theta(n * d + d^2), and never Theta(n^2).
 
 Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
 any leading (batch, head, ...) axes, shared by all three; every slice is
 attended on its own, in one call, with the arithmetic of a 2-D call on
-that slice. The streaming :class:`CausalState` decodes one 2-D sequence
-with the causal scan's own state: the carry over whole chunks plus the
-current chunk's rows, folded into the carry every _BLOCK tokens at the
-scan's chunk boundaries. A token costs Theta(_BLOCK * (d_k + d_v)) for
-its chunk rows plus one Theta(d_k * d_v) read of the carry, and no write
-to it; one Theta(_BLOCK * d_k * d_v) fold every _BLOCK tokens adds the
-chunk.
+that slice.
 
 Checks run once, at the public boundary: _forward, under attend and
 attend_backward alike, validates Q, K and V, through
@@ -58,8 +39,7 @@ attend_backward alike, validates Q, K and V, through
 horizon, all before any work; causal_state_step checks its rows and
 position, and that m and eps are the ones its state's first step fixed,
 before it changes its state. _scan checks nothing, but the forward
-walk's :func:`cosattn.reweight.decompose` checks each panel again
-(every walk but a causal cosine one of one chunk decomposes).
+walk's :func:`cosattn.reweight.decompose` checks each panel again.
 """
 
 from __future__ import annotations
@@ -180,24 +160,35 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
 
     The non-causal path maps all rows at once and is one product, yielded
     as one block. The causal path admits keys j <= i (j >= i with suffix)
-    and walks fixed-size chunks, last to first for a suffix: the
-    triangular part inside a chunk is a masked product, and the chunks
-    already walked enter through one running (feature width) x width(vf)
-    sum per slice. The chunks are grouped in _PANEL-row panels, each
-    mapped as the walk reaches it and yielded, its mapped rows dropped,
-    as the walk leaves it, so transient buffers stay constant-size in n;
-    a walk over at most _PANEL rows yields one block. _BLOCK is fixed, so
-    a suffix edit at fixed n leaves every prefix row bit-identical, and a
-    prefix row rounds alike at every n on the same side of _BLOCK (a
-    causal cosine call weights one chunk at n <= _BLOCK and decomposes
-    past it, which rounds differently); it is >= 32, so the toy trainer's
-    n = 32 scans as one chunk.
+    and walks fixed _BLOCK-row chunks, last to first for a suffix, in
+    _PANEL-row panels, each mapped as the walk reaches it and yielded,
+    its mapped rows dropped, as the walk leaves it; a walk over at most
+    _PANEL rows yields one block. Each chunk takes three steps, looked up
+    by name in this module, so a defect swapped for one of them breaks
+    the forward and every backward walk alike:
 
-    weight, an (n, n) array of the scan's dtype, is multiplied into the
-    masked product of a causal walk of one chunk (n <= _BLOCK) after the
-    mask: a walk with no carry takes the re-weight this way, on unscaled
-    feature rows (see _one_chunk_weight). It is symmetric, so a suffix
-    walk reads it unchanged. Every other walk passes None.
+    - _chunk_product, the masked product of the chunk's own rows (the
+      weight, if any, multiplied in after the mask). Swapping it breaks
+      every causal walk.
+    - _carry_read, the chunks already walked: qc @ carry, with no read
+      for the empty carry (None) of the first chunk. Swapping it breaks
+      every walk past one chunk.
+    - _carry_update, the carry after the chunk: kc^T vc, summed into the
+      carry after the first chunk; the last chunk walked updates nothing.
+      It is told the row where the walk leaves the chunk, so a defect
+      can act at panel boundaries. Swapping it breaks every walk past
+      one chunk and, since CausalState folds its chunks through it too,
+      the decode past _BLOCK tokens.
+
+    The carry is one (feature width) x width(vf) sum per slice. _BLOCK is
+    fixed, so a suffix edit at fixed n leaves every prefix row
+    bit-identical, and a prefix row rounds alike at every n on the same
+    side of _BLOCK (a causal cosine walk of one chunk is weighted, not
+    decomposed; see _one_chunk_weight).
+
+    weight, an (n, n) array of the scan's dtype or None, is the re-weight
+    of a causal walk of one chunk (n <= _BLOCK; see _one_chunk_weight).
+    It is symmetric, so a suffix walk reads it unchanged.
     """
     if not causal:
         xf, yf, vf = rows(x, y, v, 1)
@@ -206,7 +197,7 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
         yield 0, x.shape[-2], block
         return
     n = x.shape[-2]
-    buf = state = None
+    buf = carry = None
     last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
     panels = range(0, n, _PANEL)
     for p0 in panels[::-1] if suffix else panels:
@@ -224,32 +215,44 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
             kc = yp[..., start:stop, :]
             vc = vp[..., start:stop, :]
             dst = block[..., start:stop, :]
-            sim = qc @ kc.swapaxes(-1, -2)
-            drop = _causal_drop(stop - start)
-            # copyto broadcasts the mask over the leading axes as fast as a
-            # 2-D boolean index; sim[..., drop] = 0 is about 10x slower.
-            np.copyto(sim, 0.0, where=drop.T if suffix else drop)
-            if weight is not None:
-                # After the mask, and every weight is positive: an overflow
-                # the mask drops stays 0, not 0 * inf = NaN; one it keeps, inf.
-                sim *= weight
-            np.matmul(sim, vc, out=dst)
-            # The state is zero in the first chunk walked and unread after
-            # the last, so a one-chunk scan is two products, not four, and
-            # allocates no state.
-            if state is not None:
-                dst += qc @ state
-            # The update product is never named, so it is freed at once.
+            _chunk_product(qc, kc, vc, dst, suffix, weight)
+            _carry_read(dst, qc, carry)
             if p0 + start != last:
-                if state is None:
-                    state = kc.swapaxes(-1, -2) @ vc
-                else:
-                    state += kc.swapaxes(-1, -2) @ vc
-        # The chunk views hold the mapped rows too: all of them, and the
-        # last chunk's similarities, go before the caller reads the block
-        # and before the next panel is mapped.
-        del xp, yp, vp, qc, kc, vc, sim
+                carry = _carry_update(carry, kc, vc, p0 + (start if suffix else stop))
+        # The chunk views hold the mapped rows too: all of them go before
+        # the caller reads the block and before the next panel is mapped.
+        del xp, yp, vp, qc, kc, vc
         yield p0, p1, block
+
+
+def _chunk_product(qc, kc, vc, dst, suffix: bool, weight) -> None:
+    """Write the masked product of one chunk into dst: each query's sum
+    over the chunk's keys it admits (see _scan)."""
+    sim = qc @ kc.swapaxes(-1, -2)
+    drop = _causal_drop(qc.shape[-2])
+    # copyto broadcasts the mask over the leading axes as fast as a 2-D
+    # boolean index; sim[..., drop] = 0 is about 10x slower.
+    np.copyto(sim, 0.0, where=drop.T if suffix else drop)
+    if weight is not None:
+        # After the mask, and every weight is positive: an overflow the
+        # mask drops stays 0, not 0 * inf = NaN; one it keeps, inf.
+        sim *= weight
+    np.matmul(sim, vc, out=dst)
+
+
+def _carry_read(dst, qc, carry) -> None:
+    """Add the chunks already walked to dst (see _scan)."""
+    if carry is not None:
+        dst += qc @ carry
+
+
+def _carry_update(carry, kc, vc, edge: int):
+    """The carry with one more chunk summed in, in place unless carry is
+    the empty carry None (see _scan). The shipped step ignores edge."""
+    if carry is None:
+        return kc.swapaxes(-1, -2) @ vc
+    carry += kc.swapaxes(-1, -2) @ vc
+    return carry
 
 
 def _with_ones(V, dtype) -> np.ndarray:
@@ -399,11 +402,11 @@ def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
 class CausalState:
     """Carry of a causal cosformer decode of one sequence, one row at a time.
 
-    The state is what the batch causal scan holds inside a chunk:
-    ``carry`` (2 d_k x (d_v + 1)) sums kf_j [v_j | 1] over every whole
-    _BLOCK-row chunk before the current one, kf_j being key j's
-    cos/sin-scaled feature row, and ``keys`` (_BLOCK x 2 d_k) and
-    ``vals`` (_BLOCK x (d_v + 1), ones in the last column) hold the
+    The state is what the batch causal scan holds inside a chunk (see
+    _scan): ``carry`` (2 d_k x (d_v + 1)), zero until the first fold,
+    is the scan's carry over every whole chunk before the current one,
+    folded by the scan's own _carry_update, and ``keys`` (_BLOCK x 2 d_k)
+    and ``vals`` (_BLOCK x (d_v + 1), ones in the last column) hold the
     current chunk's rows: position t sits in row (t - 1) % _BLOCK, and
     the rows after it hold the previous chunk until overwritten. ``config``
     is the cosformer config of the decode, set by the first accepted step
@@ -437,12 +440,6 @@ def causal_state_init(d_k: int, d_v: int) -> CausalState:
     vals[:, -1] = 1.0
     return CausalState(carry=np.zeros((2 * d_k, d_v + 1)),
                        keys=np.zeros((_BLOCK, 2 * d_k)), vals=vals)
-
-
-def _fold(state: CausalState) -> None:
-    """Add the full chunk in keys and vals to the carry: the batch scan's
-    own update between chunks."""
-    state.carry += state.keys.T @ state.vals
 
 
 def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
@@ -487,7 +484,7 @@ def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
     state.config = config
     r = state.t % _BLOCK
     if r == 0 and state.t:
-        _fold(state)
+        state.carry = _carry_update(state.carry, state.keys, state.vals, state.t)
     angle = (np.pi * pos) / (2.0 * m)
     # Row 0 is [q cos | q sin], row 1 [k cos | k sin], of the relu rows.
     feats = (np.maximum(row[:2 * d], 0.0).reshape(2, 1, d)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cosattn import linear
+from cosattn import equivalence, linear
 from cosattn.core import AttentionConfig
 from cosattn.equivalence import (
     MUTATIONS,
@@ -16,7 +16,7 @@ from cosattn.equivalence import (
     threshold_for,
 )
 from cosattn.errors import ConfigurationError
-from cosattn.linear import _BLOCK, _PANEL, attend
+from cosattn.linear import _BLOCK, _PANEL, attend, causal_state_step
 
 
 def test_variant_roster():
@@ -27,7 +27,8 @@ def test_variant_roster():
     # The CLI's --mutation choices and the gate's output order follow it.
     assert MUTATIONS == ("position_off_by_one", "dropped_sin_branch",
                          "unfloored_denominator", "dropped_carry",
-                         "unweighted_chunk")
+                         "unweighted_chunk", "panel_carry_reset",
+                         "first_ignored")
 
 
 def test_thresholds():
@@ -106,19 +107,22 @@ def test_mutations_are_caught(mutation):
 def test_defects_never_outlive_their_trial():
     originals = {name: getattr(linear, name) for name, _ in _DEFECTS.values()}
     rng = np.random.default_rng(5)
-    # Past one chunk, where the walk decomposes and carries, and within
-    # one, where it takes the re-weight matrix instead.
+    # Past one chunk, where the walk decomposes and carries, within one,
+    # where it takes the re-weight matrix instead, and past one panel.
     cases = {}
-    for n in (2 * _BLOCK + 5, _BLOCK):
+    for n in (2 * _BLOCK + 5, _BLOCK, _PANEL + 5):
         Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
         Q[3] = 0.0  # a floored row, which only the unfloored defect turns NaN
         config = AttentionConfig.cosformer(m=n, causal=True)
         cases[n] = (Q, K, V, config, attend(Q, K, V, config))
+    lengths = {"unweighted_chunk": _BLOCK, "panel_carry_reset": _PANEL + 5,
+               "first_ignored": _PANEL + 5}
     for mutation in MUTATIONS:
-        # Inside the swap the shipped attend itself is broken: the long
-        # walk for every defect but unweighted_chunk, whose matrix only a
-        # walk of one chunk reads, and that walk for unweighted_chunk...
-        n = _BLOCK if mutation == "unweighted_chunk" else 2 * _BLOCK + 5
+        # Inside the swap the shipped attend itself is broken: the walk of
+        # a few chunks for most defects, the walk of one chunk, the only
+        # one that reads the matrix, for unweighted_chunk, and a walk past
+        # one panel for the two panel defects...
+        n = lengths.get(mutation, 2 * _BLOCK + 5)
         Q, K, V, config, before = cases[n]
         with _injected(mutation):
             assert not np.array_equal(attend(Q, K, V, config), before), mutation
@@ -134,12 +138,17 @@ def test_defects_never_outlive_their_trial():
 
 
 def test_streaming_trial_catches_a_skipped_fold(monkeypatch):
-    # The decode folds each full chunk into its carry in one helper; with
-    # that helper a no-op, every sequence longer than one chunk forgets
-    # its earlier chunks and breaks the 1e-12 bound, and no shorter one
-    # notices. Nor does a case whose keys are all non-positive: every row
-    # sits on the eps floor and reads zero, whatever the carry holds.
-    monkeypatch.setattr(linear, "_fold", lambda state: None)
+    # The decode folds each full chunk into its carry through the scan's
+    # update step; with dropped_carry swapped in around each decode step,
+    # the batch oracle left whole, every sequence longer than one chunk
+    # forgets its earlier chunks and breaks the 1e-12 bound, and no
+    # shorter one notices. Nor does a case whose keys are all
+    # non-positive: every row sits on the eps floor and reads zero,
+    # whatever the carry holds.
+    def step(*args, **kwargs):
+        with _injected("dropped_carry"):
+            return causal_state_step(*args, **kwargs)
+    monkeypatch.setattr(equivalence, "causal_state_step", step)
     bound = threshold_for("streaming", "standard")
     long = floored = 0
     for trial in range(24):

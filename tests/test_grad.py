@@ -1,5 +1,6 @@
 """Analytic backwards against central finite differences."""
 
+import contextlib
 import functools
 
 import numpy as np
@@ -13,9 +14,10 @@ from cosattn.core import (
     AttentionConfig,
     leaky_relu,
 )
-from cosattn.equivalence import _dropped_carry
+from cosattn.equivalence import _injected
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.grad import (
+    _backward,
     attend_backward,
     cosformer_backward,
     feature_map_derivative,
@@ -99,9 +101,11 @@ def test_cosformer_backward_matches_fd():
             _check_grads(f, (Q, K, V), grads)
 
 
-def _directional_errors(feature_map, cosine, n, lead=()):
+def _directional_errors(feature_map, cosine, n, lead=(), mutation=None):
     """Relative error of each analytic gradient along a random direction
-    against a central difference of the causal loss, by gradient name."""
+    against a central difference of the causal loss, by gradient name.
+    A mutation is swapped in around the analytic backward alone: the
+    forward it differentiates and the finite-difference loss stay whole."""
     rng = np.random.default_rng(46)
     Q, K, V, g = (rng.standard_normal(lead + (n, 4)) for _ in range(4))
     if cosine:
@@ -109,13 +113,14 @@ def _directional_errors(feature_map, cosine, n, lead=()):
                                            feature_map=feature_map)
         def loss(Q_, K_, V_):
             return float((cosformer_attention(Q_, K_, V_, config) * g).sum())
-        grads = cosformer_backward(Q, K, V, config, g)
     else:
+        config = AttentionConfig.linear(feature_map, causal=True)
         def loss(Q_, K_, V_):
             return float((linear_attention(Q_, K_, V_, feature_map=feature_map,
                                            causal=True) * g).sum())
-        grads = linear_attention_backward(Q, K, V, g, feature_map=feature_map,
-                                          causal=True)
+    record = _forward(Q, K, V, config)[1]
+    with contextlib.nullcontext() if mutation is None else _injected(mutation):
+        grads = _backward(record, g)
     h = 1e-5
     errors = {}
     for idx, name in enumerate(("dQ", "dK", "dV")):
@@ -153,13 +158,11 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
     assert max(errors.values()) <= 1e-6, errors
 
 
-def test_directional_fd_catches_a_backward_scan_that_drops_its_carry(
-        monkeypatch):
+def test_directional_fd_catches_a_backward_scan_that_drops_its_carry():
     # The backward's own scans, each chunk scanned with no carry from the
     # chunks before it: the check above must see it past a panel.
-    monkeypatch.setattr(grad, "_scan",
-                        functools.partial(_dropped_carry, grad._scan))
-    errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
+    errors = _directional_errors(RELU, True, 2 * _PANEL + 17,
+                                 mutation="dropped_carry")
     assert max(errors.values()) > 1e-6, errors
 
 
@@ -194,13 +197,7 @@ def test_one_chunk_causal_cosine_call_never_decomposes(monkeypatch):
         calls.clear()
 
 
-def _unweighted(scan, *args, weight=None, **kwargs):
-    """The backward's scans with the one-chunk re-weight dropped."""
-    return scan(*args, **kwargs)
-
-
-def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight(
-        monkeypatch):
+def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight():
     # Past one chunk no walk takes the matrix, so the defect changes
     # nothing there; within one, the check above must see it.
     n = _BLOCK + 1
@@ -208,11 +205,11 @@ def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight(
     Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
     config = AttentionConfig.cosformer(m=2 * n, causal=True)
     shipped = cosformer_backward(Q, K, V, config, g)
-    monkeypatch.setattr(grad, "_scan", functools.partial(_unweighted, grad._scan))
-    for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
-        assert np.array_equal(a, b)
+    with _injected("unweighted_chunk"):
+        for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
+            assert np.array_equal(a, b)
     for n in (17, _BLOCK):
-        errors = _directional_errors(RELU, True, n)
+        errors = _directional_errors(RELU, True, n, mutation="unweighted_chunk")
         assert max(errors.values()) > 1e-6, (n, errors)
 
 

@@ -1,12 +1,10 @@
 """Linear-time paths against the quadratic oracles, plus streaming."""
 
-import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cosattn import linear
 from cosattn.core import (
     DEFAULT_EPS,
     ELU_PLUS_ONE,
@@ -16,6 +14,7 @@ from cosattn.core import (
     kernel_attention_quadratic,
     leaky_relu,
 )
+from cosattn.equivalence import _injected
 from cosattn.errors import ConfigurationError, DimensionError
 from cosattn.grad import _backward
 from cosattn.linear import (
@@ -537,44 +536,24 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
                     (n, dtype, cut)
 
 
-def _carry_reset_at_panels(scan, x, y, v, causal, rows, suffix=False,
-                           weight=None):
-    """Each panel scanned on its own, its rows mapped at their own
-    positions: the carry restarts at every panel boundary."""
-    x, y, v = rows(x, y, v, 1)
-    for p0 in range(0, x.shape[-2], _PANEL):
-        panel = slice(p0, p0 + _PANEL)
-        for _, _, block in scan(x[..., panel, :], y[..., panel, :],
-                                v[..., panel, :], causal,
-                                lambda *mapped: mapped[:3], suffix=suffix,
-                                weight=weight):
-            yield p0, p0 + block.shape[-2], block
-
-
-def _first_ignored(decompose, Q_feat, K_feat, m, first=1):
-    """Every panel decomposed from position 1."""
-    return decompose(Q_feat, K_feat, m)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("name, defect", [("_scan", _carry_reset_at_panels),
-                                          ("decompose", _first_ignored)],
+@pytest.mark.parametrize("mutation", ["panel_carry_reset", "first_ignored"],
                          ids=["carry_reset", "first_ignored"])
-def test_oracle_catches_panel_defects(name, defect, dtype, monkeypatch):
+def test_oracle_catches_panel_defects(mutation, dtype):
     rng = np.random.default_rng(45)
     Q, K, V = _panel_case(rng, (), _PANEL, dtype)
     config = AttentionConfig.cosformer(m=_PANEL, causal=True)
     shipped = attend(Q, K, V, config)
-    monkeypatch.setattr(linear, name, functools.partial(defect, getattr(linear, name)))
-    # Within one panel the defect changes nothing, so a suite that never
-    # crosses a panel boundary cannot see it...
-    assert np.array_equal(attend(Q, K, V, config), shipped)
-    # ...and past one the oracle comparison fails.
-    for n in PANEL_LENGTHS:
-        Q, K, V = _panel_case(rng, (), n, dtype)
-        config = AttentionConfig.cosformer(m=n, causal=True)
-        oracle = kernel_attention_quadratic(Q, K, V, config)
-        assert _rel(attend(Q, K, V, config), oracle) > GATE_BOUND[np.dtype(dtype)], n
+    with _injected(mutation):
+        # Within one panel the defect changes nothing, so a suite that
+        # never crosses a panel boundary cannot see it...
+        assert np.array_equal(attend(Q, K, V, config), shipped)
+        # ...and past one the oracle comparison fails.
+        for n in PANEL_LENGTHS:
+            Q, K, V = _panel_case(rng, (), n, dtype)
+            config = AttentionConfig.cosformer(m=n, causal=True)
+            oracle = kernel_attention_quadratic(Q, K, V, config)
+            assert _rel(attend(Q, K, V, config), oracle) > GATE_BOUND[np.dtype(dtype)], n
 
 
 def test_causal_forward_holds_no_whole_length_feature_rows():

@@ -21,9 +21,12 @@ keeps a record of the scan, or of softmax's weights, and its backward
 forward again. The block is causal and n = 32 is one scan chunk, so a
 cosformer step never decomposes into cos/sin rows: its four scans run on
 d-wide feature rows and multiply the re-weight matrix into their masked
-products (see cosattn.linear._one_chunk_weight). Held-out accuracy on
-256 sequences is evaluated one batch per forward call; each batch's
-record dies before the next runs. On glibc, training pins the
+products (see cosattn.linear._one_chunk_weight). The feedforward and
+the output head act row by row and the loss reads only the L
+copied-half rows, so they run on those rows alone, and a step deletes
+each cache after its last reader. Held-out accuracy on 256 sequences
+is evaluated one batch per forward call; each batch's record dies
+before the next runs. On glibc, training pins the
 allocator's trim and mmap thresholds (see _pin_heap), so each step
 reuses the heap pages the step before it freed.
 """
@@ -107,24 +110,30 @@ class BlockParams:
         return self.embedding.shape[1]
 
 
-def _block(e, params: BlockParams, config: AttentionConfig):
-    """The block on a batch of embedded sequences e (batch, n, d_model).
-
-    Returns the output y and the cache (h, f1, r, record) the backward
-    needs. Attention runs once over the whole (batch, n, d) stack, and
-    its forward keeps the record that _backward takes.
-    """
+def _attention(e, params: BlockParams, config: AttentionConfig):
+    """h = e + attention on embedded sequences e (batch, n, d_model),
+    run once over the whole stack, and the record _backward takes."""
     batch, n, d_model = e.shape
     flat = e.reshape(batch * n, d_model)
     q = (flat @ params.w_q).reshape(batch, n, -1)
     k = (flat @ params.w_k).reshape(batch, n, -1)
     v = (flat @ params.w_v).reshape(batch, n, -1)
     att, record = _forward(q, k, v, config)
-    h = e + att
-    f1 = h.reshape(batch * n, -1) @ params.w_ff1
+    return e + att, record
+
+
+def _feedforward(h, params: BlockParams):
+    """The relu feedforward and its residual on rows h (..., d_model):
+    the output y and the cache (f1, r) the backward needs."""
+    f1 = h.reshape(-1, h.shape[-1]) @ params.w_ff1
     r = np.maximum(f1, 0.0)
-    y = h + (r @ params.w_ff2).reshape(batch, n, d_model)
-    return y, (h, f1, r, record)
+    return h + (r @ params.w_ff2).reshape(h.shape), f1, r
+
+
+def _block(e, params: BlockParams, config: AttentionConfig):
+    """The block's output at every row of embedded sequences e
+    (batch, n, d_model)."""
+    return _feedforward(_attention(e, params, config)[0], params)[0]
 
 
 def transformer_block_forward(x, params: BlockParams,
@@ -141,8 +150,7 @@ def transformer_block_forward(x, params: BlockParams,
         raise DimensionError(
             f"x width {x.shape[1]} does not match d_model {params.d_model}")
     x = np.asarray(x, dtype=np.float64)
-    y, _ = _block(x[None], params, config)
-    return y[0]
+    return _block(x[None], params, config)[0]
 
 
 @dataclass
@@ -210,11 +218,13 @@ def _make_sequences(rng, count: int, copy_len: int, n_symbols: int):
 def _forward_batch(inputs, params: BlockParams, config: AttentionConfig,
                    pe, loss_pos):
     """Logits at the loss positions plus the caches backward needs, the
-    attention record among them; [0] alone lets the caches go."""
+    attention record among them; [0] alone lets the caches go. Attention
+    runs over every row, the feedforward and head over the loss rows."""
     e = params.embedding[inputs] + pe[None, :, :]
-    y, (h, f1, r, record) = _block(e, params, config)
-    logits = y[:, loss_pos, :] @ params.output_proj
-    return logits, (e, h, f1, r, y, record)
+    h, record = _attention(e, params, config)
+    h = h[:, loss_pos, :]
+    y, f1, r = _feedforward(h, params)
+    return y @ params.output_proj, (e, h, f1, r, y, record)
 
 
 def _loss_and_dlogits(logits, targets):
@@ -232,43 +242,51 @@ def _loss_and_dlogits(logits, targets):
 
 def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
                 pe, loss_pos):
+    """Loss and gradients of one batch; each cache dies after its last
+    reader, so the attention backward runs beside e, record and d_h."""
     logits, (e, h, f1, r, y, record) = _forward_batch(
         inputs, params, config, pe, loss_pos)
     loss, d_logits = _loss_and_dlogits(logits, targets)
+    del logits
     batch, n, d_model = e.shape
 
     # One 2-D product, not an einsum over (batch, position): about 160 ->
     # 11 us a step at batch = n = d_model = 32 on one BLAS thread.
-    d_output_proj = (y[:, loss_pos, :].reshape(-1, d_model).T
+    d_output_proj = (y.reshape(-1, d_model).T
                      @ d_logits.reshape(-1, d_logits.shape[-1]))
-    d_y = np.zeros_like(y)
-    d_y[:, loss_pos, :] = d_logits @ params.output_proj.T
+    d_y = (d_logits @ params.output_proj.T).reshape(-1, d_model)
+    del y, d_logits
 
-    d_h = d_y.copy()
-    d_y_flat = d_y.reshape(batch * n, d_model)
-    d_w_ff2 = r.T @ d_y_flat
-    d_f1 = (d_y_flat @ params.w_ff2.T) * (f1 > 0.0)
-    d_w_ff1 = h.reshape(batch * n, -1).T @ d_f1
-    d_h += (d_f1 @ params.w_ff1.T).reshape(batch, n, d_model)
+    d_w_ff2 = r.T @ d_y
+    d_f1 = (d_y @ params.w_ff2.T) * (f1 > 0.0)
+    del r, f1
+    d_w_ff1 = h.reshape(-1, d_model).T @ d_f1
+    del h
+    d_h = np.zeros_like(e)
+    d_h[:, loss_pos, :] = (d_y + d_f1 @ params.w_ff1.T).reshape(batch, -1, d_model)
+    del d_y, d_f1
 
-    d_e = d_h.copy()
     d_q, d_k, d_v = _backward(record, d_h)
+    del record
+    d_q, d_k, d_v = (d.reshape(batch * n, -1) for d in (d_q, d_k, d_v))
     flat_e = e.reshape(batch * n, d_model)
     grads = {
         "output_proj": d_output_proj,
         "w_ff1": d_w_ff1,
         "w_ff2": d_w_ff2,
-        "w_q": flat_e.T @ d_q.reshape(batch * n, -1),
-        "w_k": flat_e.T @ d_k.reshape(batch * n, -1),
-        "w_v": flat_e.T @ d_v.reshape(batch * n, -1),
+        "w_q": flat_e.T @ d_q,
+        "w_k": flat_e.T @ d_k,
+        "w_v": flat_e.T @ d_v,
     }
-    d_e += (d_q.reshape(batch * n, -1) @ params.w_q.T).reshape(batch, n, d_model)
-    d_e += (d_k.reshape(batch * n, -1) @ params.w_k.T).reshape(batch, n, d_model)
-    d_e += (d_v.reshape(batch * n, -1) @ params.w_v.T).reshape(batch, n, d_model)
+    # d_e is a new array, not d_h updated in place: the d_out handed to
+    # _backward is left as it was.
+    d_e = d_h.reshape(batch * n, d_model) + d_q @ params.w_q.T
+    d_e += d_k @ params.w_k.T
+    d_e += d_v @ params.w_v.T
     # Scatter-add of d_e rows by token as a one-hot product: the same sums
     # as np.add.at, 8x faster at batch = n = d_model = 32 on one thread.
     one_hot = np.arange(params.embedding.shape[0]) == inputs.reshape(-1, 1)
-    grads["embedding"] = one_hot.T @ d_e.reshape(batch * n, d_model)
+    grads["embedding"] = one_hot.T @ d_e
     return loss, grads
 
 
@@ -310,13 +328,12 @@ def _glibc_mallopt():
 def _pin_heap():
     """Keep the trainer's freed arrays in the process heap, on glibc.
 
-    A batched step allocates and frees a few MiB of arrays (its peak is
-    about 7 MiB). With glibc's dynamic thresholds the
-    trim threshold follows the largest array freed so far, about 1 MiB
-    here, so the freed top of the heap goes back to the kernel after every
-    step and the next step page-faults its working set in again: about
-    1500 faults a step, a quarter of the run spent in the kernel. This
-    pins both thresholds for the rest of the process.
+    A batched step allocates and frees a few MiB of arrays. With glibc's
+    dynamic thresholds the trim threshold is twice the largest mapped
+    array freed so far, less than a step frees, so the freed top of the
+    heap goes back to the kernel after every step and the next step
+    page-faults its working set in again. This pins both thresholds for
+    the rest of the process.
     """
     mallopt = _glibc_mallopt()
     if mallopt is not None:

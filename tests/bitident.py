@@ -13,7 +13,9 @@ LENGTHS; the cosine, linear and softmax kinds; causal and full; float32,
 float64, float32 scaled by 1e18 (which overflows the float32 scan and
 takes the float64 fallback) and a float32 record with a float64 d_out;
 2-D and stacked inputs; each with a zeroed query row. A case gives its
-forward, dQ, dK and dV; a decode gives its rows and its final state.
+forward, dQ, dK and dV; a decode gives its rows and its final state; a
+seeded TRAIN_STEPS-step copy-task job per attention kind gives its loss
+curve.
 Two arrays are the same when np.array_equal holds and their dtypes and
 shapes match. Each differing array is printed with its largest relative
 difference, and the exit status is 1 if any differs.
@@ -37,6 +39,7 @@ SOFTMAX_MAX_N = 1000  # the softmax reference holds n x n weights
 STORAGES = ("float32", "float64", "float32e18", "float32/d_out64")
 D_K, D_V = 6, 5
 DECODE_N = 300
+TRAIN_STEPS = 20
 
 
 def load(source, name: str):
@@ -111,6 +114,13 @@ def arrays(package, lengths=LENGTHS) -> dict:
                                                           DECODE_N)
     got.update({"decode rows": rows, "decode carry": state.carry,
                 "decode keys": state.keys, "decode vals": state.vals})
+    for kind, config in (("cosine", Config.cosformer(m=32, causal=True)),
+                         ("linear", Config.linear(causal=True)),
+                         ("softmax", Config.softmax(causal=True))):
+        report = package.train_copy_task(config, seed=TRAIN_STEPS,
+                                         max_steps=TRAIN_STEPS,
+                                         eval_every=TRAIN_STEPS)
+        got[f"train {kind} loss curve"] = np.array([loss for _, loss in report.loss_curve])
     return got
 
 

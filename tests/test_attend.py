@@ -142,9 +142,9 @@ def test_block_rows_ignore_later_tokens(variant):
     config = _causal_config(variant, n)
     for params in (init_toy_params(rng), _trained_params(rng, config)):
         e = rng.standard_normal((batch, n, params.d_model))
-        y, _ = _block(e, params, config)
+        y = _block(e, params, config)
         for i in _cut_points(n):
             edited = e.copy()
             edited[:, i + 1:, :] = rng.standard_normal(edited[:, i + 1:, :].shape)
-            y2, _ = _block(edited, params, config)
+            y2 = _block(edited, params, config)
             assert np.array_equal(y2[:, :i + 1, :], y[:, :i + 1, :]), i

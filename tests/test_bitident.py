@@ -24,7 +24,8 @@ def test_a_dropped_carry_on_one_side_differs():
     with copy.equivalence._injected("dropped_carry"):
         broken = bitident.arrays(copy, lengths)
     found = bitident.differing(broken, bitident.arrays(cosattn, lengths))
-    # Only a causal kernel walk past one chunk carries, and the decode.
+    # Only a causal kernel walk past one chunk carries, and the decode;
+    # the trainer's n = 32 walks carry nothing, so its loss curves match.
     assert all(name.startswith("decode ") or name.startswith("n=129 ")
                and " causal " in name and "softmax" not in name
                for name in found), sorted(found)

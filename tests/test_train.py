@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from cosattn.train import (
     variant_name,
 )
 from cosattn.train import _make_sequences, _forward_batch, _glibc_mallopt, _loss_and_dlogits
-from cosattn.train import _accuracy, _train_step
+from cosattn.train import _accuracy, _block, _train_step
+
+TOY_CONFIGS = pytest.mark.parametrize(
+    "config", [AttentionConfig.cosformer(m=32, causal=True),
+               AttentionConfig.linear(RELU, causal=True),
+               AttentionConfig.softmax(causal=True)],
+    ids=["cosformer", "linear_relu", "softmax"])
 
 
 def test_sinusoidal_encoding_shape_and_values():
@@ -112,6 +119,22 @@ def test_initial_loss_near_uniform():
     assert abs(loss - np.log(16.0)) < 0.2
 
 
+@TOY_CONFIGS
+def test_loss_rows_logits_match_the_whole_block(config):
+    # _forward_batch runs the feedforward and the head on the loss rows
+    # only; its logits must stay those of the block run on every row.
+    rng = np.random.default_rng(59)
+    params = init_toy_params(rng)
+    inputs, _ = _make_sequences(rng, 8, 16, 16)
+    pe = 2.5 * sinusoidal_encoding(32, 32)
+    loss_pos = np.arange(16, 32)
+    logits, _ = _forward_batch(inputs, params, config, pe, loss_pos)
+    e = params.embedding[inputs] + pe[None]
+    want = _block(e, params, config)[:, loss_pos] @ params.output_proj
+    assert logits.shape == want.shape == (8, 16, 16)
+    assert np.max(np.abs(logits - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("variant", ["softmax", "cosformer"])
 def test_train_step_gradients_match_directional_fd(variant):
     # Covers the embedding gradient's one-hot scatter-add and the
@@ -139,10 +162,7 @@ def test_train_step_gradients_match_directional_fd(variant):
         assert abs(dot - slope) <= 1e-6 * max(abs(slope), 1e-3), (name, dot, slope)
 
 
-@pytest.mark.parametrize("config", [AttentionConfig.cosformer(m=32, causal=True),
-                                    AttentionConfig.linear(RELU, causal=True),
-                                    AttentionConfig.softmax(causal=True)],
-                         ids=["cosformer", "linear_relu", "softmax"])
+@TOY_CONFIGS
 def test_train_step_gradients_come_from_its_own_forward(config, monkeypatch):
     # The step's backward starts from the record its forward kept. Two
     # steps run on different batches; the second step's attention
@@ -220,6 +240,21 @@ def test_evaluation_keeps_at_most_one_attention_record(monkeypatch):
     assert len(records) == 3
 
 
+def test_toy_job_peaks_at_most_3_75_mib():
+    # A training step frees each cache after its last reader and runs the
+    # feedforward and head on the loss rows only, so its peak is the
+    # attention backward beside the embeddings, the record and d_h.
+    config = AttentionConfig.cosformer(m=32, causal=True)
+    train_copy_task(config, seed=1, max_steps=2, eval_every=2)  # warm caches
+    tracemalloc.start()
+    try:
+        train_copy_task(config, seed=2, max_steps=2, eval_every=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * 2**20, peak / 2**20
+
+
 def test_train_requires_causal_config():
     with pytest.raises(ConfigurationError):
         train_copy_task(AttentionConfig.softmax(causal=False), seed=0)
@@ -266,9 +301,9 @@ def test_glibc_mallopt_defers_to_the_environment(name, value, monkeypatch):
 
 def test_train_steps_reuse_freed_heap_pages():
     # With glibc's dynamic thresholds the freed top of the heap is trimmed
-    # after every step, and each step page-faults its ~6 MiB working set
-    # back in (about 1500 minor faults a step at the defaults). A fresh
-    # process, because arrays freed by earlier tests move the thresholds.
+    # after every step, and each step page-faults its working set back in.
+    # A fresh process, because arrays freed by earlier tests move the
+    # thresholds.
     if _glibc_mallopt() is None:
         pytest.skip("the heap thresholds are pinned through glibc's mallopt")
     script = """

@@ -1,35 +1,15 @@
 """Sequence-length scaling benchmark for the attention variants.
 
-Timing protocol: per (variant, length) cell, inputs are drawn from an rng
-keyed by (seed, length, d_model) so every variant times the exact same
-matrices. A variant's lengths are timed round-robin, one call each per
-round, so slow stretches of a noisy machine hit every length alike and
-length-to-length ratios stay stable. Warm-up rounds come first and are
-discarded: at least one, and more until the warm-up has lasted as long
-as the timed rounds should (repeats times the first round), up to
-_WARMUP_S seconds. After 45 s idle, a 2-vCPU shared host ran softmax
-calls at n = 2048 and 4096 2-2.5x slow for their first 1.45 s: one
-warm-up round did not cover that, and waiting for two rounds to agree
-would not either, since the slow rounds agree with each other. Then the
-last `repeats` rounds are timed with a monotonic clock.
-Mean, std, and median of the repeats are all reported; ratio arguments
-should use the median, which is robust to a stray slow run.
-
-Memory is reported twice. The analytic transient-scalar count is the
-number of temporary scalars the streaming form of each variant needs:
-it is deterministic, portable, and shows the asymptotic gap (quadratic
-keeps an n x n weight block alive, the kernel variants a d x (d + 1)
-sum, 2d x (d + 1) for cosformer). Next to it, peak_mib is what this
-library allocates: the tracemalloc peak of one untimed call per cell,
-made before the warm-up, inputs excluded and the output included. The
-batch implementations allocate more than the count: a causal forward its
-n-row denominators and fixed-size panels of feature rows and of the
-scanned sums, a causal backward its gradients, four n-row vectors and
-such panels, a non-causal call O(n * d) staging buffers.
-
-A quadratic cell that runs out of memory is recorded with NaN timings
-and peak rather than aborting the sweep, so large-length comparisons
-against the linear variants still come out.
+Each (variant, length) cell times inputs drawn from an rng keyed by
+(seed, length, d_model), so every variant times the same matrices. A
+variant's lengths are timed round-robin, one call each per round, so a
+slow stretch of a noisy host hits every length alike. Discarded warm-up
+rounds run first, until they have lasted as long as the timed rounds
+should, up to _WARMUP_S seconds: a host that sat idle can run slow for
+its first second or more. Ratios should use the median of the repeats.
+Memory is reported twice: the analytic transient_scalars, and peak_mib,
+the tracemalloc peak of one untimed call (inputs excluded, output
+included). A cell that runs out of memory gets NaN timings and peak.
 """
 
 from __future__ import annotations
@@ -64,14 +44,10 @@ def _require_mode(mode: str) -> None:
 
 
 def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
-    """Analytic working-set size, in scalars, of one attention call.
-
-    Quadratic attention materializes the n x n weight block plus the n x d
-    output; the kernel variants stream through the output and one
-    feature-width x (d + 1) sum, whose ones column is the key total, the
-    feature width being d for plain kernels and 2d for cosformer's
-    [cos | sin]-scaled rows.
-    """
+    """Analytic working-set size, in scalars, of one attention call:
+    softmax's n x n weight block plus the n x d output; the kernel
+    variants' output plus one (feature width) x (d + 1) sum, whose ones
+    column is the key total, the width being d, or 2d for cosformer."""
     _require_variant(variant)
     if seq_len < 1 or d_model < 1:
         raise ConfigurationError(f"need seq_len, d_model >= 1, got {seq_len}, {d_model}")
@@ -84,12 +60,9 @@ def transient_scalars(variant: str, seq_len: int, d_model: int) -> int:
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
-    """One timed (variant, length) cell of the sweep.
-
-    NaN timings and peak_mib mark a cell whose run failed (out of
-    memory); the analytic transient count is still meaningful for such
-    cells. peak_mib is the measured tracemalloc peak of one call, in MiB.
-    """
+    """One timed (variant, length) cell of the sweep; peak_mib is the
+    tracemalloc peak of one call in MiB. NaN timings and peak mark a cell
+    that ran out of memory, whose analytic count still holds."""
 
     variant: str
     seq_len: int

@@ -1,9 +1,6 @@
-"""Command-line front end: check, bench, viz, train-toy.
-
-Exit codes: 0 success, 1 equivalence-suite failure, 2 usage or
-configuration error, 3 I/O or parse error. argparse's own usage errors
-also exit 2.
-"""
+"""Command-line front end: check, bench, viz, train-toy. Exit codes: 0
+success, 1 equivalence-suite failure, 2 usage or configuration error
+(argparse's own included), 3 I/O or parse error."""
 
 from __future__ import annotations
 

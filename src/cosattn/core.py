@@ -1,17 +1,8 @@
 """Domain types, feature maps, and quadratic-form reference attentions.
 
-The quadratic implementations here materialize the full n_q x n_k weight
-matrix and serve as exact oracles for the linear-time implementations in
-:mod:`cosattn.linear`; softmax_attention, the classical reference, is a
-wrapper over :func:`cosattn.linear.attend`. Element storage may be float32
-("standard") or float64 ("wide"); results come back in the storage dtype
-of the inputs. The quadratic references here always reduce in float64.
-The linear-time kernel forward computes float32 storage in float32 for the
-non-negative maps, redoing in float64 a scan that overflows, and computes
-everything else in float64 (:func:`cosattn.linear._forward`).
-The shape rules of an attention call live in _require_qkv, which the
-quadratic references and :func:`cosattn.linear.attend`'s forward run on
-the arrays require_matrix has checked.
+The quadratic references build the full n_q x n_k weight matrix in
+float64 and are the exact oracles of cosattn.linear's linear-time paths.
+Results come back in the inputs' storage dtype, float32 or float64.
 """
 
 from __future__ import annotations
@@ -45,11 +36,9 @@ def _storage_dtype(*arrays: np.ndarray) -> np.dtype:
 
 
 def require_matrix(x, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Validate x as a finite, non-empty real matrix and return it as an ndarray.
-
-    With stack=True x may also be a stack (..., rows, cols) of matrices
-    with any leading axes; otherwise it must be exactly 2-D.
-    """
+    """x as an ndarray, checked to be a finite, non-empty real matrix or,
+    with stack=True, a (..., rows, cols) stack of them. Raises DimensionError
+    on a wrong ndim or size, ValueError on complex or non-finite entries."""
     arr = np.asarray(x)
     if arr.ndim != 2 and not (stack and arr.ndim > 2):
         want = "at least 2-D" if stack else "2-D"
@@ -145,7 +134,7 @@ class ReweightScheme:
         if self.kind not in ("none", "cosine"):
             raise ConfigurationError(f"unknown reweight scheme {self.kind!r}")
         if self.kind == "cosine":
-            if self.m is None or self.m < 1:
+            if self.m is None or not self.m >= 1:
                 raise ConfigurationError(
                     f"cosine reweighting needs a horizon m >= 1, got {self.m!r}")
         elif self.m is not None:
@@ -163,11 +152,9 @@ def cosine_reweight(m: int) -> ReweightScheme:
 class AttentionConfig:
     """Which attention to run: feature map, reweight, causality and eps floor.
 
-    ``use_softmax`` makes :func:`cosattn.linear.attend` and
-    :func:`cosattn.grad.attend_backward` run the quadratic softmax
-    reference, always scaled by 1/sqrt(d_k), instead of a kernel
-    attention; the kernel-only fields must then keep their defaults.
-    """
+    use_softmax runs the quadratic softmax reference, always scaled by
+    1/sqrt(d_k), instead of a kernel; the kernel-only fields must then
+    keep their defaults. Raises ConfigurationError on an invalid mix."""
 
     feature_map: FeatureMapKind = RELU
     reweight: ReweightScheme = NO_REWEIGHT
@@ -224,13 +211,9 @@ def _softmax_weights(Q: np.ndarray, K: np.ndarray, causal: bool) -> np.ndarray:
 
 
 def softmax_attention(Q, K, V, causal: bool = False) -> np.ndarray:
-    """Quadratic scaled dot-product softmax attention, the classical reference.
-
-    Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) share any
-    leading axes; each slice is attended on its own. Row i of the result
-    is softmax(Q_i K^T / sqrt(d_k)) V, with key positions j > i masked
-    out before the softmax when causal; a wrapper over linear.attend.
-    """
+    """Quadratic scaled dot-product softmax attention, the classical
+    reference: row i is softmax(Q_i K^T / sqrt(d_k)) V, with keys j > i
+    masked out when causal. Takes and returns what linear.attend does."""
     from .linear import attend  # linear imports this module
     return attend(Q, K, V, AttentionConfig.softmax(causal))
 
@@ -250,12 +233,9 @@ def _weights_quadratic_wide(Q: np.ndarray, K: np.ndarray,
 
 
 def attention_weights_quadratic(Q, K, config: AttentionConfig) -> np.ndarray:
-    """Explicit normalized kernel attention weights (n_q x n_k).
-
-    Entry (i, j) is phi(Q_i) phi(K_j)^T, times the positional re-weight when
-    configured, divided by max(row sum, eps). Causal masking zeroes j > i
-    before the row sum, so the normalizer only sees admissible keys.
-    """
+    """Explicit normalized kernel attention weights (n_q x n_k): entry
+    (i, j) is phi(Q_i) phi(K_j)^T, times the re-weight when configured,
+    with j > i zeroed when causal, over max(row sum, eps)."""
     _require_kernel_config(config)
     Q = require_matrix(Q, "Q")
     K = require_matrix(K, "K")
@@ -265,10 +245,8 @@ def attention_weights_quadratic(Q, K, config: AttentionConfig) -> np.ndarray:
 
 
 def kernel_attention_quadratic(Q, K, V, config: AttentionConfig) -> np.ndarray:
-    """Kernel attention computed the quadratic way: explicit weights times V.
-
-    This is the exact oracle the linear-time path is checked against.
-    """
+    """Kernel attention the quadratic way, explicit weights times V: the
+    exact oracle of the linear-time path, on 2-D Q, K and V."""
     _require_kernel_config(config)
     Q = require_matrix(Q, "Q")
     K = require_matrix(K, "K")

@@ -2,17 +2,10 @@
 
 Each trial draws a random shape and configuration, runs one linear-time
 variant and the quadratic reference on identical inputs, and records the
-relative error. The suite exists to make the exactness claim executable:
-the decomposed cosine path is supposed to match the dense computation to
-rounding, not approximately.
-
-Trials are keyed by (seed, trial index), so reports are deterministic and
-independent of execution order; the optional process pool changes timing
-only. Each seeded mutation swaps one internal of the shipped forward for a
-broken stand-in for one trial, which calls attend itself; the swap is
-process-local (each pool worker swaps its own) and not thread-safe. The
-carry defects swap one of the scan's steps (see cosattn.linear._scan),
-so they break the backward and the decode as well.
+relative error: the cosine path must match the dense one to rounding.
+Trials are keyed by (seed, trial index), so a report does not depend on
+execution order or on the optional process pool. A mutation swaps a
+broken stand-in into the shipped forward for one trial (see _injected).
 """
 
 from __future__ import annotations
@@ -89,16 +82,10 @@ def _draw_case(rng, n_max: int, d_max: int, walks: bool = False):
     """Random Q, K, V plus causal flag, with degenerate rows mixed in.
 
     n is uniform in 1..n_max. With walks, a causal draw is redrawn a
-    quarter of the time to one chunk (n <= _BLOCK), where a cosine walk
-    takes the re-weight matrix instead of decomposing, and an eighth of
-    the time to a walk across two panel boundaries
-    (2 _PANEL < n <= 3 _PANEL) at widths <= 4, which keeps its quadratic
-    oracle cheap.
-
-    A zeroed query row drives the relu feature row to zero and the
-    denominator onto its floor; an all-nonpositive key matrix does the
-    same for every row at once. Both must round-trip exactly.
-    """
+    quarter of the time to one chunk (n <= _BLOCK), and an eighth of the
+    time across two panel boundaries at widths <= 4, which keeps its
+    oracle cheap. A zeroed query row puts its denominator on the floor;
+    an all-nonpositive key matrix does it for every row at once."""
     n = int(rng.integers(1, n_max + 1))
     causal = bool(rng.integers(0, 2))
     if walks and causal:
@@ -179,7 +166,9 @@ MUTATIONS = tuple(_DEFECTS)
 
 @contextlib.contextmanager
 def _injected(mutation: str):
-    """linear with the mutation's defect in place, restored on any exit."""
+    """linear with the mutation's defect in place, restored on any exit.
+    The swap is process-local, so each pool worker swaps its own, and not
+    thread-safe: another thread calling attend meanwhile runs the defect."""
     name, defect = _DEFECTS[mutation]
     original = getattr(linear, name)
     setattr(linear, name, functools.partial(defect, original))
@@ -206,10 +195,8 @@ def _streaming_error(rng) -> float:
 
 
 def _rel_error(candidate, oracle) -> float:
-    """max |a - b| scaled by the oracle's largest magnitude.
-
-    NaN anywhere propagates to NaN, which no threshold accepts.
-    """
+    """max |a - b| scaled by the oracle's largest magnitude; a NaN
+    anywhere gives NaN, which no threshold accepts."""
     diff = np.max(np.abs(np.asarray(candidate, dtype=np.float64)
                          - np.asarray(oracle, dtype=np.float64)))
     scale = max(float(np.max(np.abs(oracle))), _TINY)
@@ -304,13 +291,10 @@ def run_equivalence_suite(seed: int, trials: int,
                           precision: str = "standard",
                           mutation: str | None = None,
                           jobs: int | None = None) -> Report:
-    """Run every variant for the given number of seeded trials.
-
-    With a mutation named, only the cosine relu variant runs, each trial
-    with that defect swapped into one internal of the shipped forward
-    (process-local, so each worker swaps its own; not thread-safe); the
-    point is that the report must then fail.
-    """
+    """Run every variant for the given number of seeded trials. With a
+    mutation named, only cosformer_relu runs, with the defect swapped in,
+    and the report must fail. Raises ConfigurationError on trials or jobs
+    below 1, or an unknown precision or mutation."""
     for name, value in (("trials", trials), ("jobs", 1 if jobs is None else jobs)):
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")

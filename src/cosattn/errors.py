@@ -1,8 +1,5 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: configuration problems exit 2,
-file parse problems exit 3, and verification failures exit 1.
-"""
+"""Exception types shared across the package; the CLI maps them onto its
+exit codes (cli's docstring)."""
 
 
 class CosattnError(Exception):
@@ -18,10 +15,8 @@ class ConfigurationError(CosattnError):
 
 
 class MatrixParseError(CosattnError):
-    """A matrix or image file is malformed.
-
-    ``line`` is the 1-based line number where parsing failed, when known.
-    """
+    """A matrix or image file is malformed; line is the 1-based line
+    where parsing failed, when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -1,41 +1,13 @@
 """Analytic backward passes and finite-difference checking.
 
-:func:`attend_backward` is the backward for every variant: it runs the
-forward once, keeping its record, and hands that to _backward, which
-picks the softmax gradient or the kernel gradient from the record's
-AttentionConfig; the three public per-variant backwards are one-line
-wrappers around it. A caller that needs the forward's output as well
-runs :func:`cosattn.linear._forward` itself and passes its record to
-_backward, so the forward runs once, not twice; the toy trainer is the
-one such caller. The kernel backward never materializes an n x n matrix:
-it is three runs of the forward's scan, :func:`cosattn.linear._scan`,
-because every gradient of kernel attention is itself a kernel numerator
-(see _backward). Its walks take the scan's steps from linear's module,
-so a defect swapped into one of them breaks the backward as it breaks
-the forward. Cost stays Theta(n * d_k * d_v).
-Conventions at the non-smooth points: the relu gate takes subgradient 0
-at exactly 0 (leaky takes its negative-side slope there), and a
-denominator at or below the floor eps is treated as a constant,
-contributing zero gradient.
-
-Every backward takes the forward's (..., n, d) stacks, leading axes
-shared by Q, K and V, and a d_out of exactly the forward output's shape
-(..., n_q, d_v); a d_out that would only broadcast is refused. All
-gradients are computed and returned in float64, shaped like Q, K and V.
-d_out is read at its own dtype, each use widening it where it reads it,
-so a float32 d_out costs no whole-length float64 copy; only a d_out
-wider than float64 (longdouble) is narrowed to it first.
-A float32 kernel forward's record is widened to float64 as the backward
-reads it, so its arithmetic is the float64 backward's; only the
-forward's float32 rounding of its feature rows, out and den carries
-over.
-On a query row whose only relu feature is small, dQ's error from that
-rounding grows like 1 / phi(q_i): the denominator's share, built from
-the rounded out, cancels the numerator's. In 2000 random float32 cases
-it reached 1.3e-4 of the largest float64 gradient entry.
-
-The forward checks Q, K, V and the horizon; _backward checks d_out and
-nothing else, so its scaling and scans run unchecked.
+attend_backward is the backward of every variant: it runs the forward
+once, keeping its record (cosattn.linear._forward), and _backward takes
+it from there; a caller that needs the forward's output too, such as the
+toy trainer, runs _forward itself. The kernel backward is three more runs
+of the forward's scan (see _backward), so it builds no n x n matrix and
+costs Theta(n * d_k * d_v). The relu gate takes subgradient 0 at exactly
+0 (leaky its negative-side slope), and a denominator at or below eps is
+a constant, contributing zero gradient.
 """
 
 from __future__ import annotations
@@ -88,36 +60,33 @@ def _check_d_out(d_out, shape: tuple) -> np.ndarray:
 
 def _backward(record: dict, d_out):
     """Gradients (dQ, dK, dV) of sum(d_out * out), for the forward call of
-    :func:`cosattn.linear._forward` that returned (out, record).
+    cosattn.linear._forward that returned (out, record). Checks only
+    d_out. Arrays leave the record as they are read, so it serves one call.
 
-    Checks d_out against the output's shape; the record's inputs were
-    checked by the forward. Arrays are taken out of the record as they
-    are read and each buffer goes right after its last use, so the
-    record is spent after one call.
-
-    Kernel gradient: every gradient is a kernel numerator, so each is one
+    Kernel gradient: each gradient is a kernel numerator, so each is one
     more _scan. With den floored at eps to dhat, u = d_out / dhat and
     w = (d_out . out) / dhat, the loss's derivative by the similarity
     qf_i . kf_j is u_i . v_j - w_i = a_i . b_j, for a = [u | -w] and
     b = [V | 1]. dV sums (qf_i . kf_j) u_i over the queries i that key j
-    reaches, on the forward's feature rows qf and kf. dQ and dK scan the
-    position-scaled pair of (a, b) over the feature-mapped rows Kp and
-    Qp: the pair's inner products are a_i . b_j times the re-weight of
-    (i, j), the derivative by Qp_i . Kp_j, so both come out d columns
-    wide. A causal cosine call of one chunk scans the pair, and dV's
-    feature rows, unscaled, and its walks multiply the re-weight matrix
-    into their masked products instead (see linear._one_chunk_weight).
-    Each walk maps its rows panel by panel (see _scan), so past the
-    gradients, the n-row dhat and -w and the cos/sin table, a causal
-    backward's buffers are constant-size in n. Leading axes of the
-    (..., n, d) inputs ride along in every step.
+    reaches, on the forward's feature rows. dQ and dK scan the
+    position-scaled pair (a, b) over the feature-mapped rows Kp and Qp:
+    the pair's inner products are a_i . b_j times the re-weight of
+    (i, j), the derivative by Qp_i . Kp_j, so both come out d wide. Each
+    walk maps its rows panel by panel, so beyond the gradients, dhat, -w
+    and the cos/sin table a causal backward holds constant-size buffers.
+
+    A float32 record is widened as it is read, so only the forward's
+    float32 rounding of its feature rows, out and den carries over. On a
+    query row whose only relu feature is small, dQ's error from it grows
+    like 1 / phi(q_i), as the denominator's share, built from the rounded
+    out, cancels the numerator's: in 2000 random float32 cases it reached
+    1.3e-4 of the largest float64 gradient entry.
     """
     config = record.pop("config")
     Q, K, V = (record.pop(k) for k in "QKV")
-    # A d_out no wider than float64 stays in its own dtype: every reader of
-    # g meets a float64 operand and so computes in float64. A longdouble
-    # one is narrowed once, or the products would run, and the softmax
-    # gradients come out, in longdouble.
+    # A d_out no wider than float64 stays in its own dtype, with no n-row
+    # float64 copy: every reader of g meets a float64 operand. A longdouble
+    # one is narrowed once, or the gradients would come out in longdouble.
     g = _check_d_out(d_out, Q.shape[:-1] + V.shape[-1:])
     if g.dtype.itemsize > 8:
         g = _wide(g)
@@ -135,9 +104,8 @@ def _backward(record: dict, d_out):
 
     causal, fm = config.causal, config.feature_map
     weight, decomposed = _one_chunk_weight(config, Q.shape[-2], np.float64)
-    # A float32 forward's out and den are widened once, here. Q and K are
-    # mapped again, panel by panel, in the forward's compute dtype, so
-    # their feature rows are bit-identical to the ones the forward scanned.
+    # Q and K are mapped again, panel by panel, in the forward's compute
+    # dtype, so their feature rows are the ones the forward scanned.
     dtype = record["den"].dtype
     out, den = (_wide(record.pop(k)) for k in ("out", "den"))
     dhat = np.maximum(den, config.eps)
@@ -153,9 +121,6 @@ def _backward(record: dict, d_out):
                                  config.reweight.m).T
         tables = {table.dtype: table, dtype: table.astype(dtype, copy=False)}
 
-    # At n = 4096, d = 64 a causal call peaks at 6.58 MiB under
-    # tracemalloc from a float64 record and at 6.61 MiB from a float32 one,
-    # its gradients 6 MiB of that, whatever the dtype of d_out.
     def scaled(F, first):
         return _position_scaled(F, tables[F.dtype], first - 1) if decomposed else F
 
@@ -180,13 +145,9 @@ def _backward(record: dict, d_out):
         return ab
 
     def gradient(X, x, y, v, rows, suffix=False, derivative=True):
-        """One walk's gradient, shaped like X. A walk of several panels
-        writes it in place; a walk of one block (non-causal, or at most
-        _PANEL rows) returns that block, allocated after the rows are
-        mapped, so no gradient adds to the mapping's peak. dQ and dK are
-        derivatives by phi(Q) and phi(K) until each block, as the walk
-        leaves it, is multiplied by phi', _PANEL rows at a time, so a
-        non-causal block takes no n-row phi'."""
+        """One walk's gradient, shaped like X: written in place over several
+        panels, or the one block, allocated after its rows are mapped. A
+        block of dQ or dK is multiplied by phi' as the walk leaves it."""
         dX = np.empty(X.shape) if causal and X.shape[-2] > _PANEL else None
         for p0, p1, block in _scan(x, y, v, causal, rows, suffix=suffix, out=dX,
                                    weight=weight):
@@ -204,11 +165,9 @@ def _backward(record: dict, d_out):
         a_rows(g_p, first)[..., :-1]), suffix=True, derivative=False)
     dQ = gradient(Q, g, V, K, lambda g_p, V_p, k, first: (
         *pair(g_p, V_p, first, True), _wide(phi(k))))
-    # The suffix walk starts at the panel where dQ's walk ended, so it
-    # takes that panel's pair out of kept: one panel is mapped once, not
-    # twice (in a walk of one panel, such as the toy trainer's, that is
-    # the whole pair), and no pair is held while dK's blocks are
-    # multiplied by phi'.
+    # The suffix walk starts at the panel where dQ's walk ended and takes
+    # that panel's pair out of kept, so the panel is mapped once, not twice;
+    # in a one-panel walk, such as the toy trainer's, that is the whole pair.
     dK = gradient(K, V, g, Q, lambda V_p, g_p, q, first: (
         *pair(g_p, V_p, first, False)[::-1], _wide(phi(q))), suffix=True)
     return dQ, dK, dV
@@ -217,52 +176,36 @@ def _backward(record: dict, d_out):
 def attend_backward(Q, K, V, config: AttentionConfig, d_out):
     """Gradients (dQ, dK, dV) of sum(d_out * attend(Q, K, V, config)).
 
-    The one backward every variant runs through: the forward runs once,
-    keeping its record, and _backward takes it from there. Takes
-    (..., n, d) stacks as attend does; d_out is shaped like its output.
-    A caller that also needs the forward's output should run
-    cosattn.linear._forward itself and pass its record to _backward, as
-    the toy trainer does, rather than run the forward twice.
+    Takes Q, K and V as attend does, and a d_out of exactly the output's
+    shape (..., n_q, d_v), which is never broadcast; returns float64
+    gradients shaped like Q, K and V. Raises what attend raises, and
+    DimensionError or ValueError on a bad d_out.
     """
     return _backward(_forward(Q, K, V, config)[1], d_out)
 
 
 def linear_attention_backward(Q, K, V, d_out, feature_map: FeatureMapKind = RELU,
                               causal: bool = False, eps: float = DEFAULT_EPS):
-    """Gradients (dQ, dK, dV) of sum(d_out * linear_attention(Q, K, V)).
-
-    Takes (..., n, d) stacks as the forward does; d_out is shaped like
-    the forward's output.
-    """
+    """Gradients of sum(d_out * linear_attention(Q, K, V)), as attend_backward."""
     return attend_backward(Q, K, V, AttentionConfig.linear(feature_map, causal, eps),
                            d_out)
 
 
 def cosformer_backward(Q, K, V, config: AttentionConfig, d_out):
-    """Gradients (dQ, dK, dV) of sum(d_out * cosformer_attention(Q, K, V, config)).
-
-    Takes (..., n, d) stacks as the forward does; d_out is shaped like
-    the forward's output.
-    """
+    """Gradients of sum(d_out * cosformer_attention(...)), as attend_backward."""
     _require_cosine_config(config, "cosformer_backward")
     return attend_backward(Q, K, V, config, d_out)
 
 
 def softmax_attention_backward(Q, K, V, d_out, causal: bool = False):
-    """Gradients (dQ, dK, dV) of sum(d_out * softmax_attention(Q, K, V)).
-
-    Takes (..., n, d) stacks as the forward does; d_out is shaped like
-    the forward's output.
-    """
+    """Gradients of sum(d_out * softmax_attention(Q, K, V)), as attend_backward."""
     return attend_backward(Q, K, V, AttentionConfig.softmax(causal), d_out)
 
 
 def finite_diff_grad(f, X, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix.
-
-    Evaluates f at X +- h e_k for every coordinate, in float64. The
-    callable must not retain the array it is handed; it is reused.
-    """
+    """Central-difference gradient of a scalar function f of a matrix X,
+    from f(X +- h e_k) in float64. f must not keep the array it is handed,
+    which is reused. Raises ConfigurationError unless 0 < h < inf."""
     X = np.array(X, dtype=np.float64)
     if not 0.0 < h < math.inf:
         raise ConfigurationError(f"h must be finite and > 0, got {h!r}")

@@ -1,45 +1,16 @@
-"""Linear-time kernel attention and its streaming causal form.
+"""Linear-time kernel attention and its streaming causal decode.
 
-:func:`attend` is the forward for every variant: it picks the softmax
-reference or the kernel path from its AttentionConfig, and
-linear_attention, cosformer_attention and core.softmax_attention are
-one-line wrappers around it. The kernel path computes exactly what the
-quadratic references in :mod:`cosattn.core` do, reassociating the sums:
+attend is the forward of every variant, chosen by its AttentionConfig.
+The kernel path computes what the quadratic references in cosattn.core
+do, reassociated,
 
-    O_i = sum_j qf_i kf_j^T V_j / max(sum_j qf_i kf_j^T, eps)
+    O_i = sum_j qf_i kf_j^T V_j / max(sum_j qf_i kf_j^T, eps),
 
-is evaluated through a key-value sum instead of an n_q x n_k weight
-matrix. For plain kernels qf, kf are phi(Q), phi(K); for the cosine
-re-weight they are the 2d-wide cos/sin-scaled rows of
-:func:`cosattn.reweight.decompose`, whose inner products carry the
-re-weight exactly (except in a causal walk of one chunk, see
-_one_chunk_weight). One scan of [V | 1] gives the numerator and, in its
-last column, the denominator. :func:`_scan` owns the walk: its chunks,
-its panels, the carry between chunks and the three steps that build
-it. The analytic backward in :mod:`cosattn.grad` runs the same scan
-with mappings of its own, from the record the private _forward keeps
-of the forward: attend is that forward with its record dropped, and
-_forward owns the compute-dtype rule. The streaming :class:`CausalState`
-decodes one 2-D sequence with the scan's carry and its update step.
-
-Cost is Theta(n * d_k * d_v). The forward divides each panel the scan
-hands back into the output as the walk leaves it, so beyond the output
-and an n-vector of denominators a causal forward's transient allocation
-is Theta(_PANEL * d + d^2) whatever n is, a non-causal one's
-Theta(n * d + d^2), and never Theta(n^2).
-
-Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) may carry
-any leading (batch, head, ...) axes, shared by all three; every slice is
-attended on its own, in one call, with the arithmetic of a 2-D call on
-that slice.
-
-Checks run once, at the public boundary: _forward, under attend and
-attend_backward alike, validates Q, K and V, through
-:func:`cosattn.core._require_qkv` their shapes, and a cosine config's
-horizon, all before any work; causal_state_step checks its rows and
-position, and that m and eps are the ones its state's first step fixed,
-before it changes its state. _scan checks nothing, but the forward
-walk's :func:`cosattn.reweight.decompose` checks each panel again.
+through a key-value sum instead of an n_q x n_k weight matrix, in
+Theta(n * d_k * d_v) time and, beyond the output, Theta(_PANEL * d + d^2)
+transient memory for a causal call (Theta(n * d + d^2) for a full one).
+Owners: _scan the walk, _one_chunk_weight the one-chunk weighting,
+_forward the record and the compute dtype, CausalState the decode.
 """
 
 from __future__ import annotations
@@ -66,19 +37,11 @@ from .core import (
 from .errors import ConfigurationError, DimensionError
 from .reweight import _require_horizon, build_reweight_matrix, decompose
 
-# Causal chunk size C. Per scan the in-chunk masked products cost about
-# n * C * (w + d_v) multiply-adds for feature width w, and the carried
-# state about 2 * n * w * d_v whatever C is. At cosformer's w = 128,
-# d_v + 1 = 65 (d = 64) and n = 4096, on one BLAS thread, C = 128 made
-# the masked products about as costly as the carry; C = 32 took a third
-# off the causal forward and backward, and beat 16, 24, 48 and 64 there.
-# It stays one fixed value: C never depends on n, because fixed
-# boundaries keep causal prefix rows bit-identical under suffix edits,
-# and it stays >= 32 so the toy trainer's n = 32 is one chunk, which
-# skips the cos/sin decomposition (see _one_chunk_weight): about 40 % off
-# one forward+backward on the toy's (32, 32, 32) stack. Other widths
-# have other optima (C = 48 to 64 at d = 16, C = 16 to 24 at d = 128);
-# no benchmark workload runs them, so no width-dependent choice is made.
+# Causal chunk size C. The in-chunk masked products cost n * C * (w + d_v)
+# multiply-adds for feature width w, the carry 2 * n * w * d_v whatever C
+# is; 32 balances them at d = 64. Fixed, never a function of n, so a
+# suffix edit leaves causal prefix rows bit-identical; and >= 32, so the
+# toy trainer's n = 32 walks one chunk (see _one_chunk_weight).
 _BLOCK = 32
 
 
@@ -93,12 +56,10 @@ def _causal_drop(rows: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
     """cos(pi (i - j) / 2m) over the first min(m, _BLOCK) positions, in
-    dtype (rounded once from float64). It depends on i - j alone, so its
-    leading n x n block serves any one-chunk walk at horizon m, and it is
-    symmetric, so a suffix walk reads it as it is. Cached: building the
-    32 x 32 matrix takes about 19 us against 1 us for a hit (one BLAS
-    thread), and a toy forward+backward of about 2.1 ms asks for it twice;
-    a training run uses one horizon, so a few entries suffice."""
+    dtype, rounded once from float64. Its leading n x n block serves any
+    one-chunk walk at horizon m. Cached, since building it costs far more
+    than a lookup and a training step asks for it in its forward and its
+    backward, always at the run's one horizon."""
     rows = min(m, _BLOCK)
     weight = build_reweight_matrix(rows, rows, m).astype(dtype)
     weight.setflags(write=False)
@@ -106,14 +67,18 @@ def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
-    """(weight, decomposed) for a walk of n rows under config, weight the
-    (n, n) re-weight it multiplies into its masked product or None, and
-    decomposed whether it maps its feature rows through decompose. Only a
-    causal cosine walk of one chunk takes the weight: with no carry to
-    ride, the re-weight needs no cos/sin decomposition, so the walk scans
-    d-wide phi rows. Every other cosine walk decomposes, and a plain
-    kernel does neither. The forward and every backward walk ask here, so
-    they all take the same path."""
+    """(weight, decomposed) for a walk of n rows under config.
+
+    The cos/sin split exists to carry the re-weight across chunks (see
+    cosattn.reweight). A causal cosine walk of one chunk (n <= _BLOCK)
+    has no carry, so it scans d-wide rows, phi rows in the forward and
+    unscaled ones in the backward, and multiplies weight, the (n, n)
+    re-weight matrix, into each masked product, as RetNet's chunkwise
+    form does inside a chunk. Every other cosine walk decomposes its
+    rows (decomposed, weight None), and a plain kernel does neither. The
+    forward and every backward walk ask here, so they take the same
+    path, and a prefix row rounds alike at every n on its side of _BLOCK.
+    """
     if config.reweight.kind != "cosine":
         return None, False
     if config.causal and n <= _BLOCK:
@@ -121,21 +86,11 @@ def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
     return None, True
 
 
-# Rows per panel of the causal walk: each panel's rows are feature-mapped,
-# position-scaled and given their ones column inside the walk, so no
-# n-row feature array is ever built. At n = 4096, d = 64 (causal float32
-# cosformer, one BLAS thread) the forward peaks under tracemalloc at
-# 1.28 MiB, 1 MiB of it the output, against 6.13 MiB for whole-length
-# features; 64-, 256-, 512- and 1024-row panels peak at 1.18, 1.50, 1.94
-# and 2.83 MiB. Each panel pays a fixed cost of about thirty NumPy calls
-# (two feature maps, decompose's checks, its cos/sin table and its two
-# one-call scalings, [V | 1], the overflow check and the divide), about
-# 30 us on a 2-vCPU shared host: in one process, 128-row panels ran about
-# 10 % slower than 256-row ones, and 64-row ones about 20 % slower again. Against the
-# two-multiply scaling at 256 rows they ran no slower in the benchmark's
-# prefill_long (paired fresh-process runs). A whole number of chunks, and
-# fixed like _BLOCK, never a function of n: the chunks of a walk, and so
-# its sums, do not depend on the panels.
+# Rows per panel of a causal walk, each mapped as the walk reaches it, so
+# no n-row feature array exists. Larger panels hold more rows at once;
+# smaller ones pay a panel's fixed cost of NumPy calls more often. A whole
+# number of chunks, and fixed like _BLOCK, so a walk's chunks, and so its
+# sums, do not depend on the panels.
 _PANEL = 4 * _BLOCK
 
 
@@ -145,50 +100,32 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
     yielded panel by panel as (p0, p1, block), block being rows p0:p1.
 
     rows(x, y, v, first) maps raw rows, whose row 0 sits at the 1-based
-    position first, to the rows (xf, yf, vf) the scan multiplies. A
-    forward's maps x, y to feature rows and v to [v | 1] (_kernel_scan),
-    so a block's last column is the denominator sum_j xf_i . yf_j; the
-    backward's build its gradients' rows (see grad._backward). All
-    three are (..., n, width) stacks sharing their leading axes, and every
-    slice is scanned on its own. The sums take their width from vf and
-    their dtype, np.result_type(xf, vf), from the first mapped panel:
-    float32 for the forward's float32 path, float64 everywhere else.
-    With out, a (..., n, width(vf)) array of that dtype, each block is
-    out[..., p0:p1, :] and the scan fills out; without it, each causal
-    block is a view of one panel-sized buffer that the next panel
-    overwrites, so the caller reads a block before it asks for the next.
+    position first, to the (..., rows, width) rows (xf, yf, vf) the scan
+    multiplies: a forward's are feature rows and [v | 1], so a block's
+    last column is the denominator; a backward's are its gradients' rows.
+    Each slice of the shared leading axes is scanned on its own, in the
+    dtype np.result_type(xf, vf) of the first mapped panel. With out, each
+    block is out[..., p0:p1, :]; without it, each causal block is a view
+    of one panel-sized buffer that the next panel overwrites.
 
-    The non-causal path maps all rows at once and is one product, yielded
-    as one block. The causal path admits keys j <= i (j >= i with suffix)
-    and walks fixed _BLOCK-row chunks, last to first for a suffix, in
-    _PANEL-row panels, each mapped as the walk reaches it and yielded,
-    its mapped rows dropped, as the walk leaves it; a walk over at most
-    _PANEL rows yields one block. Each chunk takes three steps, looked up
-    by name in this module, so a defect swapped for one of them breaks
-    the forward and every backward walk alike:
+    A full scan maps all rows at once and yields one product. A causal
+    one admits keys j <= i (j >= i with suffix) and walks fixed
+    _BLOCK-row chunks, last to first for a suffix, in _PANEL-row panels,
+    each mapped as the walk reaches it and dropped as it leaves it. Each
+    chunk takes three steps, looked up by name in this module, so a
+    defect swapped for one breaks the forward and the backward alike:
 
-    - _chunk_product, the masked product of the chunk's own rows (the
-      weight, if any, multiplied in after the mask). Swapping it breaks
-      every causal walk.
-    - _carry_read, the chunks already walked: qc @ carry, with no read
-      for the empty carry (None) of the first chunk. Swapping it breaks
-      every walk past one chunk.
-    - _carry_update, the carry after the chunk: kc^T vc, summed into the
-      carry after the first chunk; the last chunk walked updates nothing.
-      It is told the row where the walk leaves the chunk, so a defect
-      can act at panel boundaries. Swapping it breaks every walk past
-      one chunk and, since CausalState folds its chunks through it too,
-      the decode past _BLOCK tokens.
+    - _chunk_product, the masked product of the chunk's own rows, times
+      weight if given (the symmetric one-chunk re-weight of
+      _one_chunk_weight, which a suffix walk reads as it is);
+    - _carry_read, qc @ carry over the chunks already walked; the first
+      chunk's carry is None and is not read;
+    - _carry_update, the carry with the chunk's kc^T vc summed in, told
+      the row where the walk leaves the chunk, so a defect can act at
+      panel boundaries. The last chunk walked updates nothing; the decode
+      folds through it too (CausalState).
 
-    The carry is one (feature width) x width(vf) sum per slice. _BLOCK is
-    fixed, so a suffix edit at fixed n leaves every prefix row
-    bit-identical, and a prefix row rounds alike at every n on the same
-    side of _BLOCK (a causal cosine walk of one chunk is weighted, not
-    decomposed; see _one_chunk_weight).
-
-    weight, an (n, n) array of the scan's dtype or None, is the re-weight
-    of a causal walk of one chunk (n <= _BLOCK; see _one_chunk_weight).
-    It is symmetric, so a suffix walk reads it unchanged.
+    The carry is one (feature width) x width(vf) sum per slice.
     """
     if not causal:
         xf, yf, vf = rows(x, y, v, 1)
@@ -231,7 +168,7 @@ def _chunk_product(qc, kc, vc, dst, suffix: bool, weight) -> None:
     sim = qc @ kc.swapaxes(-1, -2)
     drop = _causal_drop(qc.shape[-2])
     # copyto broadcasts the mask over the leading axes as fast as a 2-D
-    # boolean index; sim[..., drop] = 0 is about 10x slower.
+    # boolean index; sim[..., drop] = 0 is much slower.
     np.copyto(sim, 0.0, where=drop.T if suffix else drop)
     if weight is not None:
         # After the mask, and every weight is positive: an overflow the
@@ -275,12 +212,9 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
-    """(out, den) of a kernel config, computed in dtype: each panel maps to
-    phi(q), phi(k) (decomposed for a cosine config, unless a causal walk of
-    one chunk takes the re-weight matrix instead) and [v | 1], and each
-    scanned [num | den] block is divided into out, and its den column
-    copied into den, as the walk leaves it. None from a float32 scan once a
-    block is not finite, before the rest is scanned."""
+    """(out, den) of a kernel config computed in dtype (see _forward),
+    each scanned [num | den] panel divided into out as the walk leaves
+    it; None from a float32 scan at the first block that is not finite."""
     weight, decomposed = _one_chunk_weight(config, Q.shape[-2], dtype)
 
     def rows(q, k, v, first):
@@ -305,30 +239,24 @@ def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
 def _forward(Q, K, V, config: AttentionConfig):
     """attend's output plus what the backward needs of it: (out, record).
 
-    The record is a dict for :func:`cosattn.grad._backward`, which takes
-    its arrays out as it goes, so one record serves one backward. It has
-    one shape per config: the config and the validated Q, K and V, then
-    for softmax the weight matrix W, and for a kernel the output ``out``
-    and the unfloored denominator ``den`` (n scalars per slice), both in
-    the compute dtype. No n-row [num | den] exists: the scan hands each
-    panel's over as it leaves it (see _kernel_scan). out is a fresh
-    array, and when the compute dtype is the storage dtype the returned
-    out is the record's out, so it must not be edited in place while the
-    record lives. No feature rows and no [V | 1] are kept: the backward
-    maps Q and K again in the compute dtype, bit-identically.
+    The record is a dict that cosattn.grad._backward empties as it reads
+    it: the config and the validated Q, K and V, then the weight matrix W
+    for softmax, or for a kernel out and the unfloored den in the compute
+    dtype. No feature rows and no [V | 1] are kept; the backward maps Q
+    and K again, bit-identically. When the compute dtype is the storage
+    dtype the returned out is the record's: do not edit it in place.
 
-    A kernel forward scans float32 storage in float32 under a non-negative
-    map (relu, elu_plus_one) with eps a normal float32 (else eps rounds to
-    0 or inf), and all else in float64, since a sign-indefinite map may
-    cancel in its denominators. With finite inputs and non-negative finite
-    features a float32 scan fails only by overflowing, and the scanned
-    [num | den] shows it: an inf in an unmasked similarity, in the carry
-    or in a product arrives there as inf or NaN (0 * inf is NaN); one in a
-    masked similarity is zeroed and affects nothing. At the first panel
-    that shows it the whole call is scanned again in float64; num is
-    checked, not out, as an overflowed den over a finite num divides to a
-    finite 0. So a suffix edit that overflows, or one such slice of a
-    stack, moves the whole call to float64.
+    The compute dtype: a kernel forward scans float32 storage in float32
+    under a non-negative map (relu, elu_plus_one) with eps a normal
+    float32 (else eps rounds to 0 or inf), and everything else in
+    float64, since a sign-indefinite map may cancel in its denominators.
+    With finite inputs and non-negative features a float32 scan can fail
+    only by overflowing, and the scanned [num | den] shows it: an inf in
+    an unmasked similarity, the carry or a product arrives there as inf
+    or NaN, while a masked one is zeroed. At the first panel that shows
+    it the whole call is scanned again in float64; num is checked, not
+    out, since an overflowed den over a finite num divides to a finite 0.
+    So a suffix edit that overflows moves the whole call to float64.
     """
     Q = require_matrix(Q, "Q", stack=True)
     K = require_matrix(K, "K", stack=True)
@@ -356,25 +284,19 @@ def _forward(Q, K, V, config: AttentionConfig):
 def attend(Q, K, V, config: AttentionConfig) -> np.ndarray:
     """Attention under config: the one forward every variant runs through.
 
-    Q, K and V are (..., n, d) stacks sharing their leading axes; the
-    result is (..., n_q, d_v) in the inputs' storage dtype. A softmax
-    config runs the scaled dot-product softmax reference; any other
-    config runs the linear-time kernel scan, on cosformer's 2d-wide rows
-    when the reweight scheme is cosine. It keeps no record for a
-    backward; a training step calls _forward instead.
+    Q (..., n_q, d_k), K (..., n_k, d_k) and V (..., n_k, d_v) share
+    their leading axes, and each slice is attended on its own; returns
+    (..., n_q, d_v) in the inputs' storage dtype. A softmax config runs
+    the scaled dot-product reference, any other the kernel scan. Raises
+    DimensionError on mismatched shapes, ValueError on complex or
+    non-finite inputs, ConfigurationError on a horizon below n.
     """
     return _forward(Q, K, V, config)[0]
 
 
 def linear_attention(Q, K, V, feature_map: FeatureMapKind = RELU,
                      causal: bool = False, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Kernel attention without positional re-weighting, in linear time.
-
-    Q, K and V are (..., n, d) stacks sharing their leading axes; the
-    result is (..., n_q, d_v). Each slice agrees with
-    kernel_attention_quadratic under a reweight-free config up to
-    accumulation order.
-    """
+    """Kernel attention without positional re-weighting, as attend."""
     return attend(Q, K, V, AttentionConfig.linear(feature_map, causal, eps))
 
 
@@ -385,33 +307,27 @@ def _require_cosine_config(config: AttentionConfig, op: str) -> None:
 
 
 def cosformer_attention(Q, K, V, config: AttentionConfig) -> np.ndarray:
-    """Cosine-reweighted linear attention.
-
-    Feature rows are widened to 2d cos/sin-scaled rows (see
-    :mod:`cosattn.reweight`), after which the re-weighted similarity is
-    one plain kernel product and streams like any linear attention.
-    Q, K and V are (..., n, d) stacks sharing their leading axes, as in
-    linear_attention. Requires a cosine reweight scheme with horizon
-    m >= max(n_q, n_k) and a non-negative feature map.
-    """
+    """Cosine-reweighted linear attention, as attend (the identity is in
+    cosattn.reweight). Requires a cosine reweight scheme, whose horizon m
+    must be >= max(n_q, n_k), and a non-negative feature map."""
     _require_cosine_config(config, "cosformer_attention")
     return attend(Q, K, V, config)
 
 
 @dataclass
 class CausalState:
-    """Carry of a causal cosformer decode of one sequence, one row at a time.
+    """State of a causal cosformer decode of one 2-D sequence.
 
-    The state is what the batch causal scan holds inside a chunk (see
-    _scan): ``carry`` (2 d_k x (d_v + 1)), zero until the first fold,
-    is the scan's carry over every whole chunk before the current one,
-    folded by the scan's own _carry_update, and ``keys`` (_BLOCK x 2 d_k)
-    and ``vals`` (_BLOCK x (d_v + 1), ones in the last column) hold the
-    current chunk's rows: position t sits in row (t - 1) % _BLOCK, and
-    the rows after it hold the previous chunk until overwritten. ``config``
-    is the cosformer config of the decode, set by the first accepted step
-    from its m and eps; every later step must pass the same two, since the
-    rows already summed were scaled at that horizon.
+    It is what the batch scan holds inside a chunk: carry
+    (2 d_k x (d_v + 1)), the sum over the whole chunks before the current
+    one; keys (_BLOCK x 2 d_k) and vals (_BLOCK x (d_v + 1), ones in the
+    last column), the current chunk's rows, position t in row
+    (t - 1) % _BLOCK. A step writes its rows and returns
+    qf @ carry + (keys qf) @ vals, Theta(_BLOCK * (d_k + d_v) + d_k * d_v);
+    the first step of each later chunk folds the full chunk into carry
+    through _scan's _carry_update, so the chunks are the batch scan's.
+    config, the decode's cosformer config, is fixed from m and eps by the
+    first accepted step, since the rows summed were scaled at that horizon.
 
     Single-owner: step one position at a time; the state may move between
     execution contexts between steps but must not be stepped concurrently.
@@ -444,18 +360,13 @@ def causal_state_init(d_k: int, d_v: int) -> CausalState:
 
 def causal_state_step(state: CausalState, q_t, k_t, v_t, m: int,
                       eps: float = DEFAULT_EPS):
-    """Advance one position and return (state, output row).
+    """Advance the decode one position and return (state, output row).
 
-    Rows are feature-mapped internally with relu. Every check runs before
-    the state changes, so a refused step leaves it as it was. The state is
-    updated in place and returned. The new key and value rows go into the
-    chunk buffer, and the output is qf @ carry plus the in-chunk part
-    (keys qf) @ vals: a step costs Theta(_BLOCK * (d_k + d_v)) plus one
-    Theta(d_k * d_v) read of the carry, and once every _BLOCK steps a
-    Theta(_BLOCK * d_k * d_v) fold of the full chunk into the carry,
-    however many steps came before. Chunk boundaries are the batch scan's.
-    Raises if the next position would exceed the horizon m, or if m or eps
-    differ from the first step's.
+    q_t, k_t (d_k,) and v_t (d_v,) are relu-mapped here; the output row
+    is (d_v,) float64, and the state is updated in place. Raises
+    DimensionError on a wrong shape, ValueError on a complex or non-finite
+    row, ConfigurationError on a position past m, an invalid m or eps, or
+    one other than the first step's; a refused step changes nothing.
     """
     config = state.config
     if config is None:

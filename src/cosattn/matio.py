@@ -1,14 +1,10 @@
 """Plain-text matrix files and PGM coverage images.
 
-Matrix format: first line "rows cols", then exactly `rows` lines each
-holding `cols` space-separated decimal reals. Values are written with 17
-significant digits, which round-trips float64 bit-exactly. Parsers report
-the 1-based line number of whatever they choke on.
-
-Coverage images are PGM P2 (ASCII grayscale): "P2", then "cols rows",
-then the maxval 255, then one image row per line, each pixel being
-round(255 * coverage). Both readers refuse a header with a count below 1
-and anything but blank lines after the last row.
+A matrix file is "rows cols", then `rows` lines of `cols` decimals,
+written with 17 significant digits so float64 round-trips exactly. A
+coverage image is PGM P2: "P2", "cols rows", 255, then one line per image
+row of round(255 * coverage). Readers name the 1-based line they fail on,
+and refuse a count below 1 and anything but blank lines after the last row.
 """
 
 from __future__ import annotations

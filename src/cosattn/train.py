@@ -1,34 +1,15 @@
 """Single-block toy model and copy-task trainer.
 
-The task: sequences of the form [t_1 .. t_L, DELIM, t_1 .. t_L], with
-L = 16 tokens over 16 symbols. The model reads the first 2L = 32 tokens
-and is trained, next-token style, only on the L predictions that land in
-the copied half, so the untrainable random first half never pollutes the
-loss. Solving it requires routing content across a fixed positional
-offset, which is exactly what attention is supposed to provide.
-
-The block (d_model = 32, d_ff = 64) is one head of the configured
-attention between two residual joins, followed by a two-layer relu
-feedforward with its own residual. No normalization layers. A fixed
-sinusoidal positional encoding, not a parameter, is added to the token
-embeddings. Everything runs in float64 and is deterministic for a seed.
-
-A training step runs attention once forward and once backward over the
-whole (32, n, d) batch stack, so the config alone picks softmax, plain
-linear or cosformer attention. Its forward (cosattn.linear._forward)
-keeps a record of the scan, or of softmax's weights, and its backward
-(cosattn.grad._backward) starts from that record instead of running the
-forward again. The block is causal and n = 32 is one scan chunk, so a
-cosformer step never decomposes into cos/sin rows: its four scans run on
-d-wide feature rows and multiply the re-weight matrix into their masked
-products (see cosattn.linear._one_chunk_weight). The feedforward and
-the output head act row by row and the loss reads only the L
-copied-half rows, so they run on those rows alone, and a step deletes
-each cache after its last reader. Held-out accuracy on 256 sequences
-is evaluated one batch per forward call; each batch's record dies
-before the next runs. On glibc, training pins the
-allocator's trim and mmap thresholds (see _pin_heap), so each step
-reuses the heap pages the step before it freed.
+The task: sequences [t_1 .. t_L, DELIM, t_1 .. t_L] with L = 16 tokens
+over 16 symbols. The model reads the first 2L = 32 tokens and is trained,
+next-token style, only on the L predictions in the copied half, which
+takes routing content across a fixed positional offset. The block
+(d_model = 32, d_ff = 64) is one head of the configured attention with a
+residual join, then a two-layer relu feedforward with its own, and no
+normalization; a fixed sinusoidal code is added to the token embeddings.
+All in float64 and deterministic for a seed. A step runs attention once
+forward and once backward over the whole (32, n, d) stack, the backward
+from the forward's record, and the feedforward and head on the loss rows.
 """
 
 from __future__ import annotations
@@ -60,11 +41,9 @@ def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
     if d % 2 != 0:
         raise ConfigurationError(f"encoding width must be even, got {d}")
     pos = np.arange(n, dtype=np.float64)[:, None]
-    # The geometric frequency ladder runs from 1 down to 1/40. The customary
-    # base of 1e4 leaves most channels near-constant over the copy task's
-    # 32-token window; base 40 spreads the ladder across the window. That
-    # matters for the kernel variants, whose attention cannot sharpen peaks
-    # the way softmax does.
+    # Frequencies from 1 down to 1/40: the customary base of 1e4 leaves most
+    # channels near-constant over the 32-token window, and the kernel
+    # variants cannot sharpen peaks the way softmax does.
     freqs = 1.0 / (40.0 ** (np.arange(d // 2, dtype=np.float64) * 2.0 / d))
     angles = pos * freqs[None, :]
     pe = np.zeros((n, d))
@@ -75,11 +54,8 @@ def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
 
 @dataclass
 class BlockParams:
-    """Parameters of the toy model: one attention block plus heads.
-
-    The attention output feeds a residual join with the block input, so
-    the value projection must map back to d_model.
-    """
+    """Parameters of the toy model: one attention block plus heads. w_v
+    maps back to d_model, for the residual join."""
 
     embedding: np.ndarray    # (n_embed, d_model)
     w_q: np.ndarray          # (d_model, d_head)
@@ -138,12 +114,8 @@ def _block(e, params: BlockParams, config: AttentionConfig):
 
 def transformer_block_forward(x, params: BlockParams,
                               config: AttentionConfig) -> np.ndarray:
-    """One attention block on pre-embedded rows x (n, d_model).
-
-    With all-zero parameters this is the identity map on x: zero
-    projections give zero attention output and a zero feedforward, leaving
-    only the residuals.
-    """
+    """One attention block on pre-embedded rows x (n, d_model). With
+    all-zero parameters it is the identity on x: only the residuals stay."""
     params.validate()
     x = require_matrix(x, "x")
     if x.shape[1] != params.d_model:
@@ -250,8 +222,7 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
     del logits
     batch, n, d_model = e.shape
 
-    # One 2-D product, not an einsum over (batch, position): about 160 ->
-    # 11 us a step at batch = n = d_model = 32 on one BLAS thread.
+    # One 2-D product: an einsum over (batch, position) is much slower.
     d_output_proj = (y.reshape(-1, d_model).T
                      @ d_logits.reshape(-1, d_logits.shape[-1]))
     d_y = (d_logits @ params.output_proj.T).reshape(-1, d_model)
@@ -284,7 +255,7 @@ def _train_step(inputs, targets, params: BlockParams, config: AttentionConfig,
     d_e += d_k @ params.w_k.T
     d_e += d_v @ params.w_v.T
     # Scatter-add of d_e rows by token as a one-hot product: the same sums
-    # as np.add.at, 8x faster at batch = n = d_model = 32 on one thread.
+    # as np.add.at, and faster.
     one_hot = np.arange(params.embedding.shape[0]) == inputs.reshape(-1, 1)
     grads["embedding"] = one_hot.T @ d_e
     return loss, grads
@@ -333,8 +304,7 @@ def _pin_heap():
     array freed so far, less than a step frees, so the freed top of the
     heap goes back to the kernel after every step and the next step
     page-faults its working set in again. This pins both thresholds for
-    the rest of the process.
-    """
+    the rest of the process."""
     mallopt = _glibc_mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
@@ -364,13 +334,12 @@ def train_copy_task(attention_variant: AttentionConfig, seed: int,
     """Train the toy block on the delimiter-copy task.
 
     The sizes are fixed: batches of 32 sequences that copy 16 tokens over
-    16 symbols (n = 32), the init_toy_params model (d_model = 32,
-    d_ff = 64), Adam at step size 1e-3, and 256 held-out sequences.
-    Stops early once held-out token accuracy on the copied half reaches
-    99 %. Fully deterministic for a fixed seed and variant.
-    On glibc it pins the process's malloc trim and mmap thresholds, unless
-    the environment sets either (see _pin_heap).
-    """
+    16 symbols (n = 32), the init_toy_params model, Adam at step size
+    1e-3, and 256 held-out sequences. Stops once held-out token accuracy
+    on the copied half reaches 99 %; deterministic for a seed. Raises
+    ConfigurationError on a non-causal config or a max_steps or
+    eval_every below 1. On glibc it pins the process's malloc trim and
+    mmap thresholds, unless the environment sets either (_pin_heap)."""
     if not attention_variant.causal:
         raise ConfigurationError("the copy task trains a causal block")
     for name, value in (("max_steps", max_steps), ("eval_every", eval_every)):

@@ -1,13 +1,10 @@
 """Where does an attention matrix actually look? Coverage maps.
 
-Given row-stochastic attention matrices, each row's entries are visited
-in descending order (ties broken by ascending column) and marked until
-the running probability mass first exceeds the threshold; the entry that
-crosses is included. Marks are averaged over the input matrices, giving
-a map of which key columns carry the bulk of each query row's weight.
-
-Rows are required to be stochastic up to a small tolerance: the marking
-loop is only meaningful when the cumulative sums top out near 1.
+Each row of a row-stochastic attention matrix is visited in descending
+order (ties by ascending column) and marked until the running mass first
+exceeds the threshold, the crossing entry included. Marks are averaged
+over the matrices: a map of which key columns carry each query row's
+weight. Rows must sum to 1 up to rounding, or the marking means nothing.
 """
 
 from __future__ import annotations
@@ -80,12 +77,8 @@ def _mark_row(row: np.ndarray, threshold: float, marks: np.ndarray) -> None:
 
 def visualize_attention(matrices, threshold: float) -> CoverageMatrix:
     """Average per-row threshold-coverage marks over the given matrices.
-
-    A threshold of 1.0 can never be strictly exceeded by a stochastic
-    row, so it marks every column; 0.0 marks exactly the top entry per
-    row (the first mark already exceeds it, except for an all-zero tie
-    sweep, which stochastic rows rule out).
-    """
+    A threshold of 1.0 marks every column, as a stochastic row never
+    strictly exceeds it; 0.0 marks exactly the top entry of each row."""
     matrices = list(matrices)
     if not matrices:
         raise ConfigurationError("need at least one attention matrix")

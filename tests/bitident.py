@@ -42,19 +42,26 @@ DECODE_N = 300
 TRAIN_STEPS = 20
 
 
+def unpack(source):
+    """(path, keep): the cosattn package directory at a git revision or
+    in a directory. A revision is unpacked into the temporary directory
+    keep, which the caller holds for as long as it reads the path; for a
+    directory keep is None."""
+    path = pathlib.Path(source)
+    if path.is_dir():
+        return path, None
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", str(source),
+                          "src/cosattn"], check=True, capture_output=True).stdout
+    keep = tempfile.TemporaryDirectory()
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(keep.name, filter="data")
+    return pathlib.Path(keep.name, "src", "cosattn"), keep
+
+
 def load(source, name: str):
     """The cosattn package at a git revision or in a directory, imported
-    as name. A revision is unpacked into a temporary directory that lives
-    as long as the package does."""
-    path = pathlib.Path(source)
-    keep = None
-    if not path.is_dir():
-        tar = subprocess.run(["git", "-C", str(REPO), "archive", str(source),
-                              "src/cosattn"], check=True, capture_output=True).stdout
-        keep = tempfile.TemporaryDirectory()
-        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-            archive.extractall(keep.name, filter="data")
-        path = pathlib.Path(keep.name, "src", "cosattn")
+    as name. An unpacked revision lives as long as the package does."""
+    path, keep = unpack(source)
     spec = importlib.util.spec_from_file_location(
         name, path / "__init__.py", submodule_search_locations=[str(path)])
     package = importlib.util.module_from_spec(spec)

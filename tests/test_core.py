@@ -133,6 +133,12 @@ def test_reweight_scheme_validation():
         ReweightScheme("none", m=4)
 
 
+
+@pytest.mark.parametrize("m", [float("nan"), 0, 0.5, -3])
+def test_cosformer_config_refuses_a_nan_or_sub_one_horizon(m):
+    with pytest.raises(ConfigurationError):
+        AttentionConfig.cosformer(m=m)
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         AttentionConfig(eps=0.0)

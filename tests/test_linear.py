@@ -284,6 +284,23 @@ def test_refused_steps_leave_the_state_unchanged(t):
     assert _snapshot(state) == before
 
 
+
+def test_cosformer_attention_refuses_a_nan_horizon():
+    config = AttentionConfig.cosformer(m=8, causal=True)
+    # A NaN horizon that got past the config's own check.
+    object.__setattr__(config.reweight, "m", float("nan"))
+    Q = np.ones((4, 3))
+    with pytest.raises(ConfigurationError):
+        cosformer_attention(Q, Q, Q, config)
+
+
+def test_decode_step_refuses_a_nan_horizon():
+    state = causal_state_init(3, 2)
+    before = _snapshot(state)
+    with pytest.raises(ConfigurationError):
+        causal_state_step(state, np.ones(3), np.ones(3), np.ones(2), float("nan"))
+    assert _snapshot(state) == before
+
 def test_streaming_chunk_boundaries_match_batch_and_prefix_sums():
     rng = np.random.default_rng(40)
     n, d_k, d_v = 2 * _BLOCK + 9, 4, 3

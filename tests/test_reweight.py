@@ -49,6 +49,18 @@ def test_reweight_matrix_validation():
         build_reweight_matrix(0, 3, 4)
 
 
+
+def test_reweight_matrix_refuses_a_nan_horizon():
+    with pytest.raises(ConfigurationError):
+        build_reweight_matrix(3, 3, float("nan"))
+
+
+@pytest.mark.parametrize("m", [float("nan"), 0, 0.5, -3])
+@pytest.mark.parametrize("positions", [position_angles, position_factors])
+def test_positions_refuse_a_nan_or_sub_one_horizon(positions, m):
+    with pytest.raises(ConfigurationError):
+        positions(4, m)
+
 def test_angle_difference_identity_residual():
     # cos(a - b) == cos a cos b + sin a sin b, evaluated the decomposed way,
     # must agree with the direct evaluation to a few eps.

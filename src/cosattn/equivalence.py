@@ -147,7 +147,8 @@ def _panel_carry_reset(update, carry, kc, vc, edge):
 
 
 def _unweighted_chunk(reweight_chunk, m, dtype):
-    """All-ones weights: a causal walk of one chunk loses its re-weight."""
+    """All-ones weights: the forward's one-chunk walk and every backward
+    chunk lose their re-weight."""
     return np.ones_like(reweight_chunk(m, dtype))
 
 

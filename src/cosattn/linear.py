@@ -9,8 +9,11 @@ do, reassociated,
 through a key-value sum instead of an n_q x n_k weight matrix, in
 Theta(n * d_k * d_v) time and, beyond the output, Theta(_PANEL * d + d^2)
 transient memory for a causal call (Theta(n * d + d^2) for a full one).
-Owners: _scan the walk, _one_chunk_weight the one-chunk weighting,
-_forward the record and the compute dtype, CausalState the decode.
+Owners: _scan the forward's walk, _splits which walks split their rows
+by cos/sin, _record the record the backward reads, _forward the compute
+dtype, CausalState the decode. The backward (cosattn.grad) walks its own
+chunks through the same seams: _carry_read, _carry_update,
+_reweight_chunk and _masked.
 """
 
 from __future__ import annotations
@@ -41,8 +44,15 @@ from .reweight import _require_horizon, build_reweight_matrix, decompose
 # multiply-adds for feature width w, the carry 2 * n * w * d_v whatever C
 # is; 32 balances them at d = 64. Fixed, never a function of n, so a
 # suffix edit leaves causal prefix rows bit-identical; and >= 32, so the
-# toy trainer's n = 32 walks one chunk (see _one_chunk_weight).
+# toy trainer's n = 32 walks one chunk (see _splits).
 _BLOCK = 32
+
+
+# Rows per chunk of the backward's two walks (cosattn.grad). They make
+# three times the forward's carry products per row and pay a larger fixed
+# cost of NumPy calls per chunk, so fewer, larger chunks suit them. Fixed
+# like _BLOCK.
+_BACKWARD_BLOCK = 2 * _BLOCK
 
 
 @lru_cache(maxsize=None)
@@ -54,36 +64,34 @@ def _causal_drop(rows: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _reweight_chunk(m: int, dtype: np.dtype) -> np.ndarray:
-    """cos(pi (i - j) / 2m) over the first min(m, _BLOCK) positions, in
-    dtype, rounded once from float64. Its leading n x n block serves any
-    one-chunk walk at horizon m. Cached, since building it costs far more
-    than a lookup and a training step asks for it in its forward and its
-    backward, always at the run's one horizon."""
-    rows = min(m, _BLOCK)
+def _reweight_chunk(m, dtype: np.dtype) -> np.ndarray:
+    """cos(pi (i - j) / 2m) over the first min(m, _BACKWARD_BLOCK)
+    positions, in dtype, rounded once from float64. Its leading n x n
+    block serves any chunk of n rows at horizon m: the forward's one-chunk
+    walk and every backward chunk. A real m sizes it by its whole part,
+    the most rows a call at m may have. Cached, since building it costs
+    far more than a lookup and a training step asks for it in its forward
+    and its backward, always at the run's one horizon."""
+    rows = int(min(m, _BACKWARD_BLOCK))
     weight = build_reweight_matrix(rows, rows, m).astype(dtype)
     weight.setflags(write=False)
     return weight
 
 
-def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
-    """(weight, decomposed) for a walk of n rows under config.
+def _splits(config: AttentionConfig, n: int, block: int) -> bool:
+    """Whether a kernel walk of n rows in block-row chunks splits its
+    feature rows by cos/sin under config.
 
-    The cos/sin split exists to carry the re-weight across chunks (see
-    cosattn.reweight). A causal cosine walk of one chunk (n <= _BLOCK)
-    has no carry, so it scans d-wide rows, phi rows in the forward and
-    unscaled ones in the backward, and multiplies weight, the (n, n)
-    re-weight matrix, into each masked product, as RetNet's chunkwise
-    form does inside a chunk. Every other cosine walk decomposes its
-    rows (decomposed, weight None), and a plain kernel does neither. The
-    forward and every backward walk ask here, so they take the same
-    path, and a prefix row rounds alike at every n on its side of _BLOCK.
+    The split exists to carry the re-weight across chunks (see
+    cosattn.reweight). A causal cosine walk of one chunk (n <= block) has
+    no carry, so it walks d-wide phi rows and multiplies the (n, n)
+    re-weight matrix (_reweight_chunk) into each masked product, as
+    RetNet's chunkwise form does inside a chunk; a plain kernel never
+    splits. The forward walks _BLOCK-row chunks and the backward
+    _BACKWARD_BLOCK-row ones, so between the two sizes only the forward
+    splits. A prefix row rounds alike at every n on its side of block.
     """
-    if config.reweight.kind != "cosine":
-        return None, False
-    if config.causal and n <= _BLOCK:
-        return _reweight_chunk(config.reweight.m, np.dtype(dtype))[:n, :n], False
-    return None, True
+    return config.reweight.kind == "cosine" and (not config.causal or n > block)
 
 
 # Rows per panel of a causal walk, each mapped as the walk reaches it, so
@@ -94,30 +102,26 @@ def _one_chunk_weight(config: AttentionConfig, n: int, dtype):
 _PANEL = 4 * _BLOCK
 
 
-def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
-          weight=None):
+def _scan(x, y, v, causal: bool, rows, weight=None):
     """Rows sum_j (xf_i . yf_j) vf_j over the keys each query admits,
     yielded panel by panel as (p0, p1, block), block being rows p0:p1.
 
     rows(x, y, v, first) maps raw rows, whose row 0 sits at the 1-based
     position first, to the (..., rows, width) rows (xf, yf, vf) the scan
-    multiplies: a forward's are feature rows and [v | 1], so a block's
-    last column is the denominator; a backward's are its gradients' rows.
-    Each slice of the shared leading axes is scanned on its own, in the
-    dtype np.result_type(xf, vf) of the first mapped panel. With out, each
-    block is out[..., p0:p1, :]; without it, each causal block is a view
-    of one panel-sized buffer that the next panel overwrites.
+    multiplies: feature rows and [v | 1], so a block's last column is the
+    denominator. Each slice of the shared leading axes is scanned on its
+    own, in the dtype np.result_type(xf, vf) of the first mapped panel.
+    Each causal block is a view of one panel-sized buffer that the next
+    panel overwrites.
 
     A full scan maps all rows at once and yields one product. A causal
-    one admits keys j <= i (j >= i with suffix) and walks fixed
-    _BLOCK-row chunks, last to first for a suffix, in _PANEL-row panels,
-    each mapped as the walk reaches it and dropped as it leaves it. Each
-    chunk takes three steps, looked up by name in this module, so a
-    defect swapped for one breaks the forward and the backward alike:
+    one admits keys j <= i and walks fixed _BLOCK-row chunks in
+    _PANEL-row panels, each mapped as the walk reaches it and dropped as
+    it leaves it. Each chunk takes three steps, looked up by name in this
+    module, so a defect swapped for one reaches every walk that takes it:
 
     - _chunk_product, the masked product of the chunk's own rows, times
-      weight if given (the symmetric one-chunk re-weight of
-      _one_chunk_weight, which a suffix walk reads as it is);
+      weight if given (the one-chunk re-weight, see _splits);
     - _carry_read, qc @ carry over the chunks already walked; the first
       chunk's carry is None and is not read;
     - _carry_update, the carry with the chunk's kc^T vc summed in, told
@@ -129,56 +133,60 @@ def _scan(x, y, v, causal: bool, rows, suffix: bool = False, out=None,
     """
     if not causal:
         xf, yf, vf = rows(x, y, v, 1)
-        block = np.matmul(xf, yf.swapaxes(-1, -2) @ vf, out=out)
+        block = xf @ (yf.swapaxes(-1, -2) @ vf)
         del xf, yf, vf
         yield 0, x.shape[-2], block
         return
     n = x.shape[-2]
     buf = carry = None
-    last = 0 if suffix else (n - 1) // _BLOCK * _BLOCK  # last chunk walked
-    panels = range(0, n, _PANEL)
-    for p0 in panels[::-1] if suffix else panels:
+    last = (n - 1) // _BLOCK * _BLOCK  # last chunk walked
+    for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
         xp, yp, vp = rows(x[..., p0:p1, :], y[..., p0:p1, :], v[..., p0:p1, :],
                           p0 + 1)
-        if out is None and buf is None:
+        if buf is None:
             buf = np.empty(x.shape[:-2] + (min(n, _PANEL),) + vp.shape[-1:],
                            np.result_type(xp, vp))
-        block = buf[..., :p1 - p0, :] if out is None else out[..., p0:p1, :]
-        chunks = range(0, p1 - p0, _BLOCK)
-        for start in chunks[::-1] if suffix else chunks:
+        block = buf[..., :p1 - p0, :]
+        for start in range(0, p1 - p0, _BLOCK):
             stop = min(start + _BLOCK, p1 - p0)
             qc = xp[..., start:stop, :]
             kc = yp[..., start:stop, :]
             vc = vp[..., start:stop, :]
             dst = block[..., start:stop, :]
-            _chunk_product(qc, kc, vc, dst, suffix, weight)
+            _chunk_product(qc, kc, vc, dst, weight)
             _carry_read(dst, qc, carry)
             if p0 + start != last:
-                carry = _carry_update(carry, kc, vc, p0 + (start if suffix else stop))
+                carry = _carry_update(carry, kc, vc, p0 + stop)
         # The chunk views hold the mapped rows too: all of them go before
         # the caller reads the block and before the next panel is mapped.
         del xp, yp, vp, qc, kc, vc
         yield p0, p1, block
 
 
-def _chunk_product(qc, kc, vc, dst, suffix: bool, weight) -> None:
+def _chunk_product(qc, kc, vc, dst, weight) -> None:
     """Write the masked product of one chunk into dst: each query's sum
     over the chunk's keys it admits (see _scan)."""
     sim = qc @ kc.swapaxes(-1, -2)
-    drop = _causal_drop(qc.shape[-2])
+    _masked(sim, weight)
+    np.matmul(sim, vc, out=dst)
+
+
+def _masked(sim, weight) -> None:
+    """Zero the entries j > i of one chunk's (..., rows, rows) products in
+    place, then multiply in weight, a (rows, rows) re-weight, if given."""
     # copyto broadcasts the mask over the leading axes as fast as a 2-D
     # boolean index; sim[..., drop] = 0 is much slower.
-    np.copyto(sim, 0.0, where=drop.T if suffix else drop)
+    np.copyto(sim, 0.0, where=_causal_drop(sim.shape[-1]))
     if weight is not None:
         # After the mask, and every weight is positive: an overflow the
         # mask drops stays 0, not 0 * inf = NaN; one it keeps, inf.
         sim *= weight
-    np.matmul(sim, vc, out=dst)
 
 
 def _carry_read(dst, qc, carry) -> None:
-    """Add the chunks already walked to dst (see _scan)."""
+    """Add the chunks already walked to dst (see _scan); a None carry
+    adds nothing."""
     if carry is not None:
         dst += qc @ carry
 
@@ -212,10 +220,14 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
-    """(out, den) of a kernel config computed in dtype (see _forward),
+    """The output of a kernel config computed in dtype (see _forward),
     each scanned [num | den] panel divided into out as the walk leaves
     it; None from a float32 scan at the first block that is not finite."""
-    weight, decomposed = _one_chunk_weight(config, Q.shape[-2], dtype)
+    n = Q.shape[-2]
+    decomposed = _splits(config, n, _BLOCK)
+    weight = None
+    if config.reweight.kind == "cosine" and not decomposed:
+        weight = _reweight_chunk(config.reweight.m, np.dtype(dtype))[:n, :n]
 
     def rows(q, k, v, first):
         q = apply_feature_map(q, config.feature_map)
@@ -223,28 +235,34 @@ def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
         if decomposed:
             q, k = decompose(q, k, config.reweight.m, first=first)
         return q, k, _with_ones(v, dtype)
-    out = den = None
+    out = None
     for p0, p1, block in _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V,
                                config.causal, rows, weight=weight):
         if dtype == np.float32 and not np.isfinite(block).all():
             return None
         if out is None:  # after the first panel is mapped
             out = np.empty(Q.shape[:-1] + V.shape[-1:], dtype)
-            den = np.empty(Q.shape[:-1], dtype)
         _finalize(block, config.eps, out[..., p0:p1, :])
-        den[..., p0:p1] = block[..., -1]
-    return out, den
+    return out
+
+
+def _record(Q, K, V, config: AttentionConfig) -> dict:
+    """The record of one call: the config and Q, K and V, checked as attend
+    checks them (see _forward)."""
+    Q = require_matrix(Q, "Q", stack=True)
+    K = require_matrix(K, "K", stack=True)
+    V = require_matrix(V, "V", stack=True)
+    _require_qkv(Q, K, V, config.causal)
+    if not config.use_softmax and config.reweight.kind == "cosine":
+        _require_horizon(max(Q.shape[-2], K.shape[-2]), config.reweight.m)
+    return dict(config=config, Q=Q, K=K, V=V)
 
 
 def _forward(Q, K, V, config: AttentionConfig):
-    """attend's output plus what the backward needs of it: (out, record).
+    """attend's output and the call's record: (out, record).
 
-    The record is a dict that cosattn.grad._backward empties as it reads
-    it: the config and the validated Q, K and V, then the weight matrix W
-    for softmax, or for a kernel out and the unfloored den in the compute
-    dtype. No feature rows and no [V | 1] are kept; the backward maps Q
-    and K again, bit-identically. When the compute dtype is the storage
-    dtype the returned out is the record's: do not edit it in place.
+    The record holds what cosattn.grad._backward reads, the config and
+    the validated Q, K and V; the backward recomputes the rest.
 
     The compute dtype: a kernel forward scans float32 storage in float32
     under a non-negative map (relu, elu_plus_one) with eps a normal
@@ -258,26 +276,18 @@ def _forward(Q, K, V, config: AttentionConfig):
     out, since an overflowed den over a finite num divides to a finite 0.
     So a suffix edit that overflows moves the whole call to float64.
     """
-    Q = require_matrix(Q, "Q", stack=True)
-    K = require_matrix(K, "K", stack=True)
-    V = require_matrix(V, "V", stack=True)
-    _require_qkv(Q, K, V, config.causal)
-    record = dict(config=config, Q=Q, K=K, V=V)
+    record = _record(Q, K, V, config)
+    Q, K, V = record["Q"], record["K"], record["V"]
     if config.use_softmax:
-        record["W"] = _softmax_weights(Q, K, config.causal)
-        out = record["W"] @ _wide(V)
+        out = _softmax_weights(Q, K, config.causal) @ _wide(V)
     else:
-        if config.reweight.kind == "cosine":
-            _require_horizon(max(Q.shape[-2], K.shape[-2]), config.reweight.m)
-        scanned = None
+        out = None
         if _storage_dtype(Q, K, V) == np.float32 and config.feature_map.nonnegative \
                 and _F32_TINY <= config.eps <= _F32_MAX:
             with np.errstate(over="ignore", invalid="ignore"):  # num shows overflow
-                scanned = _kernel_scan(Q, K, V, config, np.float32)
-        if scanned is None:
-            scanned = _kernel_scan(Q, K, V, config, np.float64)
-        out, den = scanned
-        record.update(out=out, den=den)
+                out = _kernel_scan(Q, K, V, config, np.float32)
+        if out is None:
+            out = _kernel_scan(Q, K, V, config, np.float64)
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
 
 

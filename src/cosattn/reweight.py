@@ -7,7 +7,8 @@ similarity phi(q_i) . phi(k_j) w(i, j) is exactly the inner product of
 the 2d-wide rows [phi(x) cos | phi(x) sin], each scaled at its own angle
 pi pos / 2m, computed in float64. So the re-weighted kernel is linear
 attention on those rows, and a causal scan carries it across chunks like
-any kernel sum (one chunk needs no carry: linear._one_chunk_weight).
+any kernel sum; within a chunk the weight is one matrix
+(linear._reweight_chunk), which needs no split.
 """
 
 from __future__ import annotations

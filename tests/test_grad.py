@@ -1,7 +1,6 @@
 """Analytic backwards against central finite differences."""
 
 import contextlib
-import functools
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from cosattn.core import (
     IDENTITY,
     RELU,
     AttentionConfig,
+    kernel_attention_quadratic,
     leaky_relu,
 )
 from cosattn.equivalence import _injected
@@ -26,9 +26,11 @@ from cosattn.grad import (
     softmax_attention_backward,
 )
 from cosattn.linear import (
+    _BACKWARD_BLOCK,
     _BLOCK,
     _PANEL,
     _forward,
+    attend,
     cosformer_attention,
     linear_attention,
 )
@@ -101,25 +103,28 @@ def test_cosformer_backward_matches_fd():
             _check_grads(f, (Q, K, V), grads)
 
 
-def _directional_errors(feature_map, cosine, n, lead=(), mutation=None):
+def _directional_errors(feature_map, cosine, n, lead=(), defect=None, m=None,
+                        n_k=None):
     """Relative error of each analytic gradient along a random direction
-    against a central difference of the causal loss, by gradient name.
-    A mutation is swapped in around the analytic backward alone: the
-    forward it differentiates and the finite-difference loss stay whole."""
+    against a central difference of the loss, by gradient name. The call
+    is causal, or full with n_k keys if n_k is given. A defect, a context
+    manager, is entered around the analytic backward alone: the
+    finite-difference loss stays whole. A cosine loss runs at horizon m,
+    2 max(n, n_k) by default."""
     rng = np.random.default_rng(46)
-    Q, K, V, g = (rng.standard_normal(lead + (n, 4)) for _ in range(4))
+    causal = n_k is None
+    n_k = n if causal else n_k
+    Q, K, V, g = (rng.standard_normal(lead + (rows, 4))
+                  for rows in (n, n_k, n_k, n))
     if cosine:
-        config = AttentionConfig.cosformer(m=2 * n, causal=True,
-                                           feature_map=feature_map)
-        def loss(Q_, K_, V_):
-            return float((cosformer_attention(Q_, K_, V_, config) * g).sum())
+        config = AttentionConfig.cosformer(m=2 * max(n, n_k) if m is None else m,
+                                           causal=causal, feature_map=feature_map)
     else:
-        config = AttentionConfig.linear(feature_map, causal=True)
-        def loss(Q_, K_, V_):
-            return float((linear_attention(Q_, K_, V_, feature_map=feature_map,
-                                           causal=True) * g).sum())
+        config = AttentionConfig.linear(feature_map, causal=causal)
+    def loss(Q_, K_, V_):
+        return float((attend(Q_, K_, V_, config) * g).sum())
     record = _forward(Q, K, V, config)[1]
-    with contextlib.nullcontext() if mutation is None else _injected(mutation):
+    with contextlib.nullcontext() if defect is None else defect:
         grads = _backward(record, g)
     h = 1e-5
     errors = {}
@@ -138,11 +143,9 @@ def _directional_errors(feature_map, cosine, n, lead=(), mutation=None):
     return errors
 
 
-# Three chunks, the last one partial, so the prefix and suffix scans carry
-# state across two chunk boundaries in each direction; three panels, so
-# the suffix scans also walk panels last to first; and the two edges of
-# the last panel, whose scaled pair the dK walk takes from the dQ walk:
-# one row, and a whole panel.
+# Two backward chunks, the last one partial, so the prefix and suffix
+# walks carry across a chunk edge in each direction; five chunks past two
+# panel edges; one row past a panel; and whole panels.
 ACROSS_LENGTHS = ((2 * _BLOCK + 17, ""), (2 * _PANEL + 17, "-panels"),
                   (_PANEL + 1, "-one-row-panel"), (2 * _PANEL, "-whole-panels"))
 
@@ -158,17 +161,73 @@ def test_causal_backward_across_chunks_matches_directional_fd(feature_map,
     assert max(errors.values()) <= 1e-6, errors
 
 
-def test_directional_fd_catches_a_backward_scan_that_drops_its_carry():
-    # The backward's own scans, each chunk scanned with no carry from the
-    # chunks before it: the check above must see it past a panel.
-    errors = _directional_errors(RELU, True, 2 * _PANEL + 17,
-                                 mutation="dropped_carry")
+# A full call walks Q's chunks and K's apart: more queries than keys, and
+# more keys than queries, within one chunk and with one side's chunks
+# past every chunk of the other.
+@pytest.mark.parametrize("n, n_k", [(5, 3), (3, 5),
+                                    (2 * _BACKWARD_BLOCK + 17, _BACKWARD_BLOCK - 3),
+                                    (_BACKWARD_BLOCK - 3, 2 * _BACKWARD_BLOCK + 17)],
+                         ids=["q-more", "k-more", "q-more-chunks", "k-more-chunks"])
+@pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
+def test_full_backward_matches_directional_fd(cosine, n, n_k):
+    errors = _directional_errors(RELU, cosine, n, n_k=n_k)
+    assert max(errors.values()) <= 1e-6, errors
+
+
+@pytest.mark.parametrize("n", [3, _BACKWARD_BLOCK + 3], ids=["one-chunk", "chunks"])
+@pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
+def test_an_overflow_the_mask_drops_changes_no_gradient(cosine, n):
+    # Only q_{n-3} . k_{n-1}, a pair the causal mask drops, overflows: no
+    # other key has a first feature, and the one query that sees k_{n-1}
+    # has none either, so k_{n-1}'s first entry enters no kept term. The
+    # gradients are those of a call where it is 1, not 0 * inf = NaN.
+    rng = np.random.default_rng(58)
+    Q, K, V, g = (np.abs(rng.standard_normal((n, 4))) for _ in range(4))
+    K[:, 0] = Q[-1, 0] = 0.0
+    Q[-3, 0] = K[-1, 0] = 1e160
+    config = (AttentionConfig.cosformer(m=2 * n, causal=True) if cosine
+              else AttentionConfig.linear(RELU, causal=True))
+    with np.errstate(over="ignore"):  # the dropped product
+        big = attend_backward(Q, K, V, config, g)
+    K[-1, 0] = 1.0
+    for name, a, b in zip(("dQ", "dK", "dV"), big, attend_backward(Q, K, V, config, g)):
+        assert np.array_equal(a, b), name
+
+
+@contextlib.contextmanager
+def _rotation_offset_ignored():
+    """The backward's cos/sin scaling with every chunk scaled from
+    position 1."""
+    scaled = grad._position_scaled
+    grad._position_scaled = lambda F, table, offset=0: scaled(F, table)
+    try:
+        yield
+    finally:
+        grad._position_scaled = scaled
+
+
+# Every defect the backward's walks pass through, at lengths that reach
+# it: the carry defects past two panel edges, the chunk weight within one
+# chunk and across several, and a scaling that ignores its row offset.
+@pytest.mark.parametrize("defect, n", [
+    pytest.param(lambda: _injected("dropped_carry"), 2 * _PANEL + 17,
+                 id="dropped_carry"),
+    pytest.param(lambda: _injected("panel_carry_reset"), 2 * _PANEL + 17,
+                 id="panel_carry_reset"),
+    pytest.param(lambda: _injected("unweighted_chunk"), 17,
+                 id="unweighted_chunk-one-chunk"),
+    pytest.param(lambda: _injected("unweighted_chunk"), 3 * _BACKWARD_BLOCK + 5,
+                 id="unweighted_chunk-chunks"),
+    pytest.param(_rotation_offset_ignored, 2 * _PANEL + 17, id="rotation_offset"),
+])
+def test_directional_fd_catches_each_backward_defect(defect, n):
+    errors = _directional_errors(RELU, True, n, defect=defect())
     assert max(errors.values()) > 1e-6, errors
 
 
-# A causal cosine call of one chunk scans unscaled rows and takes the
-# re-weight matrix in its one masked product, in every walk.
-ONE_CHUNK_LENGTHS = (2, 17, _BLOCK)
+# A causal cosine walk of one chunk maps unscaled rows and takes the
+# re-weight matrix in its masked products.
+ONE_CHUNK_LENGTHS = (2, 17, _BLOCK, _BACKWARD_BLOCK)
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
@@ -181,6 +240,9 @@ def test_causal_cosine_backward_of_one_chunk_matches_directional_fd(
 
 
 def test_one_chunk_causal_cosine_call_never_decomposes(monkeypatch):
+    # A causal cosine walk with no carry never splits its rows by cos and
+    # sin: the forward's walk up to _BLOCK rows, the backward's up to
+    # _BACKWARD_BLOCK.
     calls = []
     for module, name in ((linear, "decompose"), (grad, "_position_scaled"),
                          (grad, "position_factors")):
@@ -189,51 +251,66 @@ def test_one_chunk_causal_cosine_call_never_decomposes(monkeypatch):
             return f(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
     rng = np.random.default_rng(50)
-    for n, decomposes in ((_BLOCK, False), (_BLOCK + 1, True)):
+    backward = {"_position_scaled", "position_factors"}
+    for n, split in ((_BLOCK, set()), (_BLOCK + 1, {"decompose"}),
+                     (_BACKWARD_BLOCK, {"decompose"}),
+                     (_BACKWARD_BLOCK + 1, {"decompose"} | backward)):
         Q, K, V, g = (rng.standard_normal((2, n, 4)) for _ in range(4))
-        cosformer_backward(Q, K, V, AttentionConfig.cosformer(m=n, causal=True), g)
-        assert set(calls) == ({"decompose", "_position_scaled", "position_factors"}
-                              if decomposes else set()), n
+        config = AttentionConfig.cosformer(m=n, causal=True)
+        cosformer_attention(Q, K, V, config)
+        cosformer_backward(Q, K, V, config, g)
+        assert set(calls) == split, n
         calls.clear()
 
 
 def test_directional_fd_catches_a_backward_that_drops_its_chunk_weight():
-    # Past one chunk no walk takes the matrix, so the defect changes
-    # nothing there; within one, the check above must see it.
+    # Past one forward chunk the forward decomposes and takes no weight,
+    # so the defect leaves it as it is; the backward weights every chunk,
+    # so the check above must see the defect there too.
     n = _BLOCK + 1
     rng = np.random.default_rng(51)
-    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    Q, K, V = (rng.standard_normal((n, 4)) for _ in range(3))
     config = AttentionConfig.cosformer(m=2 * n, causal=True)
-    shipped = cosformer_backward(Q, K, V, config, g)
+    shipped = attend(Q, K, V, config)
     with _injected("unweighted_chunk"):
-        for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
-            assert np.array_equal(a, b)
-    for n in (17, _BLOCK):
-        errors = _directional_errors(RELU, True, n, mutation="unweighted_chunk")
-        assert max(errors.values()) > 1e-6, (n, errors)
-
-
-def _first_ignored(scaled, F, table, offset=0):
-    """Every panel scaled from position 1."""
-    return scaled(F, table)
-
-
-def test_directional_fd_catches_a_backward_that_scales_panels_from_one(
-        monkeypatch):
-    # Within one panel the defect changes nothing, so a check that never
-    # crosses a panel boundary cannot see it; past one, the check above
-    # must.
-    n = _PANEL
-    rng = np.random.default_rng(48)
-    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
-    config = AttentionConfig.cosformer(m=2 * n, causal=True)
-    shipped = cosformer_backward(Q, K, V, config, g)
-    monkeypatch.setattr(grad, "_position_scaled",
-                        functools.partial(_first_ignored, grad._position_scaled))
-    for a, b in zip(cosformer_backward(Q, K, V, config, g), shipped):
-        assert np.array_equal(a, b)
-    errors = _directional_errors(RELU, True, 2 * _PANEL + 17)
+        assert np.array_equal(attend(Q, K, V, config), shipped)
+    errors = _directional_errors(RELU, True, n, defect=_injected("unweighted_chunk"))
     assert max(errors.values()) > 1e-6, errors
+
+
+def test_backward_of_a_causal_call_runs_no_forward(monkeypatch):
+    # attend_backward reads the validated inputs and walks the chunks
+    # once first to last and once last to first; it never scans the
+    # forward again.
+    def no_scan(*args):
+        raise AssertionError("the backward ran the forward's scan")
+    monkeypatch.setattr(linear, "_kernel_scan", no_scan)
+    walks = []
+    for name in ("_prefix_walk", "_suffix_walk"):
+        def counting(*args, f=getattr(grad, name), name=name):
+            walks.append(name)
+            return f(*args)
+        monkeypatch.setattr(grad, name, counting)
+    n = 2 * _PANEL + 17
+    rng = np.random.default_rng(56)
+    Q, K, V, g = (rng.standard_normal((n, 4)) for _ in range(4))
+    attend_backward(Q, K, V, AttentionConfig.cosformer(m=n, causal=True), g)
+    assert walks == ["_prefix_walk", "_suffix_walk"]
+
+
+@pytest.mark.parametrize("m", [20.0, 20.5, np.float64(24)],
+                         ids=["float", "fraction", "np.float64"])
+def test_a_real_horizon_runs_both_calls(m):
+    # A horizon may be any real >= n; the weight of a walk's chunk is
+    # sized from its whole part.
+    rng = np.random.default_rng(57)
+    Q, K, V = (rng.standard_normal((20, 8)) for _ in range(3))
+    config = AttentionConfig.cosformer(m=m, causal=True)
+    oracle = kernel_attention_quadratic(Q, K, V, config)
+    assert _rel(attend(Q, K, V, config), oracle) <= 1e-12
+    attend_backward(Q, K, V, config, np.ones((20, 8)))
+    errors = _directional_errors(RELU, True, 20, m=m)
+    assert max(errors.values()) <= 1e-6, errors
 
 
 def test_backward_checks_only_d_out(monkeypatch):
@@ -258,16 +335,12 @@ def test_backward_checks_only_d_out(monkeypatch):
 @pytest.mark.parametrize("feature_map", [RELU, ELU_PLUS_ONE],
                          ids=lambda fm: fm.name)
 def test_float32_record_gradients_match_float64(feature_map, cosine, causal):
-    # Float32 inputs run a float32 forward whose record the backward widens,
-    # so only that forward's rounding separates the gradients from those of
-    # the same values in float64. The error is scaled by the largest entry
-    # of the whole float64 (dQ, dK, dV): at d_k = 1 dQ is identically zero,
-    # and a per-matrix scale would divide rounding by nothing. The bound is
-    # not universal: a query row with a single, small positive feature has
-    # a zero dQ row whose float32 residue grows like 1 / phi(q).
+    # The backward recomputes everything in float64 from the widened
+    # inputs, so float32 inputs get exactly the gradients of the same
+    # values in float64, whatever dtype their forward scanned in.
     rng = np.random.default_rng(49)
     for n, d_k, d_v in ((1, 1, 1), (6, 1, 3), (11, 4, 2),
-                        (2 * _BLOCK + 17, 8, 5)):
+                        (2 * _BLOCK + 17, 8, 5), (2 * _PANEL + 17, 4, 3)):
         Q, K, V = (rng.standard_normal((n, d)).astype(np.float32)
                    for d in (d_k, d_k, d_v))
         g = rng.standard_normal((n, d_v))
@@ -276,14 +349,11 @@ def test_float32_record_gradients_match_float64(feature_map, cosine, causal):
                                                feature_map=feature_map)
         else:
             config = AttentionConfig.linear(feature_map, causal=causal)
-        assert _forward(Q, K, V, config)[1]["den"].dtype == np.float32
         got = attend_backward(Q, K, V, config, g)
         want = attend_backward(*(X.astype(np.float64) for X in (Q, K, V)),
                                config, g)
-        scale = max([float(np.max(np.abs(w))) for w in want]
-                    + [np.finfo(np.float64).tiny])
-        err = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
-        assert err / scale <= 1e-4, (n, d_k, err / scale)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (n, d_k)
 
 
 STACK_BOUND = 1e-13
@@ -304,10 +374,11 @@ def _stack_config(variant, m, causal):
 def test_stacked_backward_matches_per_slice_calls(variant, lead):
     rng = np.random.default_rng(47)
     tiny = np.finfo(np.float64).tiny
+    # A full call also takes fewer keys than queries, past a chunk K
+    # does not reach.
     for n in (1, _BLOCK + 1, 2 * _BLOCK + 17):
-        for causal in (False, True):
+        for causal, n_k in ((False, n + 3), (True, n), (False, n // 2 + 1)):
             for dtype in (np.float32, np.float64):
-                n_k = n if causal else n + 3
                 config = _stack_config(variant, max(n, n_k), causal)
                 Q = rng.standard_normal(lead + (n, 4))
                 Q[..., ::7, :] = -np.abs(Q[..., ::7, :])  # eps-floored rows

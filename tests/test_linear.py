@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cosattn import linear
 from cosattn.core import (
     DEFAULT_EPS,
     ELU_PLUS_ONE,
@@ -28,6 +29,21 @@ from cosattn.linear import (
     linear_attention,
 )
 from cosattn.reweight import decompose
+
+
+def _scanned(Q, K, V, config):
+    """attend's output and the dtype of its last kernel scan: the compute
+    dtype, after any float64 redo."""
+    dtypes = []
+    scan = linear._kernel_scan
+
+    def spy(*args):
+        dtypes.append(np.dtype(args[-1]))
+        return scan(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear, "_kernel_scan", spy)
+        out = attend(Q, K, V, config)
+    return out, dtypes[-1]
 
 
 def test_linear_matches_quadratic_all_maps():
@@ -160,10 +176,10 @@ def test_causal_prefix_bit_identical_under_suffix_edits():
         for dtype in (np.float64, np.float32):
             # The edits do not overflow a float32 scan, so both calls scan
             # in the storage dtype.
-            base, record = _forward(*(a.astype(dtype) for a in (Q, K, V)), config)
-            edited, record2 = _forward(*(a.astype(dtype) for a in (Q2, K2, V2)),
-                                       config)
-            assert record["den"].dtype == record2["den"].dtype == dtype
+            base, scanned = _scanned(*(a.astype(dtype) for a in (Q, K, V)), config)
+            edited, scanned2 = _scanned(*(a.astype(dtype) for a in (Q2, K2, V2)),
+                                        config)
+            assert scanned == scanned2 == dtype
             assert np.array_equal(base[:cut], edited[:cut]), (n, dtype)
 
 
@@ -364,9 +380,8 @@ def test_nonnegative_float32_forward_computes_in_float32(variant, lead):
         # Zeroed query rows: under relu their features vanish and the rows
         # sit on the eps floor.
         Q[..., ::9, :] = 0.0
-        out, record = _forward(Q, K, V, config)
-        assert record["den"].dtype == record["out"].dtype == np.float32
-        assert out.dtype == np.float32
+        out, scanned = _scanned(Q, K, V, config)
+        assert scanned == out.dtype == np.float32
         for idx in np.ndindex(*lead):
             oracle = kernel_attention_quadratic(Q[idx], K[idx], V[idx], config)
             assert _rel(out[idx], oracle) <= GATE_BOUND[out.dtype], (causal, idx)
@@ -382,8 +397,8 @@ def test_sign_indefinite_float32_forward_is_the_float64_forward(feature_map, lea
         config = AttentionConfig.linear(feature_map, causal=causal)
         Q, K, V = (rng.standard_normal(lead + (n, 4)).astype(np.float32)
                    for _ in range(3))
-        out, record = _forward(Q, K, V, config)
-        assert record["den"].dtype == np.float64 and out.dtype == np.float32
+        out, scanned = _scanned(Q, K, V, config)
+        assert scanned == np.float64 and out.dtype == np.float32
         wide = attend(*(a.astype(np.float64) for a in (Q, K, V)), config)
         assert np.array_equal(out, wide.astype(np.float32))
 
@@ -398,8 +413,8 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     # float64 forward of the same values is finite.
     for scale in (1e13, 1e18):
         args = [(a * scale).astype(np.float32) for a in (Q, K, V)]
-        out, record = _forward(*args, config)
-        assert record["den"].dtype == np.float64 and out.dtype == np.float32
+        out, scanned = _scanned(*args, config)
+        assert scanned == np.float64 and out.dtype == np.float32
         assert np.isfinite(out).all()
         wide = attend(*(a.astype(np.float64) for a in args), config)
         assert _rel(out, wide) <= GATE_BOUND[out.dtype], scale
@@ -409,8 +424,8 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     config = AttentionConfig(feature_map=config.feature_map,
                              reweight=config.reweight, causal=True, eps=1e-300)
     args = [a.astype(np.float32) for a in (Q, K, V)]
-    out, record = _forward(*args, config)
-    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
+    out, scanned = _scanned(*args, config)
+    assert scanned == np.float64 and np.isfinite(out).all()
     # Only the float32 attempt is silent: a float64 scan that overflows
     # still warns.
     with pytest.warns(RuntimeWarning):
@@ -427,8 +442,8 @@ def test_float32_one_chunk_cosine_overflow_returns_the_float64_forward(
     config = AttentionConfig.cosformer(m=2 * n, causal=True, feature_map=feature_map)
     args = [(rng.standard_normal((2, n, 8)) * 1e18).astype(np.float32)
             for _ in range(3)]
-    out, record = _forward(*args, config)
-    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
+    out, scanned = _scanned(*args, config)
+    assert scanned == np.float64 and np.isfinite(out).all()
     wide = attend(*(a.astype(np.float64) for a in args), config)
     assert np.array_equal(out, wide.astype(np.float32))
 
@@ -444,8 +459,8 @@ def test_float32_one_chunk_overflow_the_mask_drops_stays_float32():
     K[-1] *= 1e30
     Q, K, V = (X.astype(np.float32) for X in (Q, K, V))
     assert Q[0].astype(np.float64) @ K[-1] > np.finfo(np.float32).max
-    out, record = _forward(Q, K, V, config)
-    assert record["den"].dtype == np.float32
+    out, scanned = _scanned(Q, K, V, config)
+    assert scanned == np.float32
     assert _rel(out, kernel_attention_quadratic(Q, K, V, config)) \
         <= GATE_BOUND[out.dtype]
 
@@ -460,8 +475,8 @@ def test_float32_scan_that_stays_finite_computes_in_float32(variant):
     config = _kernel_config(variant, n, causal=True)
     Q, K, V = ((rng.standard_normal((n, 8)) * 1e12).astype(np.float32)
                for _ in range(3))
-    out, record = _forward(Q, K, V, config)
-    assert record["den"].dtype == np.float32 and out.dtype == np.float32
+    out, scanned = _scanned(Q, K, V, config)
+    assert scanned == out.dtype == np.float32
     oracle = kernel_attention_quadratic(Q, K, V, config)
     assert _rel(out, oracle) <= GATE_BOUND[out.dtype]
 
@@ -475,8 +490,8 @@ def test_one_overflowing_slice_moves_the_stack_to_float64(variant):
     for X in (Q, K, V):
         X[1] *= 1e18
     args = [X.astype(np.float32) for X in (Q, K, V)]
-    out, record = _forward(*args, config)
-    assert record["den"].dtype == np.float64 and np.isfinite(out).all()
+    out, scanned = _scanned(*args, config)
+    assert scanned == np.float64 and np.isfinite(out).all()
     for idx in range(3):
         # Each slice, the overflow-free ones too, is its float64 forward.
         wide = attend(*(X[idx].astype(np.float64) for X in args), config)
@@ -495,8 +510,8 @@ def test_overflow_past_the_first_panel_moves_the_call_to_float64(variant):
     for X in (Q, K, V):
         X[1, 2 * _PANEL:] *= 1e18
     args = [X.astype(np.float32) for X in (Q, K, V)]
-    out, record = _forward(*args, config)
-    assert record["den"].dtype == np.float64
+    out, scanned = _scanned(*args, config)
+    assert scanned == np.float64
     wide = attend(*(X.astype(np.float64) for X in args), config)
     assert np.array_equal(out, wide.astype(np.float32))
 
@@ -542,13 +557,13 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
         config = AttentionConfig.cosformer(m=n, causal=True, feature_map=feature_map)
         for dtype in (np.float32, np.float64):
             Q, K, V = _panel_case(rng, lead, n, dtype)
-            base, record = _forward(Q, K, V, config)
+            base, scanned = _scanned(Q, K, V, config)
             for cut in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL + 1):
                 Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
                 Q2[..., cut:, :], K2[..., cut:, :], V2[..., cut:, :] = 1e6, -1e6, 42.0
-                edited, record2 = _forward(Q2, K2, V2, config)
+                edited, scanned2 = _scanned(Q2, K2, V2, config)
                 # The edits do not overflow a float32 scan.
-                assert record["den"].dtype == record2["den"].dtype == dtype
+                assert scanned == scanned2 == dtype
                 assert np.array_equal(base[..., :cut, :], edited[..., :cut, :]), \
                     (n, dtype, cut)
 
@@ -639,10 +654,10 @@ def test_causal_forward_holds_no_whole_length_scanned_sums(n, dtype):
 
 
 def test_causal_backward_holds_no_feature_rows_past_their_scan():
-    # Peak over the call, inputs and record excluded: the three gradients,
-    # the position-scaled (a, [V | 1]) pair of the dQ and dK scans, and
-    # two n x d float64 maps. Holding dV's 2d-wide feature rows past their
-    # own scan would break the bound.
+    # Peak over the call, inputs and record excluded: the three gradients
+    # and room for two n x 2(d + 1) and two n x d float64 arrays. The
+    # walks hold chunk-sized rows and a few n-row vectors only; the test
+    # below bounds them more tightly at longer n.
     rng = np.random.default_rng(48)
     n, d = 8 * _PANEL, 32
     Q, K, V, g = (rng.standard_normal((n, d)) for _ in range(4))
@@ -665,7 +680,7 @@ def test_causal_backward_holds_no_feature_rows_past_their_scan():
 def test_causal_backward_holds_no_whole_length_rows(n, dtype):
     # Peak over the call, inputs and record excluded: the three gradients
     # and four n-row float64 vectors (dhat, -w and the cos/sin table),
-    # plus 1 MiB for the panel walk's transients, whatever n is. One more
+    # plus 1 MiB for the chunk walks' transients, whatever n is. One more
     # n x d float64 array at n = 4096 would break the bound.
     rng = np.random.default_rng(48)
     d = 32
@@ -674,7 +689,7 @@ def test_causal_backward_holds_no_whole_length_rows(n, dtype):
     config = AttentionConfig.cosformer(m=n, causal=True)
     _backward(_forward(Q, K, V, config)[1], g)  # warm the mask cache
     record = _forward(Q, K, V, config)[1]
-    assert record["den"].dtype == dtype
+    assert record["Q"].dtype == dtype
     tracemalloc.start()
     try:
         _backward(record, g)
@@ -686,8 +701,8 @@ def test_causal_backward_holds_no_whole_length_rows(n, dtype):
 
 @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
 def test_float32_d_out_peaks_no_higher_than_float64(causal):
-    # The backward reads d_out at its own dtype, a panel at a time: a
-    # float32 d_out must not cost a whole-length float64 copy of it.
+    # The backward widens d_out a chunk at a time: a float32 d_out must
+    # not cost a whole-length float64 copy of it.
     rng = np.random.default_rng(54)
     n, d = 8 * _PANEL, 32
     Q, K, V = (rng.standard_normal((n, d)).astype(np.float32) for _ in range(3))

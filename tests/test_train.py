@@ -194,17 +194,16 @@ def test_train_step_gradients_come_from_its_own_forward(config, monkeypatch):
 
 
 def test_train_step_scans_once_per_gradient(monkeypatch):
-    # One forward scan, then the dV, dQ and dK scans: the backward does
-    # not run the forward's scan again. An evaluation forward scans once.
+    # One forward scan, then one prefix and one suffix backward walk: the
+    # backward does not run the forward's scan again. An evaluation
+    # forward scans once and walks nothing.
     scans = []
-    scan = linear._scan
-
-    def counting(*args, **kwargs):
-        scans.append(kwargs.get("suffix", False))
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(linear, "_scan", counting)
-    monkeypatch.setattr(grad, "_scan", counting)
+    for module, name in ((linear, "_scan"), (grad, "_prefix_walk"),
+                         (grad, "_suffix_walk")):
+        def counting(*args, f=getattr(module, name), name=name, **kwargs):
+            scans.append(name)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
     rng = np.random.default_rng(79)
     params = init_toy_params(rng)
     pe = 2.5 * sinusoidal_encoding(32, 32)
@@ -212,10 +211,10 @@ def test_train_step_scans_once_per_gradient(monkeypatch):
     config = AttentionConfig.cosformer(m=32, causal=True)
     inputs, targets = _make_sequences(rng, 4, 16, 16)
     _train_step(inputs, targets, params, config, pe, loss_pos)
-    assert scans == [False, True, False, True]
+    assert scans == ["_scan", "_prefix_walk", "_suffix_walk"]
     scans.clear()
     _forward_batch(inputs, params, config, pe, loss_pos)
-    assert scans == [False]
+    assert scans == ["_scan"]
 
 
 def test_evaluation_keeps_at_most_one_attention_record(monkeypatch):
@@ -227,7 +226,7 @@ def test_evaluation_keeps_at_most_one_attention_record(monkeypatch):
     def spy(*args):
         assert all(ref() is None for ref in records), len(records)
         out, record = forward(*args)
-        records.append(weakref.ref(record["den"]))
+        records.append(weakref.ref(record["Q"]))
         return out, record
 
     monkeypatch.setattr(train, "_forward", spy)

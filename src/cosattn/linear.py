@@ -220,9 +220,8 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
-    """The output of a kernel config computed in dtype (see _forward),
-    each scanned [num | den] panel divided into out as the walk leaves
-    it; None from a float32 scan at the first block that is not finite."""
+    """The output of a kernel config computed in dtype (see _forward), each
+    scanned [num | den] panel divided into out as the walk leaves it."""
     n = Q.shape[-2]
     decomposed = _splits(config, n, _BLOCK)
     weight = None
@@ -238,8 +237,6 @@ def _kernel_scan(Q, K, V, config: AttentionConfig, dtype):
     out = None
     for p0, p1, block in _scan(np.asarray(Q, dtype), np.asarray(K, dtype), V,
                                config.causal, rows, weight=weight):
-        if dtype == np.float32 and not np.isfinite(block).all():
-            return None
         if out is None:  # after the first panel is mapped
             out = np.empty(Q.shape[:-1] + V.shape[-1:], dtype)
         _finalize(block, config.eps, out[..., p0:p1, :])
@@ -264,30 +261,32 @@ def _forward(Q, K, V, config: AttentionConfig):
     The record holds what cosattn.grad._backward reads, the config and
     the validated Q, K and V; the backward recomputes the rest.
 
-    The compute dtype: a kernel forward scans float32 storage in float32
-    under a non-negative map (relu, elu_plus_one) with eps a normal
-    float32 (else eps rounds to 0 or inf), and everything else in
-    float64, since a sign-indefinite map may cancel in its denominators.
-    With finite inputs and non-negative features a float32 scan can fail
-    only by overflowing, and the scanned [num | den] shows it: an inf in
-    an unmasked similarity, the carry or a product arrives there as inf
-    or NaN, while a masked one is zeroed. At the first panel that shows
-    it the whole call is scanned again in float64; num is checked, not
-    out, since an overflowed den over a finite num divides to a finite 0.
-    So a suffix edit that overflows moves the whole call to float64.
+    The compute dtype is chosen once, before the walk: float32 for float32
+    storage under a non-negative map (relu, elu_plus_one) with eps a
+    normal float32 (else eps rounds to 0 or inf) and n_k * A * B *
+    max(1, max|V|) below half the float32 maximum, A and B being
+    max(1, sqrt(d_k) * phi(max X)) for X = Q and K (phi rises, so that is
+    the largest feature entry); else float64, since a sign-indefinite map
+    may cancel in its denominators. Features and cos/sin factors are
+    non-negative, so no sum the walk forms exceeds that product
+    (Cauchy-Schwarz; a max with 1 covers the carry, which has no query
+    factor, and the denominators) and a float32 scan cannot overflow.
+    The bound reads the whole call: a suffix edit can move it to float64.
     """
     record = _record(Q, K, V, config)
     Q, K, V = record["Q"], record["K"], record["V"]
     if config.use_softmax:
         out = _softmax_weights(Q, K, config.causal) @ _wide(V)
     else:
-        out = None
+        dtype = np.float64
         if _storage_dtype(Q, K, V) == np.float32 and config.feature_map.nonnegative \
                 and _F32_TINY <= config.eps <= _F32_MAX:
-            with np.errstate(over="ignore", invalid="ignore"):  # num shows overflow
-                out = _kernel_scan(Q, K, V, config, np.float32)
-        if out is None:
-            out = _kernel_scan(Q, K, V, config, np.float64)
+            A, B = (max(1.0, math.sqrt(X.shape[-1]) * float(apply_feature_map(
+                np.float64(X.max()), config.feature_map))) for X in (Q, K))
+            if K.shape[-2] * A * B * max(1.0, float(V.max()), -float(V.min())) \
+                    < _F32_MAX / 2:
+                dtype = np.float32
+        out = _kernel_scan(Q, K, V, config, dtype)
     return out.astype(_storage_dtype(Q, K, V), copy=False), record
 
 

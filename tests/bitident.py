@@ -10,8 +10,9 @@ name, which the package's relative imports allow.
 
 Every case is one (n, kind, causal, storage, shape) of the lengths in
 LENGTHS; the cosine, linear and softmax kinds; causal and full; float32,
-float64, float32 scaled by 1e18 (which overflows the float32 scan and
-takes the float64 fallback) and a float32 record with a float64 d_out;
+float64, float32 with Q and K scaled by 1e18 (past the float32 overflow
+bound, so the kernel forward computes in float64, at every n but 1, whose
+one query row is zeroed) and a float32 record with a float64 d_out;
 2-D and stacked inputs; each with a zeroed query row. A case gives its
 forward, dQ, dK and dV; a decode gives its rows and its final state; a
 seeded TRAIN_STEPS-step copy-task job per attention kind gives its loss

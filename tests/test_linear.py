@@ -12,6 +12,7 @@ from cosattn.core import (
     IDENTITY,
     RELU,
     AttentionConfig,
+    apply_feature_map,
     kernel_attention_quadratic,
     leaky_relu,
 )
@@ -32,8 +33,8 @@ from cosattn.reweight import decompose
 
 
 def _scanned(Q, K, V, config):
-    """attend's output and the dtype of its last kernel scan: the compute
-    dtype, after any float64 redo."""
+    """attend's output and the compute dtype of its kernel scan, checked
+    to be the call's only one."""
     dtypes = []
     scan = linear._kernel_scan
 
@@ -43,7 +44,8 @@ def _scanned(Q, K, V, config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linear, "_kernel_scan", spy)
         out = attend(Q, K, V, config)
-    return out, dtypes[-1]
+    assert len(dtypes) == 1, dtypes
+    return out, dtypes[0]
 
 
 def test_linear_matches_quadratic_all_maps():
@@ -174,8 +176,8 @@ def test_causal_prefix_bit_identical_under_suffix_edits():
         Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
         Q2[cut:], K2[cut:], V2[cut:] = 1e6, -1e6, 42.0
         for dtype in (np.float64, np.float32):
-            # The edits do not overflow a float32 scan, so both calls scan
-            # in the storage dtype.
+            # The edits stay under the float32 overflow bound, so both calls
+            # scan in the storage dtype.
             base, scanned = _scanned(*(a.astype(dtype) for a in (Q, K, V)), config)
             edited, scanned2 = _scanned(*(a.astype(dtype) for a in (Q2, K2, V2)),
                                         config)
@@ -426,8 +428,8 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
     args = [a.astype(np.float32) for a in (Q, K, V)]
     out, scanned = _scanned(*args, config)
     assert scanned == np.float64 and np.isfinite(out).all()
-    # Only the float32 attempt is silent: a float64 scan that overflows
-    # still warns.
+    # No float32 scan is attempted and thrown away, so nothing silences
+    # a float64 scan that overflows: it warns.
     with pytest.warns(RuntimeWarning):
         attend(*(a * 1e200 for a in (Q, K, V)), config)
 
@@ -437,7 +439,7 @@ def test_float32_overflow_guard_falls_back_to_float64(variant):
 def test_float32_one_chunk_cosine_overflow_returns_the_float64_forward(
         n, feature_map):
     # A causal cosine walk of one chunk weights its masked product instead
-    # of decomposing; an overflow there must still reach the check.
+    # of decomposing; the bound sends it to float64 all the same.
     rng = np.random.default_rng(52)
     config = AttentionConfig.cosformer(m=2 * n, causal=True, feature_map=feature_map)
     args = [(rng.standard_normal((2, n, 8)) * 1e18).astype(np.float32)
@@ -448,37 +450,82 @@ def test_float32_one_chunk_cosine_overflow_returns_the_float64_forward(
     assert np.array_equal(out, wide.astype(np.float32))
 
 
-def test_float32_one_chunk_overflow_the_mask_drops_stays_float32():
-    # q_0 . k_{n-1} overflows float32, but the causal mask drops it before
-    # the weight is applied, so the scan stays finite and in float32.
+def test_one_chunk_overflow_the_mask_drops_stays_out_of_the_output():
+    # Only q_{n-3} . k_{n-1}, a pair the causal mask drops, overflows
+    # float64: no other key has a first feature, and the one query that
+    # sees k_{n-1} has none either. The mask zeroes it before the weight
+    # is multiplied in (linear._masked), so the output is that of a call
+    # where k_{n-1}'s first entry is 1, not 0 * inf = NaN.
     rng = np.random.default_rng(53)
     n = _BLOCK
     config = AttentionConfig.cosformer(m=n, causal=True)
     Q, K, V = (np.abs(rng.standard_normal((n, 8))) for _ in range(3))
-    Q[0] *= 1e30
-    K[-1] *= 1e30
-    Q, K, V = (X.astype(np.float32) for X in (Q, K, V))
-    assert Q[0].astype(np.float64) @ K[-1] > np.finfo(np.float32).max
-    out, scanned = _scanned(Q, K, V, config)
-    assert scanned == np.float32
-    assert _rel(out, kernel_attention_quadratic(Q, K, V, config)) \
-        <= GATE_BOUND[out.dtype]
+    K[:, 0] = Q[-1, 0] = 0.0
+    Q[-3, 0] = K[-1, 0] = 1e160
+    with np.errstate(over="ignore"):  # the dropped product
+        assert Q[-3] @ K[-1] == np.inf
+        big, scanned = _scanned(Q, K, V, config)
+    assert scanned == np.float64
+    K[-1, 0] = 1.0
+    assert np.array_equal(big, attend(Q, K, V, config))
+
+
+def _overflow_bound(Q, K, V, config):
+    """n_k * A * B * max(1, max|V|) of linear._forward's dtype rule, A and
+    B from the largest entry of the mapped rows themselves."""
+    A, B = (max(1.0, np.sqrt(X.shape[-1]) * float(
+        apply_feature_map(X.astype(np.float64), config.feature_map).max()))
+        for X in (Q, K))
+    return K.shape[-2] * A * B * max(1.0, float(np.abs(V).max()))
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["random", "constant"])
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS)
+def test_float32_scans_up_to_the_overflow_bound(variant, constant):
+    # Inputs scaled to just under the bound scan in float32, just over it
+    # in float64, and both match the oracle. Constant positive rows are
+    # the worst case: the last row's linear numerator reaches the bound.
+    rng = np.random.default_rng(41)
+    n, d = 101, 8
+    config = _kernel_config(variant, n, causal=True)
+    Q, K, V = (np.ones((n, d)) if constant else rng.standard_normal((n, d))
+               for _ in range(3))
+    # At these scales the bound is the scale cubed times this, to about
+    # 1e-11 relative: elu_plus_one's + 1 is lost in it.
+    unit = n * d * Q.max() * K.max() * np.abs(V).max()
+    half_max = float(np.finfo(np.float32).max) / 2
+    for margin, dtype in ((0.99, np.float32), (1.01, np.float64)):
+        scale = (margin * half_max / unit) ** (1 / 3)
+        args = [(X * scale).astype(np.float32) for X in (Q, K, V)]
+        assert (_overflow_bound(*args, config) < half_max) == (dtype == np.float32)
+        out, scanned = _scanned(*args, config)
+        assert scanned == dtype and out.dtype == np.float32
+        oracle = kernel_attention_quadratic(*args, config)
+        assert _rel(out, oracle) <= GATE_BOUND[out.dtype], margin
 
 
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
-def test_float32_scan_that_stays_finite_computes_in_float32(variant):
-    # At 1e12 the scanned sums stay finite in float32, though the worst
-    # case n_k * width * max phi(Q) * max phi(K) * max|V| exceeds the
-    # float32 maximum.
-    rng = np.random.default_rng(41)
-    n = 101
+def test_each_kernel_forward_scans_once(variant):
+    # The compute dtype is chosen before the walk, so no scan is thrown
+    # away and redone: a plain float32 call and each overflow case scan
+    # once (_scanned counts), the overflow cases in float64.
+    rng = np.random.default_rng(57)
+    n = 2 * _PANEL + 17
     config = _kernel_config(variant, n, causal=True)
-    Q, K, V = ((rng.standard_normal((n, 8)) * 1e12).astype(np.float32)
-               for _ in range(3))
-    out, scanned = _scanned(Q, K, V, config)
-    assert scanned == out.dtype == np.float32
-    oracle = kernel_attention_quadratic(Q, K, V, config)
-    assert _rel(out, oracle) <= GATE_BOUND[out.dtype]
+    plain = [rng.standard_normal((2, n, 8)) for _ in range(3)]
+    one_slice, past_first_panel = ([X.copy() for X in plain] for _ in range(2))
+    for X, Y in zip(one_slice, past_first_panel):
+        X[1] *= 1e18
+        Y[1, 2 * _PANEL:] *= 1e18
+    cases = {"plain": (plain, np.float32),
+             "1e13": ([X * 1e13 for X in plain], np.float64),
+             "1e18": ([X * 1e18 for X in plain], np.float64),
+             "one slice": (one_slice, np.float64),
+             "past the first panel": (past_first_panel, np.float64)}
+    for name, (args, dtype) in cases.items():
+        out, scanned = _scanned(*(X.astype(np.float32) for X in args), config)
+        assert scanned == dtype, name
+        assert np.isfinite(out).all(), name
 
 
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
@@ -500,9 +547,8 @@ def test_one_overflowing_slice_moves_the_stack_to_float64(variant):
 
 @pytest.mark.parametrize("variant", KERNEL_VARIANTS)
 def test_overflow_past_the_first_panel_moves_the_call_to_float64(variant):
-    # The float32 scan is checked panel by panel as the walk leaves each:
-    # an overflow in slice 1's third panel alone must still send the
-    # whole call to float64.
+    # The bound reads the whole call: an overflow in slice 1's third panel
+    # alone sends the whole call to float64.
     rng = np.random.default_rng(49)
     n = 2 * _PANEL + 17
     config = _kernel_config(variant, n, causal=True)
@@ -562,7 +608,7 @@ def test_prefix_across_panels_bit_identical_under_suffix_edits(feature_map, lead
                 Q2, K2, V2 = Q.copy(), K.copy(), V.copy()
                 Q2[..., cut:, :], K2[..., cut:, :], V2[..., cut:, :] = 1e6, -1e6, 42.0
                 edited, scanned2 = _scanned(Q2, K2, V2, config)
-                # The edits do not overflow a float32 scan.
+                # The edits stay under the float32 overflow bound.
                 assert scanned == scanned2 == dtype
                 assert np.array_equal(base[..., :cut, :], edited[..., :cut, :]), \
                     (n, dtype, cut)
@@ -655,24 +701,23 @@ def test_causal_forward_holds_no_whole_length_scanned_sums(n, dtype):
 
 def test_causal_backward_holds_no_feature_rows_past_their_scan():
     # Peak over the call, inputs and record excluded: the three gradients
-    # and room for two n x 2(d + 1) and two n x d float64 arrays. The
-    # walks hold chunk-sized rows and a few n-row vectors only; the test
-    # below bounds them more tightly at longer n.
+    # and four n-row float64 vectors (dhat, -w and the cos/sin table),
+    # plus 0.5 MiB for the chunk walks' transients, as the test below
+    # bounds longer walks. One whole-length n x 2d float64 array of
+    # rotated rows, 0.5 MiB here, would break the bound.
     rng = np.random.default_rng(48)
     n, d = 8 * _PANEL, 32
     Q, K, V, g = (rng.standard_normal((n, d)) for _ in range(4))
     config = AttentionConfig.cosformer(m=n, causal=True)
     _backward(_forward(Q, K, V, config)[1], g)  # warm the mask cache
     record = _forward(Q, K, V, config)[1]
-    grads = 3 * n * d * 8
-    scaled = 2 * n * 2 * (d + 1) * 8
     tracemalloc.start()
     try:
         _backward(record, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grads + scaled + 2 * n * d * 8, peak
+    assert peak < 3 * n * d * 8 + 4 * n * 8 + 2 ** 19, peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])

@@ -18,7 +18,7 @@ import math
 import statistics
 import time
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,22 +90,6 @@ class BenchmarkRecord:
                                 or self.median_s <= 0.0 or not self.peak_mib > 0.0):
             raise ConfigurationError(
                 "timings and peak of a successful cell must be positive")
-
-    def csv_row(self) -> str:
-        return ",".join(
-            "%.9g" % getattr(self, f.name) if f.type == "float"
-            else str(getattr(self, f.name)) for f in fields(self))
-
-
-# The CSV columns: BenchmarkRecord's fields in order, floats as %.9g.
-CSV_HEADER = ",".join(f.name for f in fields(BenchmarkRecord))
-
-
-def write_benchmark_csv(records, path) -> None:
-    lines = [CSV_HEADER] + [r.csv_row() for r in records]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def variant_config(variant: str, m: int, causal: bool) -> AttentionConfig:
     """The config a variant name stands for; m is cosformer's horizon and

@@ -1,28 +1,51 @@
-"""Command-line front end: check, bench, viz, train-toy. Exit codes: 0
-success, 1 equivalence-suite failure, 2 usage or configuration error
-(argparse's own included), 3 I/O or parse error."""
+"""Command-line front end: check, bench, viz, train-toy. Each command
+prints its result as one strict-JSON document on stdout (see _emit).
+Exit codes: 0 success, 1 equivalence-suite failure, 2 usage or
+configuration error (argparse's own included), 3 I/O or parse error."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import math
 import sys
 
 import numpy as np
 
-from .bench import (
-    BENCH_MODES,
-    BENCH_VARIANTS,
-    CSV_HEADER,
-    run_benchmark,
-    variant_config,
-    write_benchmark_csv,
-)
+from .bench import BENCH_MODES, BENCH_VARIANTS, run_benchmark, variant_config
 from .core import AttentionConfig, attention_weights_quadratic
 from .equivalence import MUTATIONS, run_equivalence_suite
 from .errors import ConfigurationError, DimensionError, MatrixParseError
-from .matio import matrix_text, read_matrix, write_pgm
+from .matio import read_matrix, write_pgm
 from .train import train_copy_task
 from .viz import visualize_attention
+
+
+def _plain(value):
+    """value with dataclasses as dicts, tuples and arrays as lists, and
+    non-finite floats (a failed bench cell, a NaN error) as None."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _emit(result, path=None) -> None:
+    """Print result as one JSON document and, given a path, write the
+    same text there."""
+    text = json.dumps(_plain(result), allow_nan=False) + "\n"
+    sys.stdout.write(text)
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
 
 
 def _cmd_check(args) -> int:
@@ -32,11 +55,7 @@ def _cmd_check(args) -> int:
         mutation=args.mutation,
         jobs=args.jobs,
     )
-    text = report.summary()
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+    _emit(report, args.out)
     return 0 if report.ok else 1
 
 
@@ -45,12 +64,7 @@ def _cmd_bench(args) -> int:
         args.variants, args.lengths, args.d_model, args.repeats,
         mode=args.mode, seed=args.seed,
     )
-    if args.out:
-        write_benchmark_csv(records, args.out)
-    else:
-        print(CSV_HEADER)
-        for record in records:
-            print(record.csv_row())
+    _emit(records, args.out)
     return 0
 
 
@@ -76,20 +90,14 @@ def _cmd_viz(args) -> int:
     cov = visualize_attention(matrices, args.threshold)
     if args.out:
         write_pgm(cov, args.out)
-        print(f"wrote {cov.size}x{cov.size} coverage "
-              f"(threshold {cov.threshold}, {cov.n_matrices} matrices) "
-              f"to {args.out}")
-    else:
-        sys.stdout.write(matrix_text(cov.values))
+    _emit(cov)
     return 0
 
 
 def _cmd_train_toy(args) -> int:
     config = variant_config(args.variant, m=32, causal=True)
     report = train_copy_task(config, args.seed, max_steps=args.steps)
-    print(report.summary())
-    if args.out:
-        report.to_csv(args.out)
+    _emit(report, args.out)
     return 0
 
 
@@ -110,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = subs.add_parser(
         "check", help="run the randomized equivalence suite")
-    _add_common(check, "also write the report text to PATH")
+    _add_common(check, "also write the JSON report to PATH")
     check.add_argument("--trials", type=int, default=200,
                        help="random trials per variant (default 200)")
     check.add_argument("--precision", choices=("standard", "wide"),
@@ -124,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser(
         "bench", help="time variants across sequence lengths")
-    _add_common(bench, "write results CSV to PATH (default: stdout)")
+    _add_common(bench, "also write the JSON records to PATH")
     bench.add_argument("--variants", nargs="+", choices=BENCH_VARIANTS,
                        default=list(BENCH_VARIANTS),
                        help="variants to time (default: all)")
@@ -141,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     viz = subs.add_parser(
         "viz", help="coverage map of row-stochastic attention matrices")
-    _add_common(viz, "write a PGM image to PATH (default: print values)")
+    _add_common(viz, "also write a PGM image to PATH")
     viz.add_argument("files", nargs="*", metavar="MATRIX",
                      help="matrix files (first line 'rows cols')")
     viz.add_argument("--threshold", type=float, default=0.9,
@@ -152,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = subs.add_parser(
         "train-toy", help="train the single-block model on the copy task")
-    _add_common(train, "write the loss curve CSV to PATH")
+    _add_common(train, "also write the JSON report to PATH")
     train.add_argument("--variant", choices=BENCH_VARIANTS,
                        default="cosformer",
                        help="attention variant (default cosformer)")

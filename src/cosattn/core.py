@@ -196,14 +196,18 @@ def _require_kernel_config(config: AttentionConfig):
         raise ConfigurationError("kernel-path operation called with a softmax config")
 
 
+def _drop_future(S: np.ndarray, value: float) -> None:
+    """Set the entries j > i of each (n, n) slice of S to value, in place."""
+    np.copyto(S, value, where=np.triu(np.ones(S.shape[-2:], dtype=bool), 1))
+
+
 def _softmax_weights(Q: np.ndarray, K: np.ndarray, causal: bool) -> np.ndarray:
     """Float64 weights softmax(Q K^T / sqrt(d_k)) of checked (..., n, d)
     stacks; entries j > i of each slice are masked out first when causal."""
     S = _wide(Q) @ _wide(K).swapaxes(-1, -2)
     S /= math.sqrt(Q.shape[-1])
     if causal:
-        np.copyto(S, -np.inf,
-                  where=np.triu(np.ones(S.shape[-2:], dtype=bool), 1))
+        _drop_future(S, -np.inf)
     S -= S.max(axis=-1, keepdims=True)
     np.exp(S, out=S)
     S /= S.sum(axis=-1, keepdims=True)
@@ -223,11 +227,13 @@ def _weights_quadratic_wide(Q: np.ndarray, K: np.ndarray,
     """Float64 kernel weight matrix; shared by the public quadratic ops."""
     S = apply_feature_map(_wide(Q), config.feature_map) \
         @ apply_feature_map(_wide(K), config.feature_map).T
+    if config.causal:
+        # Before the re-weight: a dropped product that overflowed stays
+        # 0, not 0 * inf = NaN.
+        _drop_future(S, 0.0)
     if config.reweight.kind == "cosine":
         from .reweight import build_reweight_matrix  # reweight imports this module
         S *= build_reweight_matrix(Q.shape[0], K.shape[0], config.reweight.m)
-    if config.causal:
-        S *= np.tri(*S.shape)
     den = S.sum(axis=1)
     return S / np.maximum(den, config.eps)[:, None]
 

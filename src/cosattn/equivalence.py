@@ -107,6 +107,14 @@ def _draw_case(rng, n_max: int, d_max: int, walks: bool = False):
     return Q, K, V, causal
 
 
+def _draw_horizon(rng, n: int):
+    """A cosine horizon for n rows: n or 2n, and a quarter of the time a
+    float in [n, 4n]. The float is drawn after the integer and the case,
+    so every trial keeps the case and integer it drew without it."""
+    m = int(rng.choice((n, 2 * n)))
+    return float(rng.uniform(n, 4 * n)) if rng.random() < 0.25 else m
+
+
 def _position_off_by_one(decompose, Q_feat, K_feat, m, first=1):
     """Query rows scaled one position past their own."""
     q, k = decompose(Q_feat, K_feat, m, first)
@@ -184,7 +192,7 @@ def _streaming_error(rng) -> float:
     drawn causal flag is unused, since a decode is causal."""
     Q, K, V, _ = _draw_case(rng, n_max=256, d_max=16)
     n = Q.shape[0]
-    m = int(rng.choice((n, 2 * n)))
+    m = _draw_horizon(rng, n)
     config = AttentionConfig.cosformer(m=m, causal=True)
     batch = attend(Q, K, V, config)
     state = causal_state_init(Q.shape[1], V.shape[1])
@@ -224,8 +232,7 @@ def equivalence_trial(variant: str, seed: int, trial: int,
         Q, K, V = (a.astype(np.float32) for a in (Q, K, V))
     feature_map = _FEATURE_MAPS[variant]
     if variant.startswith("cosformer"):
-        n = Q.shape[0]
-        m = int(rng.choice((n, 2 * n)))
+        m = _draw_horizon(rng, Q.shape[0])
         config = AttentionConfig.cosformer(m=m, causal=causal,
                                            feature_map=feature_map)
     else:

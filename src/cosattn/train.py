@@ -141,14 +141,6 @@ class TrainReport:
                 f"final_loss={self.final_loss:.6f} "
                 f"token_accuracy={self.token_accuracy:.4f}")
 
-    def to_csv(self, path):
-        """Write (step, loss) rows plus a one-line summary comment."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("step,loss\n")
-            for step, loss in self.loss_curve:
-                fh.write(f"{step},{loss:.10g}\n")
-            fh.write(f"# {self.summary()}\n")
-
 
 class _Adam:
     """Adam with the trainer's fixed step size and moment decays."""

@@ -38,10 +38,6 @@ class CoverageMatrix:
     threshold: float
     n_matrices: int
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
     def validate(self) -> None:
         require_matrix(self.values, "coverage values")
         if self.values.shape[0] != self.values.shape[1]:

@@ -1,4 +1,4 @@
-"""Benchmark sweep protocol: records, CSV layout, failure handling."""
+"""Benchmark sweep protocol: records, failure handling."""
 
 import math
 
@@ -8,18 +8,11 @@ import pytest
 import cosattn.bench as bench
 from cosattn.bench import (
     BENCH_VARIANTS,
-    CSV_HEADER,
     BenchmarkRecord,
     run_benchmark,
     transient_scalars,
-    write_benchmark_csv,
 )
 from cosattn.errors import ConfigurationError
-
-
-def test_csv_header_fields():
-    assert CSV_HEADER == ("variant,seq_len,d_model,repeats,mean_s,std_s,"
-                          "median_s,transient_scalars,peak_mib,mode")
 
 
 def test_transient_scalar_counts():
@@ -129,19 +122,3 @@ def test_record_validation_rejects_bad_cells():
     for peak in (0.0, math.nan):
         with pytest.raises(ConfigurationError):
             BenchmarkRecord(**{**good, "peak_mib": peak}).validate()
-
-
-def test_write_benchmark_csv(tmp_path):
-    records = run_benchmark(["linear"], [8], d_model=4, repeats=3, seed=2)
-    path = tmp_path / "bench.csv"
-    write_benchmark_csv(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(records)
-    fields = lines[1].split(",")
-    assert len(fields) == 10
-    assert fields[0] == "linear" and fields[-1] == "inference"
-    assert int(fields[1]) == 8 and int(fields[3]) == 3
-    assert float(fields[4]) > 0.0  # mean_s round-trips through the text
-    assert int(fields[7]) == transient_scalars("linear", 8, 4)
-    assert float(fields[8]) == pytest.approx(records[0].peak_mib, rel=1e-8)

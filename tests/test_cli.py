@@ -1,10 +1,14 @@
-"""End-to-end CLI behavior: subcommands, outputs, exit codes."""
+"""End-to-end CLI behavior: subcommands, JSON output, exit codes."""
+
+import json
 
 import numpy as np
 import pytest
 
-from cosattn.bench import CSV_HEADER
+import cosattn.bench as bench
+from cosattn.bench import BenchmarkRecord, transient_scalars
 from cosattn.cli import main
+from cosattn.equivalence import VARIANTS
 from cosattn.matio import write_matrix
 
 
@@ -14,25 +18,49 @@ def _stochastic(tmp_path, name, m):
     return str(path)
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _document(text):
+    """The one JSON document text holds; a NaN or Infinity token, or a
+    second document, fails the parse."""
+    assert text.endswith("\n")
+    return json.loads(text, parse_constant=_refuse)
+
+
 def test_check_passes(capsys):
     assert main(["check", "--trials", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "equivalence suite" in out
-    assert "FAIL" not in out
+    report = _document(capsys.readouterr().out)
+    assert report["seed"] == 0 and report["mutation"] is None
+    assert [r["variant"] for r in report["results"]] == list(VARIANTS)
+    for result in report["results"]:
+        assert result["trials"] == 5 and result["failures"] == 0
+        assert 0.0 <= result["max_rel_error"] <= result["threshold"]
 
 
 def test_check_writes_report(tmp_path, capsys):
-    out_path = tmp_path / "report.txt"
+    out_path = tmp_path / "report.json"
     assert main(["check", "--trials", "4", "--out", str(out_path)]) == 0
-    text = out_path.read_text()
-    assert text.endswith("\n")
-    assert text.rstrip("\n") == capsys.readouterr().out.rstrip("\n")
+    out = capsys.readouterr().out
+    _document(out)
+    assert out_path.read_bytes() == out.encode("ascii")
 
 
 def test_check_mutation_fails(capsys):
     code = main(["check", "--trials", "25", "--mutation", "dropped_sin_branch"])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    report = _document(capsys.readouterr().out)
+    assert report["mutation"] == "dropped_sin_branch"
+    assert report["results"][0]["failures"] >= 1
+
+
+def test_check_nan_error_prints_as_null(capsys):
+    # the unfloored denominator turns a floored row into 0/0 in these 40
+    # trials; the report still parses as strict JSON
+    code = main(["check", "--trials", "40", "--mutation", "unfloored_denominator"])
+    assert code == 1
+    assert _document(capsys.readouterr().out)["results"][0]["max_rel_error"] is None
 
 
 def test_check_rejects_jobs_below_one(capsys):
@@ -44,20 +72,42 @@ def test_bench_stdout(capsys):
     code = main(["bench", "--variants", "linear", "--lengths", "8",
                  "--d-model", "4", "--repeats", "3"])
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 2 and lines[1].startswith("linear,8,4,3,")
+    (row,) = _document(capsys.readouterr().out)
+    # one object per record, its fields in declaration order
+    assert list(row) == ["variant", "seq_len", "d_model", "repeats", "mean_s",
+                         "std_s", "median_s", "transient_scalars", "peak_mib",
+                         "mode"]
+    record = BenchmarkRecord(**row)  # every field round-trips
+    record.validate()
+    assert (record.variant, record.seq_len, record.d_model, record.repeats,
+            record.mode) == ("linear", 8, 4, 3, "inference")
+    assert record.mean_s > 0.0 and record.peak_mib > 0.0
+    assert record.transient_scalars == transient_scalars("linear", 8, 4)
 
 
-def test_bench_csv_file(tmp_path, capsys):
-    out_path = tmp_path / "bench.csv"
+def test_bench_out_file(tmp_path, capsys):
+    out_path = tmp_path / "bench.json"
     code = main(["bench", "--variants", "linear", "cosformer",
                  "--lengths", "8", "16", "--d-model", "4",
                  "--repeats", "3", "--out", str(out_path)])
     assert code == 0
-    assert capsys.readouterr().out == ""
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER and len(lines) == 5
+    out = capsys.readouterr().out
+    assert [(r["variant"], r["seq_len"]) for r in _document(out)] == [
+        ("linear", 8), ("linear", 16), ("cosformer", 8), ("cosformer", 16)]
+    assert out_path.read_bytes() == out.encode("ascii")
+
+
+def test_bench_failed_cell_prints_as_null(monkeypatch, capsys):
+    def boom(Q, K, V, config):
+        raise MemoryError("simulated allocation failure")
+
+    monkeypatch.setattr(bench, "attend", boom)
+    code = main(["bench", "--variants", "linear", "--lengths", "8",
+                 "--d-model", "4", "--repeats", "3"])
+    assert code == 0
+    (row,) = _document(capsys.readouterr().out)
+    assert row["mean_s"] is row["std_s"] is row["median_s"] is row["peak_mib"] is None
+    assert row["transient_scalars"] == transient_scalars("linear", 8, 4)
 
 
 def test_bench_rejects_unsorted_lengths(capsys):
@@ -77,16 +127,15 @@ def test_bench_rejects_unknown_variant():
 def test_viz_prints_matrix(tmp_path, capsys):
     path = _stochastic(tmp_path, "a.txt", [[0.9, 0.1], [0.2, 0.8]])
     assert main(["viz", path, "--threshold", "0.5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "2 2"
-    assert lines[1].split() == ["1", "0"]
-    assert lines[2].split() == ["0", "1"]
+    assert _document(capsys.readouterr().out) == {
+        "values": [[1.0, 0.0], [0.0, 1.0]], "threshold": 0.5, "n_matrices": 1}
 
 
 def test_viz_demo_writes_pgm(tmp_path, capsys):
     out_path = tmp_path / "cov.pgm"
     assert main(["viz", "--demo", "--seed", "1", "--out", str(out_path)]) == 0
-    assert "wrote 48x48" in capsys.readouterr().out
+    cov = _document(capsys.readouterr().out)
+    assert cov["n_matrices"] == 4 and np.shape(cov["values"]) == (48, 48)
     header = out_path.read_text().splitlines()[:3]
     assert header == ["P2", "48 48", "255"]
 
@@ -121,13 +170,16 @@ def test_viz_malformed_file(tmp_path, capsys):
 
 
 def test_train_toy_short_run(tmp_path, capsys):
-    out_path = tmp_path / "curve.csv"
+    out_path = tmp_path / "report.json"
     code = main(["train-toy", "--variant", "softmax", "--steps", "2",
                  "--seed", "5", "--out", str(out_path)])
     assert code == 0
-    assert "variant=softmax" in capsys.readouterr().out
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == "step,loss" and lines[-1].startswith("#")
+    out = capsys.readouterr().out
+    report = _document(out)
+    assert (report["variant"], report["seed"], report["steps"]) == ("softmax", 5, 2)
+    assert [step for step, _ in report["loss_curve"]] == [1, 2]
+    assert report["final_loss"] == report["loss_curve"][-1][1] > 0.0
+    assert out_path.read_bytes() == out.encode("ascii")
 
 
 def test_missing_subcommand_exits_2():

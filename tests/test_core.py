@@ -20,7 +20,7 @@ from cosattn.core import (
     softmax_attention,
 )
 from cosattn.errors import ConfigurationError, DimensionError
-from cosattn.linear import _BLOCK
+from cosattn.linear import _BLOCK, attend
 from cosattn.matio import write_matrix
 from cosattn.train import init_toy_params
 from cosattn.viz import CoverageMatrix
@@ -282,6 +282,24 @@ def test_weights_causal_masked_entries_zero():
     K = rng.standard_normal((6, 3))
     W = attention_weights_quadratic(Q, K, AttentionConfig.linear(RELU, causal=True))
     assert (W[np.triu_indices(6, 1)] == 0.0).all()
+
+
+@pytest.mark.parametrize("config", [AttentionConfig.cosformer(m=32, causal=True),
+                                    AttentionConfig.linear(RELU, causal=True)],
+                         ids=["cosine", "plain"])
+def test_causal_oracles_drop_an_overflowed_product(config):
+    # Only q_29 . k_31 overflows, and the causal mask drops it: both
+    # oracles must read 0 there, not 0 * inf = NaN, as attend does.
+    rng = np.random.default_rng(17)
+    Q, K, V = (rng.random((32, 2)) for _ in range(3))
+    Q[29, 0] = K[31, 0] = 1e160
+    with np.errstate(over="ignore"):
+        W = attention_weights_quadratic(Q, K, config)
+        out = kernel_attention_quadratic(Q, K, V, config)
+        linear_out = attend(Q, K, V, config)
+    assert np.isfinite(W).all() and np.isfinite(out).all()
+    assert W[29, 31] == 0.0
+    np.testing.assert_allclose(out, linear_out, rtol=1e-12)
 
 
 def test_storage_dtype_follows_inputs():

@@ -10,6 +10,7 @@ from cosattn.equivalence import (
     VARIANTS,
     _DEFECTS,
     _draw_case,
+    _draw_horizon,
     _injected,
     equivalence_trial,
     run_equivalence_suite,
@@ -176,6 +177,23 @@ def test_oracle_draws_reach_one_chunk_and_two_panel_boundaries():
     assert all(Q.shape[0] <= 128 for Q, _, _, causal in draws if not causal)
     assert max(_draw_case(np.random.default_rng([0, t]), 256, 16)[0].shape[0]
                for t in range(200)) <= 256
+
+
+def test_a_share_of_the_horizons_are_floats_up_to_4n():
+    # Some callers pass a float horizon, and one once crashed a causal
+    # walk of one chunk; the integer draw comes first, so the rest of
+    # each trial is unchanged.
+    floats = 0
+    for t in range(200):
+        rng = np.random.default_rng([0, t])
+        n = _draw_case(rng, 128, 32, walks=True)[0].shape[0]
+        m = _draw_horizon(rng, n)
+        if isinstance(m, float):
+            floats += 1
+            assert n <= m <= 4 * n
+        else:
+            assert m in (n, 2 * n)
+    assert 200 // 8 < floats < 200 // 2
 
 
 def test_unfloored_denominator_fails_on_nan():

@@ -274,19 +274,6 @@ def test_train_short_run_is_deterministic():
     assert a.variant == "softmax"
 
 
-def test_train_report_csv(tmp_path):
-    config = AttentionConfig.cosformer(m=32, causal=True)
-    report = train_copy_task(config, seed=5, max_steps=3, eval_every=3)
-    path = tmp_path / "curve.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss"
-    assert len(lines) == 1 + report.steps + 1  # header, rows, summary comment
-    assert lines[-1].startswith("#")
-    first_step, first_loss = lines[1].split(",")
-    assert int(first_step) == 1 and float(first_loss) > 0.0
-
-
 @pytest.mark.parametrize("name,value", [
     ("MALLOC_TRIM_THRESHOLD_", "131072"),
     ("MALLOC_MMAP_THRESHOLD_", "131072"),

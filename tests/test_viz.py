@@ -24,7 +24,7 @@ def test_hand_traced_single_matrix():
         [1.0, 1.0, 1.0],
     ])
     np.testing.assert_array_equal(cov.values, expected)
-    assert cov.n_matrices == 1 and cov.threshold == 0.75 and cov.size == 3
+    assert cov.n_matrices == 1 and cov.threshold == 0.75
 
 
 def test_tie_break_prefers_earlier_column():
